@@ -52,7 +52,6 @@ from .honeycomb import (
     honeycomb_sum,
     is_prehoneycomb,
     nonintegral_sets,
-    ray_weights,
 )
 from .integralize import Potential, TraceStep, integralize, integralize_honeycomb, iteration_bound_check, potential
 from .paths import LegalPath, check_legal_path, dominating_edges, find_legal_path, is_legal_pair

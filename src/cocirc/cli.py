@@ -24,7 +24,7 @@ from .grid import (
     tiling_of,
     validate_grid,
 )
-from .integralize import Potential, integralize, potential
+from .integralize import Potential, TraceStep, integralize, potential
 from .paths import find_legal_path
 from .serialize import dumps, frac_to_str
 
@@ -75,21 +75,16 @@ def _pot_json(p: Potential) -> dict:
     }
 
 
-def _trace_lines(trace) -> str:
-    rows = []
-    for s in trace:
-        rows.append(
-            dumps(
-                {
-                    "eps": frac_to_str(s.eps),
-                    "kinds": list(s.kinds),
-                    "cycle": s.cycle,
-                    "before": _pot_json(s.before),
-                    "after": _pot_json(s.after),
-                }
-            )
-        )
-    return "".join(rows)
+def _trace_row(s: TraceStep) -> str:
+    return dumps(
+        {
+            "eps": frac_to_str(s.eps),
+            "kinds": list(s.kinds),
+            "cycle": s.cycle,
+            "before": _pot_json(s.before),
+            "after": _pot_json(s.after),
+        }
+    )
 
 
 def _cmd_validate(args) -> int:
@@ -124,7 +119,7 @@ def _cmd_integralize(args) -> int:
     out, trace = integralize(g, h)
     _write(args.out, dumps(serialize.cocirc_to_json(out)))
     if args.trace:
-        _write(args.trace, _trace_lines(trace))
+        _write(args.trace, "".join(map(_trace_row, trace)))
     return 0
 
 
@@ -144,16 +139,7 @@ def _cmd_deform(args) -> int:
     after = potential(h2)
     _write(args.out, dumps(serialize.honeycomb_to_json(h2)))
     if args.trace:
-        line = dumps(
-            {
-                "eps": frac_to_str(ev.eps),
-                "kinds": list(ev.kinds),
-                "cycle": p.is_cycle,
-                "before": _pot_json(before),
-                "after": _pot_json(after),
-            }
-        )
-        _write(args.trace, line)
+        _write(args.trace, _trace_row(TraceStep(ev.eps, ev.kinds, p.is_cycle, before, after)))
     return 0
 
 

@@ -151,7 +151,7 @@ def fix_boundary(h: Honeycomb) -> Honeycomb:
     lines: list[tuple[HLine, int]] = []
     for e in h.edges:
         if not (e.is_ray and e.ray_sign == "-"):
-            lines.append((e.line, e.weight))
+            lines.append((e, e.weight))
             continue
         if e.c.denominator != 1:
             raise NonIntegerTruncationPoint(f"ray coordinate {e.c} is fractional")

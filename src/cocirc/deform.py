@@ -60,6 +60,19 @@ class PathLine:
         return abs(t_of(self.cls, self.end) - t_of(self.cls, self.start))
 
 
+def shifted_point(
+    u: Pt, eps: Fraction, cls_in: int, cls_out: int, sign: str, direction: str = TURN_RIGHT
+) -> Pt:
+    """Shift rule at a bend: the incoming line's coordinate moves by
+    -eps and the outgoing one by +eps when both lines have sign '+' at the
+    vertex, and oppositely for sign '-'; a left move flips both."""
+    s = 1 if sign == "+" else -1
+    if direction == TURN_LEFT:
+        s = -s
+    rates = {cls_in: -s, cls_out: s, 6 - cls_in - cls_out: 0}
+    return (u[0] + rates[1] * eps, u[1] + rates[2] * eps)
+
+
 @dataclass(frozen=True)
 class Bend:
     """Junction after line ``index``; ``sign`` is the dominating sign."""
@@ -70,22 +83,18 @@ class Bend:
     sign: str
     cls_in: int
     cls_out: int
-    trav_in: int
-    trav_out: int
 
     @property
     def third_cls(self) -> int:
         return 6 - self.cls_in - self.cls_out
 
-    def motion(self) -> tuple[Fraction, Fraction]:
-        """Dual-coordinate velocity of the shifted copy of the vertex."""
-        rates = {self.cls_in: Fraction(self.trav_in), self.cls_out: Fraction(self.trav_out)}
-        rates[self.third_cls] = -(rates[self.cls_in] + rates[self.cls_out])
-        return (rates[1], rates[2])
-
     def shifted(self, eps: Fraction) -> Pt:
-        m = self.motion()
-        return (self.vertex[0] + m[0] * eps, self.vertex[1] + m[1] * eps)
+        return shifted_point(self.vertex, eps, self.cls_in, self.cls_out, self.sign)
+
+    def motion(self) -> Pt:
+        """Dual-coordinate velocity of the shifted copy of the vertex."""
+        origin = (Fraction(0), Fraction(0))
+        return shifted_point(origin, Fraction(1), self.cls_in, self.cls_out, self.sign)
 
 
 @dataclass(frozen=True)
@@ -113,19 +122,6 @@ class PathLines:
                 ell = line.length()
                 best = ell if best is None or ell < best else best
         return best
-
-
-def shifted_point(
-    u: Pt, eps: Fraction, cls_in: int, cls_out: int, sign: str, direction: str = TURN_RIGHT
-) -> Pt:
-    """Shift rule at a bend: the incoming line's coordinate moves by
-    -eps and the outgoing one by +eps when both lines have sign '+' at the
-    vertex, and oppositely for sign '-'; a left move flips both."""
-    s = 1 if sign == "+" else -1
-    if direction == TURN_LEFT:
-        s = -s
-    rates = {cls_in: -s, cls_out: s, 6 - cls_in - cls_out: 0}
-    return (u[0] + rates[1] * eps, u[1] + rates[2] * eps)
 
 
 def decompose(h: Honeycomb, p: LegalPath) -> PathLines:
@@ -163,15 +159,8 @@ def decompose(h: Honeycomb, p: LegalPath) -> PathLines:
         sign_in = "+" if li.trav == -1 else "-"
         sign_out = "+" if lo_.trav == 1 else "-"
         assert sign_in == sign_out, "bend lines disagree on the dominating sign"
-        bends.append(
-            Bend(idx, v, turn_of(a_in, a_out), sign_in, li.cls, lo_.cls, li.trav, lo_.trav)
-        )
-    pl = PathLines(tuple(lines), tuple(bends), p.is_cycle)
-    for b in pl.bends:
-        assert b.shifted(Fraction(1)) == shifted_point(
-            b.vertex, Fraction(1), b.cls_in, b.cls_out, b.sign
-        )
-    return pl
+        bends.append(Bend(idx, v, turn_of(a_in, a_out), sign_in, li.cls, lo_.cls))
+    return PathLines(tuple(lines), tuple(bends), p.is_cycle)
 
 
 @dataclass(frozen=True)
@@ -233,7 +222,7 @@ def build_deformed_system(
         w = e.weight - used.get(e, 0)
         assert w >= 0, "path overuses an edge"
         if w > 0:
-            lines.append((e.line, w))
+            lines.append((e, w))
     for i in range(len(pl.lines)):
         cls, c2, lo, hi = _moved_line_span(pl, i, eps)
         if lo is not None and lo == hi:
@@ -324,10 +313,8 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
             elif tag[0] == "e1":
                 kinds.add(STOP_BOUNDARY_INTEGRAL)
             elif tag[0] == "sweep":
-                i, v = tag[1], tag[2]
-                cls, _, lo, hi = _moved_line_span(pl, i, eps_c)
-                t = t_of(cls, v)
-                if (lo is None or lo <= t) and (hi is None or t <= hi):
+                moved = HLine(*_moved_line_span(pl, tag[1], eps_c))
+                if moved.contains_t(t_of(moved.cls, tag[2])):
                     kinds.add(STOP_INTEGRAL_VERTEX)
             else:
                 _, pa, pb = tag  # pa is a Bend; pb a Bend or a stationary vertex

@@ -33,7 +33,9 @@ HEX_ORDER: list[tuple[tuple[int, str], Point]] = [
 
 
 def _local_grid(w6: dict[tuple[int, str], int]):
-    """Triangles and per-side corner spans of one vertex's local grid."""
+    """Triangles and per-side corner spans of the hexagonal grid whose
+    boundary runs have the six given lengths: one vertex's local grid, or
+    the whole grid of a honeycomb from its boundary weights."""
     corner = (0, 0)
     corners = [corner]
     spans = {}
@@ -103,7 +105,8 @@ def tile_points(
         for t in ts:
             for cls in (1, 2, 3):
                 v = h[gr.triangle_edge(t, cls)]
-                assert vals.setdefault(cls, v) == v, "tile is not flat"
+                stored = vals.setdefault(cls, v)
+                assert stored == v, "tile is not flat"
         pts.append((vals[1], vals[2]))
     return tile_of, pts
 

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional
 from . import grid as gr
 from .errors import FNotSubsetOfEdges
 from .grid import Cocirculation, ConvexGrid, Edge, Tiling
-from .honeycomb import HEdge, Honeycomb, dval, t_of
+from .honeycomb import HEdge, HLine, Honeycomb, dval, t_of
 
 Row = tuple[dict[int, Fraction], Fraction]
 
@@ -176,21 +176,13 @@ def condition_c_extreme(h: Honeycomb, marked: Iterable[HEdge]) -> bool:
     """Sufficient two-lines test: every vertex lies on two maximal lines
     that each contain a marked edge."""
     marked = set(marked)
-    lines = maximal_lines(h)
-    good = []
-    for run in lines:
-        if any(e in marked for e in run):
-            cls, c = run[0].cls, run[0].c
-            lo, hi = run[0].lo, run[-1].hi
-            good.append((cls, c, lo, hi))
+    good = [
+        HLine(run[0].cls, run[0].c, run[0].lo, run[-1].hi)
+        for run in maximal_lines(h)
+        if any(e in marked for e in run)
+    ]
     for v in h.vertices:
-        n = 0
-        for cls, c, lo, hi in good:
-            if dval(v, cls) != c:
-                continue
-            t = t_of(cls, v)
-            if (lo is None or lo <= t) and (hi is None or t <= hi):
-                n += 1
-        if n < 2:
+        on = [ln for ln in good if dval(v, ln.cls) == ln.c and ln.contains_t(t_of(ln.cls, v))]
+        if len(on) < 2:
             return False
     return True

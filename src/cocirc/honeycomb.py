@@ -40,16 +40,6 @@ def dval(p: Pt, cls: int) -> Fraction:
     return -p[0] - p[1]
 
 
-def as_pt(d1, d2) -> Pt:
-    return (Fraction(d1), Fraction(d2))
-
-
-def pt3(d1, d2, d3) -> Pt:
-    p = (Fraction(d1), Fraction(d2))
-    assert dval(p, 3) == Fraction(d3), "dual coordinates must sum to zero"
-    return p
-
-
 def point_from_two(cls1: int, c1: Fraction, cls2: int, c2: Fraction) -> Pt:
     d = {cls1: c1, cls2: c2, 6 - cls1 - cls2: -c1 - c2}
     return (d[1], d[2])
@@ -98,10 +88,6 @@ class HLine:
         return (self.lo is None) != (self.hi is None)
 
     @property
-    def is_full(self) -> bool:
-        return self.lo is None and self.hi is None
-
-    @property
     def ray_sign(self) -> str:
         assert self.is_ray
         return "+" if self.hi is None else "-"
@@ -126,38 +112,14 @@ class HLine:
 
 
 @dataclass(frozen=True)
-class HEdge:
-    cls: int
-    c: Fraction
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
+class HEdge(HLine):
+    """A honeycomb edge: an ``HLine`` carrying a positive weight."""
+
     weight: int
-
-    @property
-    def line(self) -> HLine:
-        return HLine(self.cls, self.c, self.lo, self.hi)
-
-    @property
-    def is_ray(self) -> bool:
-        return self.line.is_ray
-
-    @property
-    def is_finite(self) -> bool:
-        return self.line.is_finite
-
-    @property
-    def ray_sign(self) -> str:
-        return self.line.ray_sign
 
     @property
     def nonintegral(self) -> bool:
         return self.c.denominator != 1
-
-    def ends(self) -> tuple[Pt, ...]:
-        return self.line.ends()
-
-    def length(self) -> Fraction:
-        return self.line.length()
 
     def sign_at(self, v: Pt) -> str:
         """The sign s with this edge inside ``Xi_cls^s(v)``, for an end v."""
@@ -174,7 +136,7 @@ class HEdge:
         return None
 
     def sort_key(self):
-        return (self.cls, self.c, _lo_key(self.lo), _hi_key(self.hi), self.weight)
+        return (*super().sort_key(), self.weight)
 
 
 XiSystem = list[tuple[HLine, int]]
@@ -254,30 +216,23 @@ def six_weights(covs, p: Pt) -> dict[tuple[int, str], int]:
     return out
 
 
-def ray_weights(system: XiSystem, v: Pt) -> dict[tuple[int, str], int]:
-    """Direct-scan ray weights of a Xi-system at a point."""
-    out = {(cls, s): 0 for cls in (1, 2, 3) for s in SIGNS}
-    for line, w in system:
-        if dval(v, line.cls) != line.c:
-            continue
-        t = t_of(line.cls, v)
-        if (line.lo is None or line.lo <= t) and (line.hi is None or t < line.hi):
-            out[(line.cls, "+")] += w
-        if (line.lo is None or line.lo < t) and (line.hi is None or t <= line.hi):
-            out[(line.cls, "-")] += w
-    return out
+def _vertices(system: XiSystem, covs) -> list[Pt]:
+    """Candidate points with at least three nonzero ray weights.
 
-
-def _violation(system: XiSystem) -> Optional[str]:
-    covs = _supports(system)
+    Raises NotPreHoneycomb at the first candidate with a negative ray
+    weight or unequal tension.
+    """
+    verts: list[Pt] = []
     for p in _candidate_points(system, covs):
         w6 = six_weights(covs, p)
         if any(v < 0 for v in w6.values()):
-            return f"negative ray weight at {p}"
+            raise NotPreHoneycomb(f"negative ray weight at {p}")
         divs = {cls: w6[(cls, "+")] - w6[(cls, "-")] for cls in (1, 2, 3)}
         if len(set(divs.values())) != 1:
-            return f"unequal tension {divs} at {p}"
-    return None
+            raise NotPreHoneycomb(f"unequal tension {divs} at {p}")
+        if sum(1 for v in w6.values() if v != 0) >= 3:
+            verts.append(p)
+    return verts
 
 
 def is_prehoneycomb(system: XiSystem) -> bool:
@@ -287,7 +242,11 @@ def is_prehoneycomb(system: XiSystem) -> bool:
     crossings) suffices: between candidates every coverage is constant, so
     interior points see w_i^+ = w_i^- on one class and zeros elsewhere.
     """
-    return _violation(system) is None
+    try:
+        _vertices(system, _supports(system))
+    except NotPreHoneycomb:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -321,7 +280,7 @@ class Honeycomb:
         return tuple(e for e in self.edges if e.is_ray)
 
     def as_system(self) -> XiSystem:
-        return [(e.line, e.weight) for e in self.edges]
+        return [(e, e.weight) for e in self.edges]
 
 
 def divergency(h: Honeycomb, v: Pt) -> int:
@@ -344,16 +303,7 @@ def canonicalize(system: XiSystem) -> Honeycomb:
     when the covered set has a fully infinite line or no vertex at all.
     """
     covs = _supports(system)
-    verts: list[Pt] = []
-    for p in _candidate_points(system, covs):
-        w6 = six_weights(covs, p)
-        if any(v < 0 for v in w6.values()):
-            raise NotPreHoneycomb(f"negative ray weight at {p}")
-        divs = {cls: w6[(cls, "+")] - w6[(cls, "-")] for cls in (1, 2, 3)}
-        if len(set(divs.values())) != 1:
-            raise NotPreHoneycomb(f"unequal tension {divs} at {p}")
-        if sum(1 for v in w6.values() if v != 0) >= 3:
-            verts.append(p)
+    verts = _vertices(system, covs)
     if not verts:
         raise NotPreHoneycomb("covered set has no vertex")
     edges: list[HEdge] = []

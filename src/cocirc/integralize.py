@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from . import grid as gr
 from .deform import deform
-from .duality import grid_to_honeycomb, honeycomb_to_grid
+from .duality import _local_grid, grid_to_honeycomb, honeycomb_to_grid
 from .grid import Cocirculation, ConvexGrid
-from .honeycomb import Honeycomb, excess, is_integral_point, nonintegral_sets
+from .honeycomb import Honeycomb, boundary_partition, excess, is_integral_point, nonintegral_sets
 from .paths import find_legal_path
 
 
@@ -57,39 +57,37 @@ class TraceStep:
 def dual_grid_edge_count(h: Honeycomb) -> int:
     """|E| of the grid determined by the boundary flows; this bounds the
     integral-incident weight from above."""
-    from .duality import HEX_ORDER
-    from .honeycomb import boundary_partition
-
     part, _ = boundary_partition(h)
-    corner = (0, 0)
-    corners = [corner]
-    perimeter = 0
-    for slot, (da, db) in HEX_ORDER:
-        n = sum(e.weight for e in part[slot])
-        perimeter += n
-        corner = (corner[0] + n * da, corner[1] + n * db)
-        corners.append(corner)
-    assert corner == (0, 0)
-    area2 = sum(
-        a1 * b2 - a2 * b1
-        for (a1, b1), (a2, b2) in zip(corners, corners[1:])
+    sides = {slot: sum(e.weight for e in edges) for slot, edges in part.items()}
+    triangles, _ = _local_grid(sides)
+    return (3 * len(triangles) + sum(sides.values())) // 2
+
+
+def _monotone(before: Potential, after: Potential) -> bool:
+    """One step lowers the potential and moves none of its parts the wrong way."""
+    return (
+        after.value < before.value
+        and after.nonintegral_boundary <= before.nonintegral_boundary
+        and after.nonintegral_excess <= before.nonintegral_excess
+        and after.integral_incident >= before.integral_incident
     )
-    triangles = area2  # lattice shoelace equals the little-triangle count
-    return (3 * triangles + perimeter) // 2
+
+
+def _step_budget(initial: Potential, edges: int) -> int:
+    """The linear step budget beta0 + delta0 + |E(G)|."""
+    return initial.nonintegral_boundary + initial.nonintegral_excess + edges
 
 
 def integralize_honeycomb(h: Honeycomb) -> tuple[Honeycomb, list[TraceStep]]:
     pot = potential(h)
-    budget = pot.nonintegral_boundary + pot.nonintegral_excess + dual_grid_edge_count(h)
+    budget = _step_budget(pot, dual_grid_edge_count(h))
     trace: list[TraceStep] = []
     while not pot.settled:
         path = find_legal_path(h)
         h2, ev = deform(h, path)
         pot2 = potential(h2)
         assert pot2.value < pot.value, "potential failed to decrease"
-        assert pot2.nonintegral_boundary <= pot.nonintegral_boundary
-        assert pot2.nonintegral_excess <= pot.nonintegral_excess
-        assert pot2.integral_incident >= pot.integral_incident
+        assert _monotone(pot, pot2)
         trace.append(TraceStep(ev.eps, ev.kinds, path.is_cycle, pot, pot2))
         h, pot = h2, pot2
         assert len(trace) <= budget, "iteration budget exceeded"
@@ -119,22 +117,9 @@ def iteration_bound_check(
     g: ConvexGrid, trace: list[TraceStep], initial: Potential
 ) -> bool:
     """Audit a recorded run: monotone parts and the linear step budget."""
-    if not trace:
-        return True
-    if trace[0].before != initial:
-        return False
     pot = initial
     for step in trace:
-        if step.before != pot:
+        if step.before != pot or not _monotone(pot, step.after):
             return False
-        nxt = step.after
-        if not (
-            nxt.value < pot.value
-            and nxt.nonintegral_boundary <= pot.nonintegral_boundary
-            and nxt.nonintegral_excess <= pot.nonintegral_excess
-            and nxt.integral_incident >= pot.integral_incident
-        ):
-            return False
-        pot = nxt
-    bound = initial.nonintegral_boundary + initial.nonintegral_excess + len(g.edges)
-    return len(trace) <= bound
+        pot = step.after
+    return len(trace) <= _step_budget(initial, len(g.edges))

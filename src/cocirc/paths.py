@@ -70,7 +70,7 @@ def dominating_edges(h: Honeycomb, v: Pt) -> frozenset[HEdge]:
 def is_legal_pair(h: Honeycomb, v: Pt, e1: HEdge, e2: HEdge) -> bool:
     if e1 == e2 or not (e1.nonintegral and e2.nonintegral):
         return False
-    if e1.cls == e2.cls and e1.sign_at(v) != e2.sign_at(v):
+    if LegalPath._opposite(e1, e2, v):
         return True
     dom = dominating_edges(h, v)
     return e1 in dom and e2 in dom
@@ -105,18 +105,6 @@ class LegalPath:
     @staticmethod
     def _opposite(e1: HEdge, e2: HEdge, v: Pt) -> bool:
         return e1.cls == e2.cls and e1.sign_at(v) != e2.sign_at(v)
-
-    @cached_property
-    def bends(self) -> tuple[tuple[HEdge, Pt, HEdge, str], ...]:
-        """(incoming, vertex, outgoing, turn) for every bend of the path."""
-        travs = edge_travels(self)
-        out = []
-        for i in self.bend_positions:
-            e_in, e_out = self.edges[i - 1], self.edges[i]
-            a_in = travel_angle(e_in.cls, travs[i - 1])
-            a_out = travel_angle(e_out.cls, travs[i])
-            out.append((e_in, self.verts[i], e_out, turn_of(a_in, a_out)))
-        return tuple(out)
 
     def reversed(self) -> "LegalPath":
         return LegalPath(tuple(reversed(self.verts)), tuple(reversed(self.edges)), self.is_cycle)

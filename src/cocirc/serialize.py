@@ -14,7 +14,7 @@ from typing import Any
 
 from .errors import NotPreHoneycomb, SchemaError
 from .grid import Cocirculation, ConvexGrid, Edge
-from .honeycomb import HEdge, Honeycomb, Pt, canonicalize, dval, t_of
+from .honeycomb import HEdge, HLine, Honeycomb, Pt, canonicalize, dval, t_of
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -39,6 +39,10 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def grid_to_json(g: ConvexGrid) -> dict:
     return {
         "triangles": [
@@ -54,7 +58,7 @@ def grid_from_json(doc: Any) -> ConvexGrid:
         _require(isinstance(row, dict), "grid: triangle rows must be objects")
         up, a, b = row.get("up"), row.get("a"), row.get("b")
         _require(isinstance(up, bool), "grid: 'up' must be boolean")
-        _require(isinstance(a, int) and isinstance(b, int) and not isinstance(a, bool) and not isinstance(b, bool), "grid: 'a','b' must be integers")
+        _require(_is_int(a) and _is_int(b), "grid: 'a','b' must be integers")
         tris.append((up, a, b))
     _require(len(tris) > 0, "grid: empty triangle list")
     return ConvexGrid.of(tris)
@@ -69,28 +73,23 @@ def cocirc_to_json(h: Cocirculation) -> dict:
     }
 
 
-def cocirc_from_json(doc: Any) -> Cocirculation:
-    _require(isinstance(doc, dict) and isinstance(doc.get("edges"), list), "cocirc: want {'edges': [...]}")
-    out: Cocirculation = {}
+def _edge_rows(doc: Any, what: str):
+    """``((a, b, dir), row)`` for each row of an ``{'edges': [...]}`` document."""
+    _require(isinstance(doc, dict) and isinstance(doc.get("edges"), list), f"{what}: want {{'edges': [...]}}")
     for row in doc["edges"]:
-        _require(isinstance(row, dict), "cocirc: edge rows must be objects")
+        _require(isinstance(row, dict), f"{what}: edge rows must be objects")
         a, b, d = row.get("a"), row.get("b"), row.get("dir")
-        _require(isinstance(a, int) and isinstance(b, int), "cocirc: 'a','b' must be integers")
-        _require(d in (1, 2, 3), "cocirc: 'dir' must be 1, 2 or 3")
-        out[(a, b, d)] = frac_from_any(row.get("value"))
-    return out
+        _require(_is_int(a) and _is_int(b), f"{what}: 'a','b' must be integers")
+        _require(d in (1, 2, 3), f"{what}: 'dir' must be 1, 2 or 3")
+        yield (a, b, d), row
+
+
+def cocirc_from_json(doc: Any) -> Cocirculation:
+    return {e: frac_from_any(row.get("value")) for e, row in _edge_rows(doc, "cocirc")}
 
 
 def edge_list_from_json(doc: Any) -> frozenset[Edge]:
-    _require(isinstance(doc, dict) and isinstance(doc.get("edges"), list), "edges: want {'edges': [...]}")
-    out = []
-    for row in doc["edges"]:
-        _require(isinstance(row, dict), "edges: rows must be objects")
-        a, b, d = row.get("a"), row.get("b"), row.get("dir")
-        _require(isinstance(a, int) and isinstance(b, int), "edges: 'a','b' must be integers")
-        _require(d in (1, 2, 3), "edges: 'dir' must be 1, 2 or 3")
-        out.append((a, b, d))
-    return frozenset(out)
+    return frozenset(e for e, _ in _edge_rows(doc, "edges"))
 
 
 def edge_list_to_json(edges) -> dict:
@@ -133,7 +132,7 @@ def honeycomb_from_json(doc: Any) -> Honeycomb:
         cls = row.get("class")
         _require(cls in (1, 2, 3), "honeycomb: 'class' must be 1, 2 or 3")
         w = row.get("weight")
-        _require(isinstance(w, int) and not isinstance(w, bool) and w > 0, "honeycomb: 'weight' must be a positive integer")
+        _require(_is_int(w) and w > 0, "honeycomb: 'weight' must be a positive integer")
         ends = [_pt_from_json(p) for p in row.get("ends", [])]
         kind = row.get("kind")
         if kind == "finite":
@@ -142,7 +141,7 @@ def honeycomb_from_json(doc: Any) -> Honeycomb:
             _require(dval(ends[1], cls) == c, "honeycomb: ends not collinear for class")
             t0, t1 = sorted((t_of(cls, ends[0]), t_of(cls, ends[1])))
             _require(t0 < t1, "honeycomb: degenerate finite edge")
-            lines.append((HEdge(cls, c, t0, t1, w).line, w))
+            lines.append((HLine(cls, c, t0, t1), w))
         elif kind == "ray":
             _require(len(ends) == 1, "honeycomb: ray needs one end")
             sign = row.get("sign")
@@ -150,7 +149,7 @@ def honeycomb_from_json(doc: Any) -> Honeycomb:
             c = dval(ends[0], cls)
             t = t_of(cls, ends[0])
             span = (t, None) if sign == "+" else (None, t)
-            lines.append((HEdge(cls, c, span[0], span[1], w).line, w))
+            lines.append((HLine(cls, c, *span), w))
         else:
             raise SchemaError("honeycomb: 'kind' must be 'finite' or 'ray'")
     try:

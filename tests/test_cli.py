@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import cocirc
 from cocirc.cli import main
 from cocirc.serialize import loads
 
@@ -99,3 +104,15 @@ def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def test_selftest_under_optimize():
+    # ``python -O`` strips asserts; no side effect may hide inside one.
+    src = str(Path(cocirc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "cocirc.cli", "selftest"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("PASS") == 3

@@ -261,18 +261,17 @@ def racket_fixture():
     """Weight-2 handle walked down and back around a hexagon loop: the
     background copy of the handle drops to zero, never below."""
     from test_paths import benzene_cycle
-    from cocirc.honeycomb import HEdge
 
     base = (F(1, 3), F(1, 3))
     hc0, cyc = benzene_cycle(base=base)
     lines = []
     for e in hc0.edges:
         if e.is_finite:
-            lines.append((e.line, 2))  # hexagon sides
+            lines.append((e, 2))  # hexagon sides
         elif e.ends()[0] == base:
             continue  # the corner ray is replaced by the handle
         else:
-            lines.append((e.line, 2))  # corner rays
+            lines.append((e, 2))  # corner rays
     w = (base[0] + 2, base[1] - 2)  # two steps out along the third line
     t0, t1 = sorted((t_of(3, base), t_of(3, w)))
     lines.append((HLine(3, dval(base, 3), t0, t1), 2))  # handle
@@ -308,7 +307,8 @@ def test_double_use_weight_bookkeeping():
     eps = F(1, 5)
     sys_eps = build_deformed_system(hc, pl, eps)
     # the handle is fully consumed; every hexagon side keeps one copy
-    assert all(l != handle.line for l, _ in sys_eps.lines)
+    span = (handle.cls, handle.c, handle.lo, handle.hi)
+    assert all((l.cls, l.c, l.lo, l.hi) != span for l, _ in sys_eps.lines)
     assert is_prehoneycomb(sys_eps.as_system())
     h2, ev = deform(hc, path)
     assert ev.eps > 0

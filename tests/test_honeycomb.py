@@ -9,6 +9,7 @@ from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NotPreHoneycomb
 from cocirc.honeycomb import (
     HLine,
+    _supports,
     boundary_partition,
     canonicalize,
     claw,
@@ -19,7 +20,7 @@ from cocirc.honeycomb import (
     is_prehoneycomb,
     nonintegral_sets,
     point_on,
-    ray_weights,
+    six_weights,
     t_of,
 )
 
@@ -35,20 +36,28 @@ def minus_ray(cls, at, w=1):
     return (HLine(cls, dval(at, cls), None, t_of(cls, at)), w)
 
 
+def weights_at(system, p):
+    """The six ray weights at p as canonicalize computes them."""
+    return six_weights(_supports(system), p)
+
+
 def test_ray_weights_empty_system():
-    assert all(v == 0 for v in ray_weights([], ORIGIN).values())
+    assert all(v == 0 for v in weights_at([], ORIGIN).values())
+    assert weights_at([], ORIGIN) == oracle_ray_weights([], ORIGIN)
 
 
 def test_ray_weights_weight_two_ray_at_end():
-    w6 = ray_weights([plus_ray(1, ORIGIN, 2)], ORIGIN)
+    system = [plus_ray(1, ORIGIN, 2)]
+    w6 = weights_at(system, ORIGIN)
     assert w6[(1, "+")] == 2
     assert sum(w6.values()) == 2
+    assert w6 == oracle_ray_weights(system, ORIGIN)
 
 
 def test_ray_weights_interior_point():
     system = [plus_ray(cls, ORIGIN) for cls in (1, 2, 3)]
     inside = point_on(1, F(0), F(5, 7))  # interior of the class-1 ray
-    w6 = ray_weights(system, inside)
+    w6 = weights_at(system, inside)
     assert w6[(1, "+")] == 1 and w6[(1, "-")] == 1
     assert all(v == 0 for k, v in w6.items() if k[0] != 1)
     assert w6 == oracle_ray_weights(system, inside)
@@ -135,8 +144,10 @@ def test_canonicalize_idempotent_and_weight_preserving(small_corpus):
             lam = F(rng.randint(0, 16), 16)
             pts.append(point_on(e.cls, e.c, t0 + lam * (t1 - t0)))
         original = [(l, w) for l, w in hc.as_system()]
+        covs, covs_again = _supports(original), _supports(again.as_system())
         for p in pts:
-            assert ray_weights(original, p) == ray_weights(again.as_system(), p)
+            w6 = oracle_ray_weights(original, p)
+            assert six_weights(covs, p) == w6 == six_weights(covs_again, p)
 
 
 def test_every_honeycomb_has_boundary(small_corpus):

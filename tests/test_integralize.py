@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import corpus
-from cocirc.constructions import counterexample_instance, hexagon_instance
+from cocirc.constructions import counterexample_instance, fractional_vertex_instance, hexagon_instance
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NotConcave
 from cocirc.grid import (
@@ -16,12 +16,23 @@ from cocirc.grid import (
 from cocirc.honeycomb import is_integral_point
 from cocirc.integralize import (
     Potential,
+    dual_grid_edge_count,
     integralize,
     iteration_bound_check,
     potential,
 )
 
 F = Fraction
+
+
+def test_dual_grid_edge_count_is_grid_edge_count(small_corpus):
+    # the rounding loop budgets |E| from the honeycomb, the audit from the grid
+    instances = list(small_corpus)
+    instances += [hexagon_instance(k) for k in (1, 2, 3)]
+    instances.append(counterexample_instance())
+    instances += [fractional_vertex_instance(k)[:2] for k in (1, 2)]
+    for g, h in instances:
+        assert dual_grid_edge_count(grid_to_honeycomb(g, h)) == len(g.edges)
 
 
 def test_potential_integral_honeycomb():

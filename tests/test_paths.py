@@ -169,12 +169,12 @@ def test_path_bend_triples_match_decomposition():
     from cocirc.deform import decompose
 
     hc, path = benzene_cycle()
-    triples = path.bends
-    assert len(triples) == 6
-    assert {t[3] for t in triples} == {"left"}
     pl = decompose(hc, path)
-    assert sorted(b.turn for b in pl.bends) == sorted(t[3] for t in triples)
-    for e_in, v, e_out, _ in triples:
-        assert is_legal_pair(hc, v, e_in, e_out)
+    assert [b.turn for b in pl.bends] == ["left"] * 6
+    for b in pl.bends:
+        e_in = pl.lines[b.index].edges[-1]
+        e_out = pl.lines[(b.index + 1) % len(pl.lines)].edges[0]
+        assert b.vertex in e_in.ends() and b.vertex in e_out.ends()
+        assert is_legal_pair(hc, b.vertex, e_in, e_out)
     line = nonintegral_line_honeycomb()
-    assert find_legal_path(line).bends == ()
+    assert decompose(line, find_legal_path(line)).bends == ()

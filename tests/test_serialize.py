@@ -9,6 +9,8 @@ from cocirc.serialize import (
     cocirc_from_json,
     cocirc_to_json,
     dumps,
+    edge_list_from_json,
+    edge_list_to_json,
     frac_from_any,
     frac_to_str,
     grid_from_json,
@@ -38,6 +40,8 @@ def test_grid_and_cocirc_round_trip():
     assert g2 == g
     h2 = cocirc_from_json(loads(dumps(cocirc_to_json(h))))
     assert h2 == h
+    fixed = edge_list_from_json(loads(dumps(edge_list_to_json(g.edges))))
+    assert fixed == g.edges
 
 
 def test_emitted_documents_are_canonical():
@@ -60,6 +64,11 @@ def test_schema_violations():
         grid_from_json({"triangles": []})
     with pytest.raises(SchemaError):
         cocirc_from_json({"edges": [{"a": 0, "b": 0, "dir": 4, "value": "1/2"}]})
+    for a, b in ((True, 0), (0, False)):
+        with pytest.raises(SchemaError):
+            cocirc_from_json({"edges": [{"a": a, "b": b, "dir": 1, "value": "1/2"}]})
+        with pytest.raises(SchemaError):
+            edge_list_from_json({"edges": [{"a": a, "b": b, "dir": 1}]})
     with pytest.raises(SchemaError):
         honeycomb_from_json({"edges": [{"class": 1, "weight": 0, "kind": "ray"}]})
     with pytest.raises(SchemaError):
