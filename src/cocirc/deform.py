@@ -30,6 +30,7 @@ from .honeycomb import (
     dval,
     is_integral_point,
     t_of,
+    vertices_by_line,
 )
 from .paths import LegalPath, TURN_LEFT, TURN_RIGHT, edge_travels, travel_angle, turn_of
 
@@ -260,6 +261,7 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
     """First parameter at which the rightward motion must stop."""
     movers = [(b, b.vertex, b.motion()) for b in pl.bends]
     integral_verts = [v for v in h.vertices if is_integral_point(v)]
+    on_line = vertices_by_line(h.vertices)
     vanish = pl.vanish_bound()
     is_open = not pl.is_cycle
 
@@ -285,7 +287,9 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
             t = _meet_time(ua, ma, ub, mb)
             if t is not None:
                 add(t, ("meet", ba, bb))
-        for v in h.vertices:
+        # A bend moves along its third-class line, so it can meet only the
+        # stationary vertices on that line.
+        for v in on_line.get((ba.third_cls, dval(ua, ba.third_cls)), ()):
             t = _meet_time(ua, ma, v, (0, 0))
             if t is not None:
                 add(t, ("meet", ba, v))

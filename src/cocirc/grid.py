@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import NotACocirculation, NotConcave, NotConnected, NotConvex
 
@@ -107,6 +107,11 @@ class ConvexGrid:
             for e in triangle_edges(t):
                 faces.setdefault(e, []).append(t)
         return {e: tuple(ts) for e, ts in faces.items()}
+
+    @cached_property
+    def rhombi(self) -> tuple[tuple[Edge, Triangle, Triangle], ...]:
+        """Interior edges in sorted order, each with its two faces."""
+        return tuple((e, ts[0], ts[1]) for e, ts in sorted(self.edge_faces.items()) if len(ts) == 2)
 
     @cached_property
     def boundary_edges(self) -> frozenset[Edge]:
@@ -282,11 +287,9 @@ def check_cocirculation(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> None:
             raise NotACocirculation(f"circuit sum {s} on face {t}")
 
 
-def little_rhombi(g: ConvexGrid) -> Iterator[tuple[Edge, Triangle, Triangle]]:
+def little_rhombi(g: ConvexGrid) -> tuple[tuple[Edge, Triangle, Triangle], ...]:
     """Interior edges with their two faces; each pair spans a little rhombus."""
-    for e, ts in sorted(g.edge_faces.items()):
-        if len(ts) == 2:
-            yield e, ts[0], ts[1]
+    return g.rhombi
 
 
 def rhombus_pairs(

@@ -179,6 +179,23 @@ class _Coverage:
         before = self.base if i == 0 else self.vals[i - 1]
         return all(self.vals[k] == before for k in range(i, j))
 
+    def covers(self, t: Fraction) -> bool:
+        """Nonzero coverage on at least one side of t."""
+        return self.plus(t) != 0 or self.minus(t) != 0
+
+    def spans(self) -> list[tuple[Optional[Fraction], Optional[Fraction]]]:
+        """Maximal closed spans of the t at which ``covers`` holds."""
+        out: list[tuple[Optional[Fraction], Optional[Fraction]]] = []
+        bounds = [None, *self.ts, None]
+        for lo, hi, w in zip(bounds, bounds[1:], [self.base, *self.vals]):
+            if w == 0:
+                continue
+            if out and lo is not None and out[-1][1] == lo:
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+        return out
+
 
 def _supports(system: XiSystem) -> dict[tuple[int, Fraction], _Coverage]:
     per: dict[tuple[int, Fraction], list] = {}
@@ -190,15 +207,30 @@ def _supports(system: XiSystem) -> dict[tuple[int, Fraction], _Coverage]:
 
 
 def _candidate_points(system: XiSystem, covs) -> set[Pt]:
+    """All line ends, plus each crossing of two supports covered there.
+
+    On the class-i support ``d_i = c1`` the crossing with the
+    class-``nxt(i)`` support ``d_nxt(i) = c2`` sits at ``t = c2``, so the
+    crossings inside one covered span are a range of the sorted class keys;
+    on the second support the same point sits at ``t = -c1 - c2``.
+    """
     pts: set[Pt] = set()
     for line, w in system:
         if w != 0:
             pts.update(line.ends())
-    keys = sorted(covs, key=lambda k: (k[0], k[1]))
-    for i, (cls1, c1) in enumerate(keys):
-        for cls2, c2 in keys[i + 1 :]:
-            if cls1 != cls2:
-                pts.add(point_from_two(cls1, c1, cls2, c2))
+    by_cls = {
+        cls: sorted((c, cov) for (k, c), cov in covs.items() if k == cls) for cls in (1, 2, 3)
+    }
+    keys = {cls: [c for c, _ in pairs] for cls, pairs in by_cls.items()}
+    for (cls1, c1), cov1 in covs.items():
+        cls2 = nxt(cls1)
+        cs = keys[cls2]
+        for lo, hi in cov1.spans():
+            i = 0 if lo is None else bisect_left(cs, lo)
+            j = len(cs) if hi is None else bisect_right(cs, hi)
+            for c2, cov2 in by_cls[cls2][i:j]:
+                if cov2.covers(-c1 - c2):
+                    pts.add(point_on(cls1, c1, c2))
     return pts
 
 
@@ -219,9 +251,13 @@ def six_weights(covs, p: Pt) -> dict[tuple[int, str], int]:
 def _vertices(system: XiSystem, covs) -> list[Pt]:
     """Candidate points with at least three nonzero ray weights.
 
-    Raises NotPreHoneycomb at the first candidate with a negative ray
-    weight or unequal tension.
+    Raises NotPreHoneycomb on a line without ends whose coverage is
+    negative, and at the first candidate with a negative ray weight or
+    unequal tension.
     """
+    for key, cov in covs.items():
+        if not cov.ts and cov.base < 0:
+            raise NotPreHoneycomb(f"negative ray weight along {key}")
     verts: list[Pt] = []
     for p in _candidate_points(system, covs):
         w6 = six_weights(covs, p)
@@ -238,9 +274,14 @@ def _vertices(system: XiSystem, covs) -> list[Pt]:
 def is_prehoneycomb(system: XiSystem) -> bool:
     """Nonnegative ray weights and equal divergency everywhere.
 
-    Checking the finite candidate set (all endpoints plus pairwise support
-    crossings) suffices: between candidates every coverage is constant, so
-    interior points see w_i^+ = w_i^- on one class and zeros elsewhere.
+    Checking the finite candidate set (all line ends plus the crossings of
+    two supports that are both covered there) suffices.  At any other point
+    at most one class has a nonzero weight, and since the point is no end,
+    that class has w_i^+ = w_i^-: the point is no vertex and its
+    divergencies are all zero.  Its one weight is negative only on a
+    negative stretch of coverage; such a stretch ends at a line end, where
+    the candidate check sees it, unless it is a whole line without ends,
+    which ``_vertices`` checks directly.
     """
     try:
         _vertices(system, _supports(system))
@@ -294,6 +335,15 @@ def excess(h: Honeycomb, v: Pt) -> int:
     return abs(divergency(h, v))
 
 
+def vertices_by_line(verts) -> dict[tuple[int, Fraction], list[Pt]]:
+    """The given vertices grouped by the line ``d_cls = c`` of each class."""
+    on_line: dict[tuple[int, Fraction], list[Pt]] = {}
+    for v in verts:
+        for cls in (1, 2, 3):
+            on_line.setdefault((cls, dval(v, cls)), []).append(v)
+    return on_line
+
+
 def canonicalize(system: XiSystem) -> Honeycomb:
     """The unique honeycomb with the same ray weights everywhere.
 
@@ -306,9 +356,10 @@ def canonicalize(system: XiSystem) -> Honeycomb:
     verts = _vertices(system, covs)
     if not verts:
         raise NotPreHoneycomb("covered set has no vertex")
+    on_line = vertices_by_line(verts)
     edges: list[HEdge] = []
     for (cls, c), cov in sorted(covs.items()):
-        ts = sorted(t_of(cls, v) for v in verts if dval(v, cls) == c)
+        ts = sorted(t_of(cls, v) for v in on_line.get((cls, c), ()))
         if not ts:
             if cov.base != 0 or any(v != 0 for v in cov.vals):
                 raise NotPreHoneycomb(f"fully infinite covered line {(cls, c)}")

@@ -86,11 +86,15 @@ def integralize_honeycomb(h: Honeycomb) -> tuple[Honeycomb, list[TraceStep]]:
         path = find_legal_path(h)
         h2, ev = deform(h, path)
         pot2 = potential(h2)
-        assert pot2.value < pot.value, "potential failed to decrease"
-        assert _monotone(pot, pot2)
+        # Explicit raises, not asserts: the audit must also run under -O.
+        if pot2.value >= pot.value:
+            raise AssertionError("potential failed to decrease")
+        if not _monotone(pot, pot2):
+            raise AssertionError()
         trace.append(TraceStep(ev.eps, ev.kinds, path.is_cycle, pot, pot2))
         h, pot = h2, pot2
-        assert len(trace) <= budget, "iteration budget exceeded"
+        if len(trace) > budget:
+            raise AssertionError("iteration budget exceeded")
     return h, trace
 
 
@@ -104,12 +108,16 @@ def integralize(
     hc2, trace = integralize_honeycomb(hc)
     g2, vals = honeycomb_to_grid(hc2)
     da, db = g.anchor_offset()
-    assert g.translate(da, db) == g2, "grid changed during rounding"
+    if g.translate(da, db) != g2:
+        raise AssertionError("grid changed during rounding")
     out = {(a, b, d): vals[(a + da, b + db, d)] for (a, b, d) in g.edges}
-    assert all(v.denominator == 1 for v in out.values())
-    assert gr.is_concave(g, out)
+    if any(v.denominator != 1 for v in out.values()):
+        raise AssertionError()
+    if not gr.is_concave(g, out):
+        raise AssertionError()
     for e in o_set | i_set:
-        assert out[e] == h[e], f"preserved edge {e} changed"
+        if out[e] != h[e]:
+            raise AssertionError(f"preserved edge {e} changed")
     return out, trace
 
 

@@ -13,7 +13,7 @@ from cocirc.grid import (
     fill_convex_polygon,
     three_side_grid,
 )
-from cocirc.honeycomb import Pt, dval, t_of
+from cocirc.honeycomb import Pt, dval, point_from_two, t_of
 
 
 def hexagon_grid(a: int, b: int, c: int) -> ConvexGrid:
@@ -98,6 +98,21 @@ def oracle_ray_weights(lines, v: Pt):
         ):
             out[(line.cls, "-")] += w
     return out
+
+
+def oracle_candidate_points(system, covs) -> set[Pt]:
+    """All line ends plus the crossing of every two supports of different
+    classes, covered there or not: O(L^2) points."""
+    pts: set[Pt] = set()
+    for line, w in system:
+        if w != 0:
+            pts.update(line.ends())
+    keys = sorted(covs)
+    for i, (cls1, c1) in enumerate(keys):
+        for cls2, c2 in keys[i + 1 :]:
+            if cls1 != cls2:
+                pts.add(point_from_two(cls1, c1, cls2, c2))
+    return pts
 
 
 @pytest.fixture(scope="session")

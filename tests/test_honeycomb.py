@@ -3,12 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_ray_weights
-from cocirc.constructions import dual_grid_honeycomb, hexagon_instance, sample_honeycomb
+from conftest import oracle_candidate_points, oracle_ray_weights
+from cocirc import honeycomb
+from cocirc.constructions import (
+    counterexample_instance,
+    dual_grid_honeycomb,
+    hexagon_instance,
+    sample_honeycomb,
+)
+from cocirc.deform import build_deformed_system, decompose, orient_cycle_rightward, stop_epsilon
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NotPreHoneycomb
 from cocirc.honeycomb import (
     HLine,
+    _candidate_points,
     _supports,
     boundary_partition,
     canonicalize,
@@ -23,6 +31,8 @@ from cocirc.honeycomb import (
     six_weights,
     t_of,
 )
+from cocirc.integralize import potential
+from cocirc.paths import find_legal_path
 
 F = Fraction
 ORIGIN = (F(0), F(0))
@@ -68,6 +78,8 @@ def test_prehoneycomb_claw_and_single_line():
     assert is_prehoneycomb(system)
     assert divergency(canonicalize(system), ORIGIN) == 1
     assert not is_prehoneycomb([(HLine(1, F(0), F(0), F(2)), 1)])
+    # negative everywhere on a line that has no end to show it
+    assert not is_prehoneycomb([(HLine(1, F(0), None, None), -1)])
 
 
 def test_sample_honeycomb_shape():
@@ -127,6 +139,67 @@ def test_canonicalize_rejects_bad_systems():
         canonicalize([(HLine(1, F(0), None, None), 1)])  # full covered line
     with pytest.raises(NotPreHoneycomb):
         canonicalize([plus_ray(1, ORIGIN, -1), plus_ray(2, ORIGIN, -1), plus_ray(3, ORIGIN, -1)])
+
+
+def test_candidates_of_a_honeycomb_are_its_vertices(small_corpus):
+    # every covered crossing of a canonical honeycomb is a vertex, so an
+    # output-sensitive search tests no other point
+    instances = list(small_corpus) + [hexagon_instance(k) for k in (1, 2, 3)]
+    instances.append(counterexample_instance())
+    for g, h in instances:
+        hc = grid_to_honeycomb(g, h)
+        s = hc.as_system()
+        assert _candidate_points(s, _supports(s)) == set(hc.vertices)
+
+
+def _claw_sums(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        system = []
+        for _ in range(rng.randint(2, 4)):
+            center = tuple(F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(2))
+            system += claw(center, rng.randint(1, 2), rng.choice("+-")).as_system()
+        yield system
+
+
+def _deformed_systems(hc):
+    path = find_legal_path(hc)
+    if path.is_cycle:
+        path = orient_cycle_rightward(hc, path)
+    pl = decompose(hc, path)
+    ev = stop_epsilon(hc, pl)
+    return [build_deformed_system(hc, pl, eps).as_system() for eps in (ev.eps / 2, ev.eps)]
+
+
+def _outcome(system):
+    try:
+        result = canonicalize(system)
+    except Exception as exc:
+        result = type(exc)
+    return result, is_prehoneycomb(system)
+
+
+def test_sweep_matches_all_pairs_oracle(small_corpus, monkeypatch):
+    systems = []
+    for g, h in small_corpus:
+        hc = grid_to_honeycomb(g, h)
+        systems.append(hc.as_system())
+        if not potential(hc).settled:
+            systems += _deformed_systems(hc)
+    systems += _claw_sums(seed=4, count=40)
+    segment = (HLine(2, F(0), F(0), F(1)), 1)
+    systems += [
+        [(HLine(1, F(0), F(0), F(2)), 1)],
+        [(HLine(1, F(0), None, None), 1)],
+        [plus_ray(1, ORIGIN, -1), plus_ray(2, ORIGIN, -1), plus_ray(3, ORIGIN, -1)],
+        claw(ORIGIN).as_system() + [(HLine(1, F(1), None, None), -1)],
+        # the negative line crosses the only other support where it cancels
+        [segment, (segment[0], -1), (HLine(1, F(5), None, None), -1)],
+    ]
+    swept = [_outcome(s) for s in systems]
+    assert any(ok for _, ok in swept) and not all(ok for _, ok in swept)
+    monkeypatch.setattr(honeycomb, "_candidate_points", oracle_candidate_points)
+    assert [_outcome(s) for s in systems] == swept
 
 
 def test_canonicalize_idempotent_and_weight_preserving(small_corpus):

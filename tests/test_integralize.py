@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import cocirc
 
 from conftest import corpus
 from cocirc.constructions import counterexample_instance, fractional_vertex_instance, hexagon_instance
@@ -137,3 +143,38 @@ def test_integral_vertex_capture_grows_anchored_weight():
                 assert s.after.integral_incident > s.before.integral_incident
                 seen += 1
     assert seen > 0
+
+
+_ROUND_FRACTIONAL = """
+from cocirc.constructions import fractional_vertex_instance
+from cocirc.integralize import integralize
+
+def outcomes():
+    out = []
+    for k in (2, 3):
+        try:
+            integralize(*fractional_vertex_instance(k)[:2])
+            out.append(f"{k}: rounded")
+        except AssertionError as exc:
+            out.append(f"{k}: AssertionError {exc}")
+    return out
+"""
+
+
+def test_rounding_audit_under_optimize():
+    # ``python -O`` strips asserts; the potential audit must still stop a
+    # run whose steps break it, with the same error as without -O.  Both
+    # instances break it because ``potential`` counts the weight at integral
+    # vertices once per edge, not once per incidence.
+    scope: dict = {}
+    exec(_ROUND_FRACTIONAL, scope)
+    expected = scope["outcomes"]()
+    assert all("AssertionError" in line for line in expected)
+    src = str(Path(cocirc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _ROUND_FRACTIONAL + "print(*outcomes(), sep='\\n')"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected
