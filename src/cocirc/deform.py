@@ -14,6 +14,7 @@ there.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -260,7 +261,6 @@ def _meet_time(u: Pt, mu, v: Pt, mv) -> Optional[Fraction]:
 def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
     """First parameter at which the rightward motion must stop."""
     movers = [(b, b.vertex, b.motion()) for b in pl.bends]
-    integral_verts = [v for v in h.vertices if is_integral_point(v)]
     on_line = vertices_by_line(h.vertices)
     vanish = pl.vanish_bound()
     is_open = not pl.is_cycle
@@ -281,6 +281,9 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
                 add(Fraction(line.c.__ceil__()) - line.c, ("e1", i))
             else:
                 add(line.c - Fraction(line.c.__floor__()), ("e1", i))
+    # eps0 and e1 always stop, so no candidate after the first of them is
+    # ever examined.
+    cap = min(candidates, default=None)
     for a in range(len(movers)):
         ba, ua, ma = movers[a]
         for bb, ub, mb in movers[a + 1 :]:
@@ -293,11 +296,24 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
             t = _meet_time(ua, ma, v, (0, 0))
             if t is not None:
                 add(t, ("meet", ba, v))
+    # A moving line sweeps the integral vertices on the parallel lines
+    # ahead of it, up to the cap (ties with the cap included).
+    levels = {
+        cls: sorted(d for k, d in on_line if k == cls and d.denominator == 1) for cls in (1, 2, 3)
+    }
     for i, line in enumerate(pl.lines):
-        for v in integral_verts:
-            t = (dval(v, line.cls) - line.c) * line.trav
-            if t > 0:
-                add(t, ("sweep", i, v))
+        ds = levels[line.cls]
+        if line.trav == 1:
+            first = bisect_right(ds, line.c)
+            stop = len(ds) if cap is None else bisect_right(ds, line.c + cap)
+        else:
+            first = 0 if cap is None else bisect_left(ds, line.c - cap)
+            stop = bisect_left(ds, line.c)
+        for d in ds[first:stop]:
+            t = (d - line.c) * line.trav
+            for v in on_line[(line.cls, d)]:
+                if is_integral_point(v):
+                    add(t, ("sweep", i, v))
 
     prev = Fraction(0)
     for eps_c in sorted(candidates):

@@ -12,9 +12,10 @@ stay rational.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .errors import NotPreHoneycomb
@@ -248,24 +249,47 @@ def six_weights(covs, p: Pt) -> dict[tuple[int, str], int]:
     return out
 
 
-def _vertices(system: XiSystem, covs) -> list[Pt]:
-    """Candidate points with at least three nonzero ray weights.
+def _scaled(system: XiSystem) -> tuple[int, XiSystem]:
+    """The system with every coordinate multiplied by ``L``, the lcm of
+    their denominators, so that all of its coordinates are ints.
+
+    Multiplying by ``L > 0`` is a linear bijection that keeps
+    ``d3 = -d1-d2``, so it keeps every crossing, every coverage and the
+    order of points and lines; ``Fraction(x, L)`` maps a result back.
+    """
+    scale = lcm(
+        *{x.denominator for line, _ in system for x in (line.c, line.lo, line.hi) if x is not None}
+    )
+
+    def up(x):
+        return None if x is None else x.numerator * (scale // x.denominator)
+
+    return scale, [(HLine(ln.cls, up(ln.c), up(ln.lo), up(ln.hi)), w) for ln, w in system]
+
+
+def _unscaled(p: Pt, scale: int) -> Pt:
+    return (Fraction(p[0], scale), Fraction(p[1], scale))
+
+
+def _vertices(system: XiSystem, covs, scale: int) -> list[Pt]:
+    """Candidate points with at least three nonzero ray weights, sorted.
 
     Raises NotPreHoneycomb on a line without ends whose coverage is
-    negative, and at the first candidate with a negative ray weight or
-    unequal tension.
+    negative, and at the least candidate with a negative ray weight or
+    unequal tension.  Messages divide coordinates by ``scale``, so they
+    name points and lines of the unscaled system.
     """
-    for key, cov in covs.items():
+    for (cls, c), cov in covs.items():
         if not cov.ts and cov.base < 0:
-            raise NotPreHoneycomb(f"negative ray weight along {key}")
+            raise NotPreHoneycomb(f"negative ray weight along {(cls, Fraction(c, scale))}")
     verts: list[Pt] = []
-    for p in _candidate_points(system, covs):
+    for p in sorted(_candidate_points(system, covs)):
         w6 = six_weights(covs, p)
         if any(v < 0 for v in w6.values()):
-            raise NotPreHoneycomb(f"negative ray weight at {p}")
+            raise NotPreHoneycomb(f"negative ray weight at {_unscaled(p, scale)}")
         divs = {cls: w6[(cls, "+")] - w6[(cls, "-")] for cls in (1, 2, 3)}
         if len(set(divs.values())) != 1:
-            raise NotPreHoneycomb(f"unequal tension {divs} at {p}")
+            raise NotPreHoneycomb(f"unequal tension {divs} at {_unscaled(p, scale)}")
         if sum(1 for v in w6.values() if v != 0) >= 3:
             verts.append(p)
     return verts
@@ -283,8 +307,9 @@ def is_prehoneycomb(system: XiSystem) -> bool:
     the candidate check sees it, unless it is a whole line without ends,
     which ``_vertices`` checks directly.
     """
+    scale, ints = _scaled(system)
     try:
-        _vertices(system, _supports(system))
+        _vertices(ints, _supports(ints), scale)
     except NotPreHoneycomb:
         return False
     return True
@@ -294,17 +319,10 @@ def is_prehoneycomb(system: XiSystem) -> bool:
 class Honeycomb:
     vertices: tuple[Pt, ...]
     edges: tuple[HEdge, ...]
-
-    @cached_property
-    def incidence(self) -> dict[Pt, dict[tuple[int, str], HEdge]]:
-        inc: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for v in self.vertices}
-        for e in self.edges:
-            for v in e.ends():
-                if v in inc:
-                    slot = (e.cls, e.sign_at(v))
-                    assert slot not in inc[v], "two edges share a ray slot"
-                    inc[v][slot] = e
-        return inc
+    # The edge in each ray slot (cls, sign) of each vertex.  canonicalize
+    # fills it while it cuts the edges; it follows from the two fields
+    # above, so it takes no part in comparison.
+    incidence: dict[Pt, dict[tuple[int, str], HEdge]] = field(compare=False, repr=False)
 
     @cached_property
     def vertex_set(self) -> frozenset[Pt]:
@@ -351,30 +369,53 @@ def canonicalize(system: XiSystem) -> Honeycomb:
     are the maximal covered stretches between them.  Raises
     NotPreHoneycomb when the system violates nonnegativity or tension, and
     when the covered set has a fully infinite line or no vertex at all.
+
+    The search runs on the ``_scaled`` system, in ints; only the output
+    and the error messages are divided back into Fractions.
     """
+    scale, system = _scaled(system)
     covs = _supports(system)
-    verts = _vertices(system, covs)
+    verts = _vertices(system, covs, scale)
     if not verts:
         raise NotPreHoneycomb("covered set has no vertex")
+    fracs: dict[int, Fraction] = {}
+
+    def down(x: Optional[int]) -> Optional[Fraction]:
+        if x is None:
+            return None
+        f = fracs.get(x)
+        if f is None:
+            f = fracs[x] = Fraction(x, scale)
+        return f
+
+    slots: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for v in verts}
     on_line = vertices_by_line(verts)
     edges: list[HEdge] = []
+    # Supports in sorted order and the stretches of each in increasing t
+    # give the edges already in HEdge.sort_key order.
     for (cls, c), cov in sorted(covs.items()):
-        ts = sorted(t_of(cls, v) for v in on_line.get((cls, c), ()))
-        if not ts:
+        at = sorted((t_of(cls, v), v) for v in on_line.get((cls, c), ()))
+        if not at:
             if cov.base != 0 or any(v != 0 for v in cov.vals):
-                raise NotPreHoneycomb(f"fully infinite covered line {(cls, c)}")
+                raise NotPreHoneycomb(f"fully infinite covered line {(cls, down(c))}")
             continue
-        cuts: list[Optional[Fraction]] = [None] + ts + [None]
-        for a, b in zip(cuts, cuts[1:]):
+        cuts = [(None, None), *at, (None, None)]
+        for (a, va), (b, vb) in zip(cuts, cuts[1:]):
             w = cov.minus(b) if a is None else cov.plus(a)
             if w == 0:
                 continue
             if w < 0:
-                raise NotPreHoneycomb(f"negative coverage on {(cls, c)}")
+                raise NotPreHoneycomb(f"negative coverage on {(cls, down(c))}")
             if not cov.constant_on(a, b):
-                raise NotPreHoneycomb(f"coverage step without a vertex on {(cls, c)}")
-            edges.append(HEdge(cls, c, a, b, w))
-    hc = Honeycomb(tuple(sorted(verts)), tuple(sorted(edges, key=HEdge.sort_key)))
+                raise NotPreHoneycomb(f"coverage step without a vertex on {(cls, down(c))}")
+            e = HEdge(cls, down(c), down(a), down(b), w)
+            edges.append(e)
+            if va is not None:
+                slots[va][(cls, "+")] = e
+            if vb is not None:
+                slots[vb][(cls, "-")] = e
+    out = {v: (down(v[0]), down(v[1])) for v in verts}
+    hc = Honeycomb(tuple(out.values()), tuple(edges), {out[v]: vs for v, vs in slots.items()})
     for v in hc.vertices:
         assert len(hc.incidence[v]) >= 3
         divergency(hc, v)

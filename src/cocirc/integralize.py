@@ -40,8 +40,8 @@ def potential(h: Honeycomb) -> Potential:
     vs, _ = nonintegral_sets(h)
     beta = sum(e.weight for e in h.boundary if e.nonintegral)
     delta = sum(excess(h, v) for v in vs)
-    intverts = frozenset(v for v in h.vertices if is_integral_point(v))
-    omega = sum(e.weight for e in h.edges if any(v in intverts for v in e.ends()))
+    touching = {e for v in h.vertices if is_integral_point(v) for e in h.incidence[v].values()}
+    omega = sum(e.weight for e in touching)
     return Potential(beta, delta, omega)
 
 

@@ -7,13 +7,36 @@ from fractions import Fraction
 
 import pytest
 
+from cocirc.deform import (
+    STOP_BOUNDARY_INTEGRAL,
+    STOP_INTEGRAL_VERTEX,
+    STOP_LINE_VANISHED,
+    STOP_OPPOSITE_MERGE,
+    STOP_VALIDITY_BOUND,
+    Bend,
+    StopEvent,
+    _meet_time,
+    _moved_line_span,
+    build_deformed_system,
+)
 from cocirc.grid import (
     ConvexGrid,
     cocirculation_from_quadratic,
     fill_convex_polygon,
     three_side_grid,
 )
-from cocirc.honeycomb import Pt, dval, point_from_two, t_of
+from cocirc.honeycomb import (
+    HLine,
+    Pt,
+    canonicalize,
+    divergency,
+    dval,
+    is_integral_point,
+    point_from_two,
+    t_of,
+    vertices_by_line,
+)
+from cocirc.paths import TURN_LEFT
 
 
 def hexagon_grid(a: int, b: int, c: int) -> ConvexGrid:
@@ -113,6 +136,104 @@ def oracle_candidate_points(system, covs) -> set[Pt]:
             if cls1 != cls2:
                 pts.add(point_from_two(cls1, c1, cls2, c2))
     return pts
+
+
+def oracle_incidence(hc):
+    """The edge in each ray slot of each vertex, derived from the edge ends."""
+    inc = {v: {} for v in hc.vertices}
+    for e in hc.edges:
+        for v in e.ends():
+            if v in inc:
+                slot = (e.cls, e.sign_at(v))
+                assert slot not in inc[v], "two edges share a ray slot"
+                inc[v][slot] = e
+    return inc
+
+
+def reference_stop_epsilon(h, pl):
+    """``deform.stop_epsilon`` as it was before the sweep was capped: every
+    path line meets every integral vertex ahead of it, all sorted."""
+    movers = [(b, b.vertex, b.motion()) for b in pl.bends]
+    integral_verts = [v for v in h.vertices if is_integral_point(v)]
+    on_line = vertices_by_line(h.vertices)
+    vanish = pl.vanish_bound()
+    is_open = not pl.is_cycle
+
+    candidates = {}
+
+    def add(eps, tag):
+        if eps > 0 and (vanish is None or eps <= vanish):
+            candidates.setdefault(eps, []).append(tag)
+
+    if vanish is not None:
+        add(vanish, ("eps0",))
+    if is_open:
+        for i in (0, len(pl.lines) - 1):
+            line = pl.lines[i]
+            assert line.c.denominator != 1
+            if line.trav == 1:
+                add(Fraction(line.c.__ceil__()) - line.c, ("e1", i))
+            else:
+                add(line.c - Fraction(line.c.__floor__()), ("e1", i))
+    for a in range(len(movers)):
+        ba, ua, ma = movers[a]
+        for bb, ub, mb in movers[a + 1 :]:
+            t = _meet_time(ua, ma, ub, mb)
+            if t is not None:
+                add(t, ("meet", ba, bb))
+        # A bend moves along its third-class line, so it can meet only the
+        # stationary vertices on that line.
+        for v in on_line.get((ba.third_cls, dval(ua, ba.third_cls)), ()):
+            t = _meet_time(ua, ma, v, (0, 0))
+            if t is not None:
+                add(t, ("meet", ba, v))
+    for i, line in enumerate(pl.lines):
+        for v in integral_verts:
+            t = (dval(v, line.cls) - line.c) * line.trav
+            if t > 0:
+                add(t, ("sweep", i, v))
+
+    prev = Fraction(0)
+    for eps_c in sorted(candidates):
+        tags = candidates[eps_c]
+        kinds = set()
+        mid_h = None
+
+        def mid_honeycomb():
+            nonlocal mid_h
+            if mid_h is None:
+                mid_h = canonicalize(build_deformed_system(h, pl, (prev + eps_c) / 2).as_system())
+            return mid_h
+
+        for tag in tags:
+            if tag[0] == "eps0":
+                kinds.add(STOP_LINE_VANISHED)
+            elif tag[0] == "e1":
+                kinds.add(STOP_BOUNDARY_INTEGRAL)
+            elif tag[0] == "sweep":
+                moved = HLine(*_moved_line_span(pl, tag[1], eps_c))
+                if moved.contains_t(t_of(moved.cls, tag[2])):
+                    kinds.add(STOP_INTEGRAL_VERTEX)
+            else:
+                _, pa, pb = tag  # pa is a Bend; pb a Bend or a stationary vertex
+                mid = (prev + eps_c) / 2
+                qa = pa.shifted(mid)
+                qb = pb.shifted(mid) if isinstance(pb, Bend) else pb
+                if not isinstance(pb, Bend) and is_integral_point(pb):
+                    kinds.add(STOP_INTEGRAL_VERTEX)
+                hm = mid_honeycomb()
+                if qa in hm.vertex_set and qb in hm.vertex_set:
+                    if divergency(hm, qa) * divergency(hm, qb) < 0:
+                        kinds.add(STOP_OPPOSITE_MERGE)
+                        # Validity-bound flavours: a negative stub running off
+                        # its covering edge, or two negative stubs colliding.
+                        b_ok = pb.turn == TURN_LEFT if isinstance(pb, Bend) else True
+                        if pa.turn == TURN_LEFT and b_ok:
+                            kinds.add(STOP_VALIDITY_BOUND)
+        if kinds:
+            return StopEvent(eps_c, tuple(sorted(kinds)))
+        prev = eps_c
+    raise AssertionError("no stopping event found")
 
 
 @pytest.fixture(scope="session")

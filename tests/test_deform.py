@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import reference_stop_epsilon
 from test_paths import benzene_cycle, nonintegral_line_honeycomb
+from cocirc.constructions import counterexample_instance, hexagon_instance
 from cocirc.deform import (
     STOP_BOUNDARY_INTEGRAL,
+    STOP_INTEGRAL_VERTEX,
     STOP_OPPOSITE_MERGE,
     STOP_LINE_VANISHED,
     STOP_VALIDITY_BOUND,
@@ -18,6 +21,7 @@ from cocirc.deform import (
     shifted_point,
     stop_epsilon,
 )
+from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import EpsilonOutOfRange
 from cocirc.honeycomb import (
     HLine,
@@ -28,6 +32,7 @@ from cocirc.honeycomb import (
     point_on,
     t_of,
 )
+from cocirc.integralize import potential
 from cocirc.paths import LegalPath, check_legal_path, find_legal_path
 
 F = Fraction
@@ -312,3 +317,22 @@ def test_double_use_weight_bookkeeping():
     assert is_prehoneycomb(sys_eps.as_system())
     h2, ev = deform(hc, path)
     assert ev.eps > 0
+
+
+def test_capped_sweep_matches_uncapped_reference(small_corpus):
+    # every rightward step of the rounding loop on each instance
+    instances = list(small_corpus) + [hexagon_instance(k) for k in (1, 2, 3)]
+    instances.append(counterexample_instance())
+    kinds = set()
+    for g, h in instances:
+        hc = grid_to_honeycomb(g, h)
+        while not potential(hc).settled:
+            path = find_legal_path(hc)
+            if path.is_cycle:
+                path = orient_cycle_rightward(hc, path)
+            pl = decompose(hc, path)
+            ev = stop_epsilon(hc, pl)
+            assert ev == reference_stop_epsilon(hc, pl)
+            kinds.update(ev.kinds)
+            hc = canonicalize(build_deformed_system(hc, pl, ev.eps).as_system())
+    assert STOP_INTEGRAL_VERTEX in kinds

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_candidate_points, oracle_ray_weights
+from conftest import oracle_candidate_points, oracle_incidence, oracle_ray_weights
 from cocirc import honeycomb
 from cocirc.constructions import (
     counterexample_instance,
@@ -15,6 +15,7 @@ from cocirc.deform import build_deformed_system, decompose, orient_cycle_rightwa
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NotPreHoneycomb
 from cocirc.honeycomb import (
+    HEdge,
     HLine,
     _candidate_points,
     _supports,
@@ -282,3 +283,92 @@ def test_sum_commutative_associative():
     c = dual_grid_honeycomb(1)
     assert honeycomb_sum(a, b) == honeycomb_sum(b, a)
     assert honeycomb_sum(honeycomb_sum(a, b), c) == honeycomb_sum(a, honeycomb_sum(b, c))
+
+
+def _instance_honeycombs(small_corpus):
+    instances = list(small_corpus) + [hexagon_instance(k) for k in (1, 2, 3)]
+    instances.append(counterexample_instance())
+    return [grid_to_honeycomb(g, h) for g, h in instances]
+
+
+def test_incidence_matches_edge_ends(small_corpus):
+    # canonicalize fills the incidence while it cuts the edges; the oracle
+    # derives it afterwards from each edge's ends
+    honeycombs = _instance_honeycombs(small_corpus)
+    honeycombs += [canonicalize(s) for s in _claw_sums(seed=7, count=20)]
+    for hc in honeycombs:
+        oracle = oracle_incidence(hc)
+        assert hc.incidence == oracle
+        # same vertex order and the same slot order at each vertex
+        assert [(v, list(slots)) for v, slots in hc.incidence.items()] == [
+            (v, list(slots)) for v, slots in oracle.items()
+        ]
+        assert list(hc.vertices) == sorted(hc.vertices)
+        assert list(hc.edges) == sorted(hc.edges, key=HEdge.sort_key)
+
+
+def _times(x, k):
+    return None if x is None else x * k
+
+
+def test_canonicalize_commutes_with_scaling(small_corpus):
+    systems = [hc.as_system() for hc in _instance_honeycombs(small_corpus)[::4]]
+    systems += list(_claw_sums(seed=8, count=6))
+    for system in systems:
+        hc = canonicalize(system)
+        for k in (F(2), F(3), F(7), F(1, 2), F(1, 3), F(1, 7)):
+            scaled = [
+                (HLine(ln.cls, ln.c * k, _times(ln.lo, k), _times(ln.hi, k)), w) for ln, w in system
+            ]
+            big = canonicalize(scaled)
+            assert big.vertices == tuple((x * k, y * k) for x, y in hc.vertices)
+            assert big.edges == tuple(
+                HEdge(e.cls, e.c * k, _times(e.lo, k), _times(e.hi, k), e.weight) for e in hc.edges
+            )
+
+
+def test_output_coordinates_are_fractions():
+    ints = [(HLine(cls, 0, 0, None), 1) for cls in (1, 2, 3)]
+    fractional = [plus_ray(cls, (F(1, 2), F(-1, 3))) for cls in (1, 2, 3)]
+    for system in (ints, fractional):
+        hc = canonicalize(system)
+        coords = [x for v in hc.vertices for x in v]
+        coords += [x for e in hc.edges for x in (e.c, e.lo, e.hi) if x is not None]
+        coords += [x for v in hc.incidence for x in v]
+        assert coords and all(type(x) is Fraction for x in coords)
+    assert canonicalize(ints).vertices == (ORIGIN,)
+
+
+# Every NotPreHoneycomb that canonicalize raises on these systems names
+# points and lines in the coordinates of its input.  The cut-loop kinds
+# ("fully infinite covered line", "negative coverage", "coverage step
+# without a vertex") need a system that passes the vertex check, and none
+# does: a covered crossing is a vertex, and a coverage step at a line end
+# breaks tension there.
+MESSAGES = [
+    ([(HLine(1, F(1, 2), None, None), -1)], "negative ray weight along (1, Fraction(1, 2))"),
+    (
+        [plus_ray(cls, (F(1, 2), F(-1, 3)), -1) for cls in (1, 2, 3)],
+        "negative ray weight at (Fraction(1, 2), Fraction(-1, 3))",
+    ),
+    (
+        [(HLine(2, F(1, 3), F(1, 2), None), 1)],
+        "unequal tension {1: 0, 2: 1, 3: 0} at (Fraction(-5, 6), Fraction(1, 3))",
+    ),
+    (
+        [(HLine(1, F(1, 2), None, None), 1), (HLine(1, F(-2, 3), None, None), 2)],
+        "covered set has no vertex",
+    ),
+    # two violating ends: the least point is named
+    (
+        [(HLine(1, F(1, 2), F(1, 3), F(5, 2)), 1)],
+        "unequal tension {1: 1, 2: 0, 3: 0} at (Fraction(1, 2), Fraction(1, 3))",
+    ),
+]
+
+
+@pytest.mark.parametrize("system, message", MESSAGES)
+def test_error_messages_use_input_coordinates(system, message):
+    with pytest.raises(NotPreHoneycomb) as exc:
+        canonicalize(system)
+    assert str(exc.value) == message

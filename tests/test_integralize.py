@@ -10,6 +10,7 @@ import cocirc
 
 from conftest import corpus
 from cocirc.constructions import counterexample_instance, fractional_vertex_instance, hexagon_instance
+from cocirc.deform import deform
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NotConcave
 from cocirc.grid import (
@@ -20,6 +21,7 @@ from cocirc.grid import (
     triangle_edges,
 )
 from cocirc.honeycomb import is_integral_point
+from cocirc.paths import find_legal_path
 from cocirc.integralize import (
     Potential,
     dual_grid_edge_count,
@@ -178,3 +180,22 @@ def test_rounding_audit_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == expected
+
+
+def _edgewise_omega(h):
+    """Weight of the edges with an integral vertex among their ends."""
+    intverts = frozenset(v for v in h.vertices if is_integral_point(v))
+    return sum(e.weight for e in h.edges if any(v in intverts for v in e.ends()))
+
+
+def test_potential_counts_each_edge_at_integral_vertices_once(small_corpus):
+    # potential reads the incidence map; the value stays the edge-wise one
+    instances = list(small_corpus) + [hexagon_instance(k) for k in (1, 2, 3)]
+    for g, h in instances:
+        hc = grid_to_honeycomb(g, h)
+        while True:
+            pot = potential(hc)
+            assert pot.integral_incident == _edgewise_omega(hc)
+            if pot.settled:
+                break
+            hc, _ = deform(hc, find_legal_path(hc))
