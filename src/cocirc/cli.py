@@ -126,7 +126,7 @@ def _cmd_integralize(args) -> int:
 def _cmd_legal_path(args) -> int:
     hc = serialize.honeycomb_from_json(serialize.loads(_read(args.infile)))
     p = find_legal_path(hc)
-    doc = {"cycle": p.is_cycle, "edges": [serialize.hedge_to_json(e) for e in p.edges]}
+    doc = {"cycle": p.is_cycle, "edges": [serialize.hedge_to_json(e, hc.scale) for e in p.edges]}
     _write(args.out, dumps(doc))
     return 0
 
@@ -157,27 +157,20 @@ def _cmd_gen(args) -> int:
         hc = constructions.dual_grid_honeycomb(args.n)
         _write(args.out, dumps(serialize.honeycomb_to_json(hc)))
         return 0
+    fixed = None
     if args.kind == "hexagon":
         g, h = constructions.hexagon_instance(args.k)
-        _write(args.grid, dumps(serialize.grid_to_json(g)))
-        _write(args.out, dumps(serialize.cocirc_to_json(h)))
-        return 0
-    if args.kind == "fractional-vertex":
+    elif args.kind == "fractional-vertex":
         g, h, fixed = constructions.fractional_vertex_instance(args.k)
-        _write(args.grid, dumps(serialize.grid_to_json(g)))
-        _write(args.out, dumps(serialize.cocirc_to_json(h)))
-        if args.fixed:
-            _write(args.fixed, dumps(serialize.edge_list_to_json(fixed)))
-        return 0
-    if args.kind == "counterexample":
+    elif args.kind == "counterexample":
         g, h = constructions.counterexample_instance()
-        _write(args.grid, dumps(serialize.grid_to_json(g)))
-        _write(args.out, dumps(serialize.cocirc_to_json(h)))
-        return 0
-    g = three_side_grid(args.n)
-    h = random_concave(g, seed=args.seed)
+    else:
+        g = three_side_grid(args.n)
+        h = random_concave(g, seed=args.seed)
     _write(args.grid, dumps(serialize.grid_to_json(g)))
     _write(args.out, dumps(serialize.cocirc_to_json(h)))
+    if fixed is not None and args.fixed:
+        _write(args.fixed, dumps(serialize.edge_list_to_json(fixed)))
     return 0
 
 

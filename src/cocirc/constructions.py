@@ -51,7 +51,7 @@ def dual_grid_honeycomb(n: int) -> Honeycomb:
             if abs(c) > n - 1:
                 continue
             if a - b <= n and b - c <= n and c - a <= n:
-                verts.append((Fraction(a), Fraction(b)))
+                verts.append((a, b))
     vset = set(verts)
     lines: list[tuple[HLine, int]] = []
     unit_moves = {(0, 1): 1, (1, 0): 2, (1, -1): 3}  # (da, db) -> class
@@ -69,7 +69,7 @@ def dual_grid_honeycomb(n: int) -> Honeycomb:
                 lines.append(
                     (HLine(cls, dval(v, cls), t_of(cls, v), None), 2 if heavy else 1)
                 )
-    hc = canonicalize(lines)
+    hc = canonicalize(lines, 1)
     assert set(hc.vertices) == vset
     return hc
 
@@ -148,20 +148,21 @@ def hexagon_instance(k: int) -> tuple[ConvexGrid, Cocirculation]:
 def fix_boundary(h: Honeycomb) -> Honeycomb:
     """Replace every minus-form ray by a truncated finite edge plus two
     plus-form rays from the nearest integer point on it."""
+    s = h.scale
     lines: list[tuple[HLine, int]] = []
     for e in h.edges:
         if not (e.is_ray and e.ray_sign == "-"):
             lines.append((e, e.weight))
             continue
-        if e.c.denominator != 1:
-            raise NonIntegerTruncationPoint(f"ray coordinate {e.c} is fractional")
-        t_end = e.hi
-        t_u = Fraction(t_end.__floor__()) if t_end.denominator != 1 else t_end - 1
+        if e.c % s != 0:
+            raise NonIntegerTruncationPoint(f"ray coordinate {Fraction(e.c, s)} is fractional")
+        # the integer point below a fractional end, one unit below an integral one
+        t_u = e.hi - (e.hi % s or s)
         u = point_on(e.cls, e.c, t_u)
-        lines.append((HLine(e.cls, e.c, t_u, t_end), e.weight))
+        lines.append((HLine(e.cls, e.c, t_u, e.hi), e.weight))
         for cls2 in (prv(e.cls), nxt(e.cls)):
             lines.append((HLine(cls2, dval(u, cls2), t_of(cls2, u), None), e.weight))
-    return canonicalize(lines)
+    return canonicalize(lines, s)
 
 
 def fractional_vertex_instance(

@@ -10,13 +10,18 @@ a point, the validity bound) happen at rational times found by solving
 linear equations.  The engine enumerates all candidate times, takes the
 first that triggers a stop, and the caller canonicalizes the system
 there.
+
+Coordinates are the honeycomb's ints in units of ``1/scale``.  Every rate
+is -1, 0 or +1, so every candidate time is a multiple of ``1/(2*scale)``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .errors import EpsilonOutOfRange
@@ -31,7 +36,6 @@ from .honeycomb import (
     dval,
     is_integral_point,
     t_of,
-    vertices_by_line,
 )
 from .paths import LegalPath, TURN_LEFT, TURN_RIGHT, edge_travels, travel_angle, turn_of
 
@@ -47,7 +51,7 @@ class PathLine:
     """Maximal straight run of a legal path, oriented by traversal."""
 
     cls: int
-    c: Fraction
+    c: int
     trav: int  # +1 when t increases along the traversal
     start: Optional[Pt]
     end: Optional[Pt]
@@ -57,13 +61,13 @@ class PathLine:
     def is_finite(self) -> bool:
         return self.start is not None and self.end is not None
 
-    def length(self) -> Fraction:
+    def length(self) -> int:
         assert self.is_finite
         return abs(t_of(self.cls, self.end) - t_of(self.cls, self.start))
 
 
 def shifted_point(
-    u: Pt, eps: Fraction, cls_in: int, cls_out: int, sign: str, direction: str = TURN_RIGHT
+    u: Pt, eps, cls_in: int, cls_out: int, sign: str, direction: str = TURN_RIGHT
 ) -> Pt:
     """Shift rule at a bend: the incoming line's coordinate moves by
     -eps and the outgoing one by +eps when both lines have sign '+' at the
@@ -90,13 +94,15 @@ class Bend:
     def third_cls(self) -> int:
         return 6 - self.cls_in - self.cls_out
 
-    def shifted(self, eps: Fraction) -> Pt:
-        return shifted_point(self.vertex, eps, self.cls_in, self.cls_out, self.sign)
+    def shifted(self, eps: int, f: int = 1) -> Pt:
+        """The moved copy of the vertex, with the vertex's coordinates
+        multiplied by ``f`` first: ``eps`` is in units of ``1/(f*scale)``."""
+        u = (f * self.vertex[0], f * self.vertex[1])
+        return shifted_point(u, eps, self.cls_in, self.cls_out, self.sign)
 
     def motion(self) -> Pt:
         """Dual-coordinate velocity of the shifted copy of the vertex."""
-        origin = (Fraction(0), Fraction(0))
-        return shifted_point(origin, Fraction(1), self.cls_in, self.cls_out, self.sign)
+        return shifted_point((0, 0), 1, self.cls_in, self.cls_out, self.sign)
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,7 @@ class PathLines:
             return self.bends[i]
         return self.bends[-1] if self.is_cycle else None
 
-    def vanish_bound(self) -> Optional[Fraction]:
+    def vanish_bound(self) -> Optional[int]:
         """Minimum length of a piece with right turns at both ends."""
         best = None
         for i, line in enumerate(self.lines):
@@ -170,29 +176,30 @@ class StopEvent:
     eps: Fraction
     kinds: tuple[str, ...]
 
-    @property
-    def kind(self) -> str:
-        return self.kinds[0]
-
 
 @dataclass(frozen=True)
 class DeformedSystem:
+    """Lines with int coordinates in units of ``1/scale``."""
+
     lines: tuple[tuple[HLine, int], ...]
-    eps: Fraction
+    scale: int
 
     def as_system(self) -> XiSystem:
-        return list(self.lines)
+        """The lines as a system in Fractions."""
+        unit = Fraction(1, self.scale)
+        return [(line.scaled(unit), w) for line, w in self.lines]
 
 
 def _moved_line_span(
-    pl: PathLines, i: int, eps: Fraction
-) -> tuple[int, Fraction, Optional[Fraction], Optional[Fraction]]:
-    """(cls, c, lo, hi) of the moved copy of line i at parameter eps."""
+    pl: PathLines, i: int, eps: int, f: int = 1
+) -> tuple[int, int, Optional[int], Optional[int]]:
+    """(cls, c, lo, hi) of the moved copy of line i at parameter eps, with
+    the path's coordinates multiplied by ``f`` first (see ``Bend.shifted``)."""
     line = pl.lines[i]
-    c2 = line.c + line.trav * eps
+    c2 = f * line.c + line.trav * eps
     ba, bb = pl.bend_before(i), pl.bend_after(i)
-    t_a = t_of(line.cls, ba.shifted(eps)) if ba else None
-    t_b = t_of(line.cls, bb.shifted(eps)) if bb else None
+    t_a = t_of(line.cls, ba.shifted(eps, f)) if ba else None
+    t_b = t_of(line.cls, bb.shifted(eps, f)) if bb else None
     if t_a is not None and t_b is not None:
         lo, hi = min(t_a, t_b), max(t_a, t_b)
     elif t_a is None and t_b is None:
@@ -209,40 +216,44 @@ def _moved_line_span(
 
 
 def build_deformed_system(
-    h: Honeycomb, pl: PathLines, eps: Fraction
+    h: Honeycomb, pl: PathLines, eps
 ) -> DeformedSystem:
-    """Background with path copies removed, moved copies, and bend stubs."""
+    """Background with path copies removed, moved copies, and bend stubs,
+    at the least multiple of ``h.scale`` that holds the rational ``eps``."""
+    eps = Fraction(eps)
+    f = eps.denominator // gcd(eps.denominator, h.scale)
+    scale = h.scale * f
+    units = eps.numerator * (scale // eps.denominator)
     bound = pl.vanish_bound()
-    if eps < 0 or (bound is not None and eps > bound):
-        raise EpsilonOutOfRange(f"eps={eps} outside [0, {bound}]")
-    used: dict[HEdge, int] = {}
-    for line in pl.lines:
-        for e in line.edges:
-            used[e] = used.get(e, 0) + 1
+    if units < 0 or (bound is not None and units > f * bound):
+        shown = None if bound is None else Fraction(bound, h.scale)
+        raise EpsilonOutOfRange(f"eps={eps} outside [0, {shown}]")
+    used = Counter(e for line in pl.lines for e in line.edges)
     lines: list[tuple[HLine, int]] = []
     for e in h.edges:
-        w = e.weight - used.get(e, 0)
+        w = e.weight - used[e]
         assert w >= 0, "path overuses an edge"
         if w > 0:
-            lines.append((e, w))
+            lines.append((e if f == 1 else e.scaled(f), w))
     for i in range(len(pl.lines)):
-        cls, c2, lo, hi = _moved_line_span(pl, i, eps)
+        cls, c2, lo, hi = _moved_line_span(pl, i, units, f)
         if lo is not None and lo == hi:
             continue  # vanished piece
         lines.append((HLine(cls, c2, lo, hi), 1))
-    if eps > 0:
+    if units > 0:
         for b in pl.bends:
             cls = b.third_cls
-            c = dval(b.vertex, cls)
-            ta, tb = t_of(cls, b.vertex), t_of(cls, b.shifted(eps))
+            c = f * dval(b.vertex, cls)
+            ta, tb = f * t_of(cls, b.vertex), t_of(cls, b.shifted(units, f))
             lo, hi = min(ta, tb), max(ta, tb)
             lines.append((HLine(cls, c, lo, hi), 1 if b.turn == TURN_RIGHT else -1))
-    return DeformedSystem(tuple(lines), eps)
+    return DeformedSystem(tuple(lines), scale)
 
 
-def _meet_time(u: Pt, mu, v: Pt, mv) -> Optional[Fraction]:
-    """Positive solution of u + t*mu == v + t*mv, if any."""
-    t = None
+def _meet_time(u: Pt, mu: Pt, v: Pt, mv: Pt) -> Optional[int]:
+    """Twice the positive solution of u + t*mu == v + t*mv, if any (an
+    int: every rate is -1, 0 or +1)."""
+    t2 = None
     for k in range(2):
         dm = mu[k] - mv[k]
         dp = v[k] - u[k]
@@ -250,102 +261,100 @@ def _meet_time(u: Pt, mu, v: Pt, mv) -> Optional[Fraction]:
             if dp != 0:
                 return None
         else:
-            cand = Fraction(dp, 1) / dm
-            if t is None:
-                t = cand
-            elif t != cand:
+            cand = 2 * dp // dm
+            if t2 is None:
+                t2 = cand
+            elif t2 != cand:
                 return None
-    return t if t is not None and t > 0 else None
+    return t2 if t2 is not None and t2 > 0 else None
 
 
-def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
-    """First parameter at which the rightward motion must stop."""
-    movers = [(b, b.vertex, b.motion()) for b in pl.bends]
-    on_line = vertices_by_line(h.vertices)
+def _candidates(h: Honeycomb, pl: PathLines) -> dict[int, list[tuple]]:
+    """Tagged candidate stops, keyed by time in units of ``1/(2*h.scale)``.
+
+    ``eps0`` and ``e1`` always stop, so no meet or sweep after the first
+    of them (the cap) is ever examined or added; ties are kept.
+    """
+    s, on_line = h.scale, h.on_line
     vanish = pl.vanish_bound()
-    is_open = not pl.is_cycle
+    limit = None if vanish is None else 2 * vanish
+    candidates: dict[int, list[tuple]] = {}
 
-    candidates: dict[Fraction, list[tuple]] = {}
+    def add(k: Optional[int], tag: tuple) -> None:
+        if k is not None and k > 0 and (limit is None or k <= limit):
+            candidates.setdefault(k, []).append(tag)
 
-    def add(eps: Fraction, tag: tuple) -> None:
-        if eps > 0 and (vanish is None or eps <= vanish):
-            candidates.setdefault(eps, []).append(tag)
-
-    if vanish is not None:
-        add(vanish, ("eps0",))
-    if is_open:
+    add(limit, ("eps0",))
+    if not pl.is_cycle:
         for i in (0, len(pl.lines) - 1):
-            line = pl.lines[i]
-            assert line.c.denominator != 1
-            if line.trav == 1:
-                add(Fraction(line.c.__ceil__()) - line.c, ("e1", i))
-            else:
-                add(line.c - Fraction(line.c.__floor__()), ("e1", i))
-    # eps0 and e1 always stop, so no candidate after the first of them is
-    # ever examined.
-    cap = min(candidates, default=None)
-    for a in range(len(movers)):
-        ba, ua, ma = movers[a]
+            frac = pl.lines[i].c % s
+            assert frac != 0
+            add(2 * (s - frac if pl.lines[i].trav == 1 else frac), ("e1", i))
+    limit = min(candidates, default=None)  # the cap
+    movers = [(b, b.vertex, b.motion()) for b in pl.bends]
+    for a, (ba, ua, ma) in enumerate(movers):
         for bb, ub, mb in movers[a + 1 :]:
-            t = _meet_time(ua, ma, ub, mb)
-            if t is not None:
-                add(t, ("meet", ba, bb))
+            add(_meet_time(ua, ma, ub, mb), ("meet", ba, bb))
         # A bend moves along its third-class line, so it can meet only the
         # stationary vertices on that line.
         for v in on_line.get((ba.third_cls, dval(ua, ba.third_cls)), ()):
-            t = _meet_time(ua, ma, v, (0, 0))
-            if t is not None:
-                add(t, ("meet", ba, v))
+            add(_meet_time(ua, ma, v, (0, 0)), ("meet", ba, v))
     # A moving line sweeps the integral vertices on the parallel lines
-    # ahead of it, up to the cap (ties with the cap included).
-    levels = {
-        cls: sorted(d for k, d in on_line if k == cls and d.denominator == 1) for cls in (1, 2, 3)
-    }
+    # ahead of it, up to the cap: d within cap/2 of c.
+    levels = {cls: sorted(d for k, d in on_line if k == cls and d % s == 0) for cls in (1, 2, 3)}
+    reach = None if limit is None else limit // 2
     for i, line in enumerate(pl.lines):
         ds = levels[line.cls]
         if line.trav == 1:
             first = bisect_right(ds, line.c)
-            stop = len(ds) if cap is None else bisect_right(ds, line.c + cap)
+            stop = len(ds) if reach is None else bisect_right(ds, line.c + reach)
         else:
-            first = 0 if cap is None else bisect_left(ds, line.c - cap)
+            first = 0 if reach is None else bisect_left(ds, line.c - reach)
             stop = bisect_left(ds, line.c)
         for d in ds[first:stop]:
-            t = (d - line.c) * line.trav
             for v in on_line[(line.cls, d)]:
-                if is_integral_point(v):
-                    add(t, ("sweep", i, v))
+                if is_integral_point(v, s):
+                    add(2 * (d - line.c) * line.trav, ("sweep", i, v))
+    return candidates
 
-    prev = Fraction(0)
-    for eps_c in sorted(candidates):
-        tags = candidates[eps_c]
+
+def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
+    """First parameter at which the rightward motion must stop.
+
+    Times run in units of ``1/(2*h.scale)``.  A meet is tested on the
+    honeycomb in the middle of its interval, in units of ``1/(4*h.scale)``.
+    """
+    candidates = _candidates(h, pl)
+    prev = 0
+    for k in sorted(candidates):
         kinds: set[str] = set()
-        mid_h: Optional[Honeycomb] = None
-
-        def mid_honeycomb() -> Honeycomb:
-            nonlocal mid_h
-            if mid_h is None:
-                mid_h = canonicalize(build_deformed_system(h, pl, (prev + eps_c) / 2).as_system())
-            return mid_h
-
-        for tag in tags:
+        mid = prev + k  # the middle of (prev, k), in units of 1/(4*scale)
+        mid_at: Optional[dict[Pt, Pt]] = None  # its vertices by their points at 4*scale
+        for tag in candidates[k]:
             if tag[0] == "eps0":
                 kinds.add(STOP_LINE_VANISHED)
             elif tag[0] == "e1":
                 kinds.add(STOP_BOUNDARY_INTEGRAL)
             elif tag[0] == "sweep":
-                moved = HLine(*_moved_line_span(pl, tag[1], eps_c))
-                if moved.contains_t(t_of(moved.cls, tag[2])):
+                moved = HLine(*_moved_line_span(pl, tag[1], k, 2))
+                if moved.contains_t(2 * t_of(moved.cls, tag[2])):
                     kinds.add(STOP_INTEGRAL_VERTEX)
             else:
                 _, pa, pb = tag  # pa is a Bend; pb a Bend or a stationary vertex
-                mid = (prev + eps_c) / 2
-                qa = pa.shifted(mid)
-                qb = pb.shifted(mid) if isinstance(pb, Bend) else pb
-                if not isinstance(pb, Bend) and is_integral_point(pb):
-                    kinds.add(STOP_INTEGRAL_VERTEX)
-                hm = mid_honeycomb()
-                if qa in hm.vertex_set and qb in hm.vertex_set:
-                    if divergency(hm, qa) * divergency(hm, qb) < 0:
+                if isinstance(pb, Bend):
+                    qb = pb.shifted(mid, 4)
+                else:
+                    qb = (4 * pb[0], 4 * pb[1])
+                    if is_integral_point(pb, h.scale):
+                        kinds.add(STOP_INTEGRAL_VERTEX)
+                if mid_at is None:
+                    ds = build_deformed_system(h, pl, Fraction(mid, 4 * h.scale))
+                    hm = canonicalize(ds.lines, ds.scale)
+                    r = 4 * h.scale // hm.scale
+                    mid_at = {(v[0] * r, v[1] * r): v for v in hm.vertices}
+                va, vb = mid_at.get(pa.shifted(mid, 4)), mid_at.get(qb)
+                if va is not None and vb is not None:
+                    if divergency(hm, va) * divergency(hm, vb) < 0:
                         kinds.add(STOP_OPPOSITE_MERGE)
                         # Validity-bound flavours: a negative stub running off
                         # its covering edge, or two negative stubs colliding.
@@ -353,8 +362,8 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
                         if pa.turn == TURN_LEFT and b_ok:
                             kinds.add(STOP_VALIDITY_BOUND)
         if kinds:
-            return StopEvent(eps_c, tuple(sorted(kinds)))
-        prev = eps_c
+            return StopEvent(Fraction(k, 2 * h.scale), tuple(sorted(kinds)))
+        prev = k
     raise AssertionError("no stopping event found")
 
 
@@ -362,28 +371,19 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
 _MIRROR_CLS = {1: 1, 2: 3, 3: 2}
 
 
-def mirror_point(p: Pt) -> Pt:
-    return (p[0], -p[0] - p[1])
-
-
-def mirror_line(cls: int, c: Fraction, lo, hi) -> tuple[int, Fraction, object, object]:
-    new_lo = None if hi is None else -c - hi
-    new_hi = None if lo is None else -c - lo
-    return _MIRROR_CLS[cls], c, new_lo, new_hi
+def _mirror_edge(e: HEdge) -> HEdge:
+    lo = None if e.hi is None else -e.c - e.hi
+    hi = None if e.lo is None else -e.c - e.lo
+    return HEdge(_MIRROR_CLS[e.cls], e.c, lo, hi, e.weight)
 
 
 def mirror_honeycomb(h: Honeycomb) -> Honeycomb:
-    return canonicalize(
-        [(HLine(*mirror_line(e.cls, e.c, e.lo, e.hi)), e.weight) for e in h.edges]
-    )
+    return canonicalize([(m, m.weight) for m in map(_mirror_edge, h.edges)], h.scale)
 
 
 def mirror_path(p: LegalPath) -> LegalPath:
-    verts = tuple(None if v is None else mirror_point(v) for v in p.verts)
-    edges = tuple(
-        HEdge(*mirror_line(e.cls, e.c, e.lo, e.hi), e.weight) for e in p.edges
-    )
-    return LegalPath(verts, edges, p.is_cycle)
+    verts = tuple(None if v is None else (v[0], -v[0] - v[1]) for v in p.verts)
+    return LegalPath(verts, tuple(map(_mirror_edge, p.edges)), p.is_cycle)
 
 
 def orient_cycle_rightward(h: Honeycomb, p: LegalPath) -> LegalPath:
@@ -412,5 +412,5 @@ def deform(h: Honeycomb, p: LegalPath, direction: str = TURN_RIGHT) -> tuple[Hon
         p = orient_cycle_rightward(h, p)
     pl = decompose(h, p)
     ev = stop_epsilon(h, pl)
-    hbar = canonicalize(build_deformed_system(h, pl, ev.eps).as_system())
-    return hbar, ev
+    ds = build_deformed_system(h, pl, ev.eps)
+    return canonicalize(ds.lines, ds.scale), ev

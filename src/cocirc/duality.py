@@ -76,13 +76,13 @@ def honeycomb_to_grid(h: Honeycomb) -> tuple[ConvexGrid, Cocirculation]:
     values: Cocirculation = {}
     for v in h.vertices:
         oa, ob = offsets[v]
+        d1, d2 = h.point(v)
+        vals = (d1, d2, -d1 - d2)
         for up, a, b in local[v][0]:
             t = (up, a + oa, b + ob)
             assert t not in tris, "overlapping local grids"
             tris[t] = v
-            for cls in (1, 2, 3):
-                e = gr.triangle_edge(t, cls)
-                val = dval(v, cls)
+            for e, val in zip(gr.triangle_edges(t), vals):
                 assert values.get(e, val) == val, "gluing value mismatch"
                 values[e] = val
     g = ConvexGrid.of(tris)
@@ -148,5 +148,5 @@ def grid_to_honeycomb(g: ConvexGrid, h: Cocirculation) -> Honeycomb:
         lines.append((HLine(cls, dval(p, cls), *span), n))
 
     hc = canonicalize(lines)
-    assert set(hc.vertices) == set(pts), "tiles and vertices disagree"
+    assert set(map(hc.point, hc.vertices)) == set(pts), "tiles and vertices disagree"
     return hc

@@ -246,27 +246,36 @@ def validate_grid(g: ConvexGrid) -> None:
 
 
 def fill_convex_polygon(corners: list[Point]) -> frozenset[Triangle]:
-    """All little triangles inside a convex anticlockwise lattice polygon."""
+    """All little triangles inside a convex anticlockwise lattice polygon.
+
+    A triangle is inside when its three corners are.  Side ``p -> p + (dx,
+    dy)`` keeps the points with ``dy*(a - p_a) <= dx*(b - p_b)``, so the
+    lattice points inside on row ``b`` are an integer interval of ``a``.
+    """
     pts = [corners[i] for i in range(len(corners)) if corners[i] != corners[i - 1]]
     if len(pts) < 3:
         return frozenset()
-
-    def inside(p: Point) -> bool:
-        return all(
-            _cross(_sub(pts[(i + 1) % len(pts)], pts[i]), _sub(p, pts[i])) >= 0
-            for i in range(len(pts))
-        )
-
-    amin = min(a for a, _ in pts) - 1
-    amax = max(a for a, _ in pts) + 1
-    bmin = min(b for _, b in pts) - 1
-    bmax = max(b for _, b in pts) + 1
+    rows: dict[int, tuple[int, int]] = {}
+    for b in range(min(b for _, b in pts), max(b for _, b in pts) + 1):
+        lo, hi = min(a for a, _ in pts), max(a for a, _ in pts)
+        for (pa, pb), q in zip(pts, pts[1:] + pts[:1]):
+            dx, dy = q[0] - pa, q[1] - pb
+            r = dx * (b - pb)
+            if dy > 0:
+                hi = min(hi, pa + r // dy)
+            elif dy < 0:
+                lo = max(lo, pa - (-r // dy))
+            elif r < 0:
+                hi = lo - 1
+        rows[b] = (lo, hi)
     out = set()
-    for a in range(amin, amax + 1):
-        for b in range(bmin, bmax + 1):
-            for t in ((True, a, b), (False, a, b)):
-                if all(inside(v) for v in triangle_vertices(t)):
-                    out.add(t)
+    for b, (lo, hi) in rows.items():
+        if b + 1 in rows:  # up(a, b) has corners (a, b), (a+1, b), (a+1, b+1)
+            lo2, hi2 = rows[b + 1]
+            out.update((True, a, b) for a in range(max(lo, lo2 - 1), min(hi, hi2)))
+        if b - 1 in rows:  # down(a, b) has corners (a, b), (a+1, b), (a, b-1)
+            lo2, hi2 = rows[b - 1]
+            out.update((False, a, b) for a in range(max(lo, lo2), min(hi, hi2 + 1)))
     return frozenset(out)
 
 

@@ -7,6 +7,11 @@ parameterised by ``t = d_{i+1}``, which increases in the ``+`` ray
 direction (``xi_i`` rotated clockwise by 90 degrees).  One ``t``-unit is
 the scaled edge length used throughout, so all lengths and event times
 stay rational.
+
+A ``Honeycomb`` stores each coordinate as an int ``x`` standing for
+``x / scale``, with ``scale`` the least common denominator of its vertex
+coordinates, so a coordinate is integral when ``x % scale == 0``.  The
+point and line helpers work on ints and Fractions alike.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import NotPreHoneycomb
@@ -55,16 +60,13 @@ def t_of(cls: int, p: Pt) -> Fraction:
     return dval(p, nxt(cls))
 
 
-def is_integral_point(p: Pt) -> bool:
-    return p[0].denominator == 1 and p[1].denominator == 1
+def is_integral_point(p: Pt, scale: int) -> bool:
+    return p[0] % scale == 0 and p[1] % scale == 0
 
 
-def _lo_key(x: Optional[Fraction]):
-    return (0, 0) if x is None else (1, x)
-
-
-def _hi_key(x: Optional[Fraction]):
-    return (1, 0) if x is None else (0, x)
+def frac_point(p: Pt, scale: int) -> Pt:
+    """The point with int coordinates ``p`` in units of ``1/scale``, in Fractions."""
+    return (Fraction(p[0], scale), Fraction(p[1], scale))
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,15 @@ class HLine:
         return (self.lo is None or self.lo <= t) and (self.hi is None or t <= self.hi)
 
     def sort_key(self):
-        return (self.cls, self.c, _lo_key(self.lo), _hi_key(self.hi))
+        lo = (0, 0) if self.lo is None else (1, self.lo)
+        hi = (1, 0) if self.hi is None else (0, self.hi)
+        return (self.cls, self.c, lo, hi)
+
+    def scaled(self, k) -> HLine:
+        """This line with every coordinate multiplied by ``k``."""
+        lo = None if self.lo is None else self.lo * k
+        hi = None if self.hi is None else self.hi * k
+        return HLine(self.cls, self.c * k, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -117,10 +127,6 @@ class HEdge(HLine):
     """A honeycomb edge: an ``HLine`` carrying a positive weight."""
 
     weight: int
-
-    @property
-    def nonintegral(self) -> bool:
-        return self.c.denominator != 1
 
     def sign_at(self, v: Pt) -> str:
         """The sign s with this edge inside ``Xi_cls^s(v)``, for an end v."""
@@ -249,13 +255,13 @@ def six_weights(covs, p: Pt) -> dict[tuple[int, str], int]:
     return out
 
 
-def _scaled(system: XiSystem) -> tuple[int, XiSystem]:
-    """The system with every coordinate multiplied by ``L``, the lcm of
-    their denominators, so that all of its coordinates are ints.
+def _integer_system(system: XiSystem) -> tuple[int, XiSystem]:
+    """A system given in rationals, as ints in units of ``1/L``, where
+    ``L`` is the lcm of its denominators.
 
     Multiplying by ``L > 0`` is a linear bijection that keeps
     ``d3 = -d1-d2``, so it keeps every crossing, every coverage and the
-    order of points and lines; ``Fraction(x, L)`` maps a result back.
+    order of points and lines.
     """
     scale = lcm(
         *{x.denominator for line, _ in system for x in (line.c, line.lo, line.hi) if x is not None}
@@ -265,10 +271,6 @@ def _scaled(system: XiSystem) -> tuple[int, XiSystem]:
         return None if x is None else x.numerator * (scale // x.denominator)
 
     return scale, [(HLine(ln.cls, up(ln.c), up(ln.lo), up(ln.hi)), w) for ln, w in system]
-
-
-def _unscaled(p: Pt, scale: int) -> Pt:
-    return (Fraction(p[0], scale), Fraction(p[1], scale))
 
 
 def _vertices(system: XiSystem, covs, scale: int) -> list[Pt]:
@@ -286,10 +288,10 @@ def _vertices(system: XiSystem, covs, scale: int) -> list[Pt]:
     for p in sorted(_candidate_points(system, covs)):
         w6 = six_weights(covs, p)
         if any(v < 0 for v in w6.values()):
-            raise NotPreHoneycomb(f"negative ray weight at {_unscaled(p, scale)}")
+            raise NotPreHoneycomb(f"negative ray weight at {frac_point(p, scale)}")
         divs = {cls: w6[(cls, "+")] - w6[(cls, "-")] for cls in (1, 2, 3)}
         if len(set(divs.values())) != 1:
-            raise NotPreHoneycomb(f"unequal tension {divs} at {_unscaled(p, scale)}")
+            raise NotPreHoneycomb(f"unequal tension {divs} at {frac_point(p, scale)}")
         if sum(1 for v in w6.values() if v != 0) >= 3:
             verts.append(p)
     return verts
@@ -305,11 +307,11 @@ def is_prehoneycomb(system: XiSystem) -> bool:
     divergencies are all zero.  Its one weight is negative only on a
     negative stretch of coverage; such a stretch ends at a line end, where
     the candidate check sees it, unless it is a whole line without ends,
-    which ``_vertices`` checks directly.
+    which ``_vertices`` checks directly.  No scaling is needed: the test
+    is the same on any scale.
     """
-    scale, ints = _scaled(system)
     try:
-        _vertices(ints, _supports(ints), scale)
+        _vertices(system, _supports(system), 1)
     except NotPreHoneycomb:
         return False
     return True
@@ -317,16 +319,17 @@ def is_prehoneycomb(system: XiSystem) -> bool:
 
 @dataclass(frozen=True)
 class Honeycomb:
+    """Vertices and edges with int coordinates in units of ``1/scale``."""
+
     vertices: tuple[Pt, ...]
     edges: tuple[HEdge, ...]
-    # The edge in each ray slot (cls, sign) of each vertex.  canonicalize
-    # fills it while it cuts the edges; it follows from the two fields
-    # above, so it takes no part in comparison.
+    scale: int
+    # The edge in each ray slot (cls, sign) of each vertex, and the
+    # vertices on each line (cls, d_cls).  canonicalize fills both while it
+    # cuts the edges; they follow from the fields above, so they take no
+    # part in comparison.
     incidence: dict[Pt, dict[tuple[int, str], HEdge]] = field(compare=False, repr=False)
-
-    @cached_property
-    def vertex_set(self) -> frozenset[Pt]:
-        return frozenset(self.vertices)
+    on_line: dict[tuple[int, int], list[Pt]] = field(compare=False, repr=False)
 
     def weights_at(self, v: Pt) -> dict[tuple[int, str], int]:
         w6 = {(cls, s): 0 for cls in (1, 2, 3) for s in SIGNS}
@@ -338,8 +341,14 @@ class Honeycomb:
     def boundary(self) -> tuple[HEdge, ...]:
         return tuple(e for e in self.edges if e.is_ray)
 
+    def point(self, v: Pt) -> Pt:
+        """A vertex in Fractions."""
+        return frac_point(v, self.scale)
+
     def as_system(self) -> XiSystem:
-        return [(e, e.weight) for e in self.edges]
+        """The edges as a system in Fractions."""
+        unit = Fraction(1, self.scale)
+        return [(e.scaled(unit), e.weight) for e in self.edges]
 
 
 def divergency(h: Honeycomb, v: Pt) -> int:
@@ -362,7 +371,7 @@ def vertices_by_line(verts) -> dict[tuple[int, Fraction], list[Pt]]:
     return on_line
 
 
-def canonicalize(system: XiSystem) -> Honeycomb:
+def canonicalize(system: XiSystem, scale: Optional[int] = None) -> Honeycomb:
     """The unique honeycomb with the same ray weights everywhere.
 
     Vertices are the points with at least three nonzero ray weights; edges
@@ -370,24 +379,17 @@ def canonicalize(system: XiSystem) -> Honeycomb:
     NotPreHoneycomb when the system violates nonnegativity or tension, and
     when the covered set has a fully infinite line or no vertex at all.
 
-    The search runs on the ``_scaled`` system, in ints; only the output
-    and the error messages are divided back into Fractions.
+    With ``scale`` given, the coordinates of ``system`` are ints in units of
+    ``1/scale``; without it, rationals.  The result has the least scale
+    that holds its vertices, and so all of its edges.
     """
-    scale, system = _scaled(system)
+    if scale is None:
+        scale, system = _integer_system(system)
     covs = _supports(system)
     verts = _vertices(system, covs, scale)
     if not verts:
         raise NotPreHoneycomb("covered set has no vertex")
-    fracs: dict[int, Fraction] = {}
-
-    def down(x: Optional[int]) -> Optional[Fraction]:
-        if x is None:
-            return None
-        f = fracs.get(x)
-        if f is None:
-            f = fracs[x] = Fraction(x, scale)
-        return f
-
+    g = gcd(scale, *(x for v in verts for x in v))
     slots: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for v in verts}
     on_line = vertices_by_line(verts)
     edges: list[HEdge] = []
@@ -397,7 +399,7 @@ def canonicalize(system: XiSystem) -> Honeycomb:
         at = sorted((t_of(cls, v), v) for v in on_line.get((cls, c), ()))
         if not at:
             if cov.base != 0 or any(v != 0 for v in cov.vals):
-                raise NotPreHoneycomb(f"fully infinite covered line {(cls, down(c))}")
+                raise NotPreHoneycomb(f"fully infinite covered line {(cls, Fraction(c, scale))}")
             continue
         cuts = [(None, None), *at, (None, None)]
         for (a, va), (b, vb) in zip(cuts, cuts[1:]):
@@ -405,17 +407,19 @@ def canonicalize(system: XiSystem) -> Honeycomb:
             if w == 0:
                 continue
             if w < 0:
-                raise NotPreHoneycomb(f"negative coverage on {(cls, down(c))}")
+                raise NotPreHoneycomb(f"negative coverage on {(cls, Fraction(c, scale))}")
             if not cov.constant_on(a, b):
-                raise NotPreHoneycomb(f"coverage step without a vertex on {(cls, down(c))}")
-            e = HEdge(cls, down(c), down(a), down(b), w)
+                raise NotPreHoneycomb(f"coverage step without a vertex on {(cls, Fraction(c, scale))}")
+            e = HEdge(cls, c // g, None if a is None else a // g, None if b is None else b // g, w)
             edges.append(e)
             if va is not None:
                 slots[va][(cls, "+")] = e
             if vb is not None:
                 slots[vb][(cls, "-")] = e
-    out = {v: (down(v[0]), down(v[1])) for v in verts}
-    hc = Honeycomb(tuple(out.values()), tuple(edges), {out[v]: vs for v, vs in slots.items()})
+    if g > 1:
+        slots = {(v[0] // g, v[1] // g): vs for v, vs in slots.items()}
+        on_line = vertices_by_line(slots)
+    hc = Honeycomb(tuple(slots), tuple(edges), scale // g, slots, on_line)
     for v in hc.vertices:
         assert len(hc.incidence[v]) >= 3
         divergency(hc, v)
@@ -436,12 +440,11 @@ def boundary_partition(h: Honeycomb) -> tuple[dict[tuple[int, str], tuple[HEdge,
 
 
 def nonintegral_sets(h: Honeycomb) -> tuple[frozenset[Pt], frozenset[HEdge]]:
-    """Vertices with a fractional coordinate; edges with fractional d^c."""
-    vs = frozenset(v for v in h.vertices if not is_integral_point(v))
-    for v in vs:
-        fractional = sum(1 for cls in (1, 2, 3) if dval(v, cls).denominator != 1)
-        assert fractional >= 2, f"{v} has a single fractional coordinate"
-    return vs, frozenset(e for e in h.edges if e.nonintegral)
+    """Vertices with a fractional coordinate (so with two, as the three
+    sum to zero); edges with fractional d^c."""
+    s = h.scale
+    vs = frozenset(v for v in h.vertices if v[0] % s or v[1] % s)
+    return vs, frozenset(e for e in h.edges if e.c % s)
 
 
 def honeycomb_sum(a: Honeycomb, b: Honeycomb) -> Honeycomb:

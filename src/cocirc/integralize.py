@@ -17,7 +17,7 @@ from . import grid as gr
 from .deform import deform
 from .duality import _local_grid, grid_to_honeycomb, honeycomb_to_grid
 from .grid import Cocirculation, ConvexGrid
-from .honeycomb import Honeycomb, boundary_partition, excess, is_integral_point, nonintegral_sets
+from .honeycomb import Honeycomb, boundary_partition, excess, nonintegral_sets
 from .paths import find_legal_path
 
 
@@ -36,11 +36,12 @@ class Potential:
         return self.nonintegral_boundary == 0 and self.nonintegral_excess == 0
 
 
-def potential(h: Honeycomb) -> Potential:
-    vs, _ = nonintegral_sets(h)
-    beta = sum(e.weight for e in h.boundary if e.nonintegral)
+def potential(h: Honeycomb, nonintegral=None) -> Potential:
+    """``nonintegral`` is ``nonintegral_sets(h)`` when the caller has it."""
+    vs, es = nonintegral_sets(h) if nonintegral is None else nonintegral
+    beta = sum(e.weight for e in es if e.is_ray)
     delta = sum(excess(h, v) for v in vs)
-    touching = {e for v in h.vertices if is_integral_point(v) for e in h.incidence[v].values()}
+    touching = {e for v in h.vertices if v not in vs for e in h.incidence[v].values()}
     omega = sum(e.weight for e in touching)
     return Potential(beta, delta, omega)
 
@@ -79,13 +80,15 @@ def _step_budget(initial: Potential, edges: int) -> int:
 
 
 def integralize_honeycomb(h: Honeycomb) -> tuple[Honeycomb, list[TraceStep]]:
-    pot = potential(h)
+    sets = nonintegral_sets(h)
+    pot = potential(h, sets)
     budget = _step_budget(pot, dual_grid_edge_count(h))
     trace: list[TraceStep] = []
     while not pot.settled:
-        path = find_legal_path(h)
+        path = find_legal_path(h, sets)
         h2, ev = deform(h, path)
-        pot2 = potential(h2)
+        sets = nonintegral_sets(h2)
+        pot2 = potential(h2, sets)
         # Explicit raises, not asserts: the audit must also run under -O.
         if pot2.value >= pot.value:
             raise AssertionError("potential failed to decrease")

@@ -68,7 +68,7 @@ def dominating_edges(h: Honeycomb, v: Pt) -> frozenset[HEdge]:
 
 
 def is_legal_pair(h: Honeycomb, v: Pt, e1: HEdge, e2: HEdge) -> bool:
-    if e1 == e2 or not (e1.nonintegral and e2.nonintegral):
+    if e1 == e2 or not (e1.c % h.scale and e2.c % h.scale):
         return False
     if LegalPath._opposite(e1, e2, v):
         return True
@@ -116,32 +116,24 @@ class LegalPath:
         return LegalPath(verts, self.edges[k:] + self.edges[:k], True)
 
 
-def _edge_key(e: HEdge):
-    return e.sort_key()
-
-
 def _slot_key(h: Honeycomb, v: Pt, e: HEdge):
     return (e.cls, 0 if e.sign_at(v) == "+" else 1, e.c)
 
 
-def find_legal_path(h: Honeycomb) -> LegalPath:
+def find_legal_path(h: Honeycomb, nonintegral=None) -> LegalPath:
     """Grow and return an open legal path or legal cycle.
 
+    ``nonintegral`` is ``nonintegral_sets(h)`` when the caller has it.
     Raises NoNonintegralEdge when the honeycomb is fully integral.
     """
-    nonint_vs, nonint_es = nonintegral_sets(h)
+    nonint_vs, nonint_es = nonintegral_sets(h) if nonintegral is None else nonintegral
     if not nonint_vs:
         raise NoNonintegralEdge("honeycomb is integral")
     assert nonint_es
 
-    rays = sorted((e for e in nonint_es if e.is_ray), key=_edge_key)
-    if rays:
-        e0 = rays[0]
-        verts: list[Optional[Pt]] = [None, e0.ends()[0]]
-    else:
-        e0 = sorted(nonint_es, key=_edge_key)[0]
-        lo, hi = sorted(e0.ends())
-        verts = [lo, hi]
+    rays = [e for e in nonint_es if e.is_ray]
+    e0 = min(rays or nonint_es, key=HEdge.sort_key)
+    verts: list[Optional[Pt]] = [None, e0.ends()[0]] if rays else sorted(e0.ends())
     edges = [e0]
     # (edge, vertex it was traversed out of) -> position in `edges`
     left_from: dict[tuple[HEdge, Pt], int] = {}
@@ -164,14 +156,14 @@ def find_legal_path(h: Honeycomb) -> LegalPath:
                 e2 = spare[0][2]
             elif len(bends.get(v, [])) < abs(divergency(h, v)):
                 cands = sorted(
-                    (d for d in dom if d != e and d.nonintegral),
+                    (d for d in dom if d != e and d.c % h.scale),
                     key=lambda d: _slot_key(h, v, d),
                 )
                 assert cands, "no free dominating partner"
                 e2 = cands[0]
             else:
                 e2 = h.incidence[v][(e.cls, "-" if e.sign_at(v) == "+" else "+")]
-                assert e2.nonintegral
+                assert e2.c % h.scale
         assert is_legal_pair(h, v, e, e2)
 
         j = left_from.get((e2, v))
@@ -199,7 +191,7 @@ def check_legal_path(h: Honeycomb, p: LegalPath) -> None:
     k = len(p.edges)
     assert k >= 1
     for e in p.edges:
-        assert e.nonintegral
+        assert e.c % h.scale
     if not p.is_cycle:
         assert p.verts[0] is None and p.verts[-1] is None and k > 1
         assert p.edges[0].is_ray and p.edges[-1].is_ray

@@ -14,7 +14,7 @@ from typing import Any
 
 from .errors import NotPreHoneycomb, SchemaError
 from .grid import Cocirculation, ConvexGrid, Edge
-from .honeycomb import HEdge, HLine, Honeycomb, Pt, canonicalize, dval, t_of
+from .honeycomb import HEdge, HLine, Honeycomb, Pt, canonicalize, dval, frac_point, t_of
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -96,8 +96,9 @@ def edge_list_to_json(edges) -> dict:
     return {"edges": [{"a": a, "b": b, "dir": d} for a, b, d in sorted(edges)]}
 
 
-def _pt_to_json(p: Pt) -> dict:
-    return {"d1": frac_to_str(p[0]), "d2": frac_to_str(p[1])}
+def _pt_to_json(p: Pt, scale: int) -> dict:
+    d1, d2 = frac_point(p, scale)
+    return {"d1": frac_to_str(d1), "d2": frac_to_str(d2)}
 
 
 def _pt_from_json(row: Any) -> Pt:
@@ -105,12 +106,13 @@ def _pt_from_json(row: Any) -> Pt:
     return (frac_from_any(row.get("d1")), frac_from_any(row.get("d2")))
 
 
-def hedge_to_json(e: HEdge) -> dict:
+def hedge_to_json(e: HEdge, scale: int) -> dict:
+    """An edge whose int coordinates are in units of ``1/scale``."""
     row: dict[str, Any] = {
         "class": e.cls,
         "weight": e.weight,
         "kind": "ray" if e.is_ray else "finite",
-        "ends": [_pt_to_json(p) for p in e.ends()],
+        "ends": [_pt_to_json(p, scale) for p in e.ends()],
     }
     if e.is_ray:
         row["sign"] = e.ray_sign
@@ -119,8 +121,8 @@ def hedge_to_json(e: HEdge) -> dict:
 
 def honeycomb_to_json(h: Honeycomb) -> dict:
     return {
-        "vertices": [_pt_to_json(v) for v in h.vertices],
-        "edges": [hedge_to_json(e) for e in h.edges],
+        "vertices": [_pt_to_json(v, h.scale) for v in h.vertices],
+        "edges": [hedge_to_json(e, h.scale) for e in h.edges],
     }
 
 
@@ -137,21 +139,18 @@ def honeycomb_from_json(doc: Any) -> Honeycomb:
         kind = row.get("kind")
         if kind == "finite":
             _require(len(ends) == 2, "honeycomb: finite edge needs two ends")
-            c = dval(ends[0], cls)
-            _require(dval(ends[1], cls) == c, "honeycomb: ends not collinear for class")
-            t0, t1 = sorted((t_of(cls, ends[0]), t_of(cls, ends[1])))
-            _require(t0 < t1, "honeycomb: degenerate finite edge")
-            lines.append((HLine(cls, c, t0, t1), w))
+            _require(dval(ends[1], cls) == dval(ends[0], cls), "honeycomb: ends not collinear for class")
+            span = sorted((t_of(cls, ends[0]), t_of(cls, ends[1])))
+            _require(span[0] < span[1], "honeycomb: degenerate finite edge")
         elif kind == "ray":
             _require(len(ends) == 1, "honeycomb: ray needs one end")
             sign = row.get("sign")
             _require(sign in ("+", "-"), "honeycomb: ray needs sign '+' or '-'")
-            c = dval(ends[0], cls)
             t = t_of(cls, ends[0])
             span = (t, None) if sign == "+" else (None, t)
-            lines.append((HLine(cls, c, *span), w))
         else:
             raise SchemaError("honeycomb: 'kind' must be 'finite' or 'ray'")
+        lines.append((HLine(cls, dval(ends[0], cls), *span), w))
     try:
         return canonicalize(lines)
     except (NotPreHoneycomb, AssertionError) as ex:

@@ -15,7 +15,6 @@ from cocirc.deform import (
     STOP_VALIDITY_BOUND,
     Bend,
     StopEvent,
-    _meet_time,
     _moved_line_span,
     build_deformed_system,
 )
@@ -24,6 +23,7 @@ from cocirc.grid import (
     cocirculation_from_quadratic,
     fill_convex_polygon,
     three_side_grid,
+    triangle_vertices,
 )
 from cocirc.honeycomb import (
     HLine,
@@ -31,7 +31,6 @@ from cocirc.honeycomb import (
     canonicalize,
     divergency,
     dval,
-    is_integral_point,
     point_from_two,
     t_of,
     vertices_by_line,
@@ -123,6 +122,30 @@ def oracle_ray_weights(lines, v: Pt):
     return out
 
 
+def oracle_fill_convex_polygon(corners):
+    """Every triangle of the bounding box whose three corners pass the
+    half-plane test of every polygon edge."""
+    pts = [corners[i] for i in range(len(corners)) if corners[i] != corners[i - 1]]
+    if len(pts) < 3:
+        return frozenset()
+
+    def inside(p):
+        return all(
+            (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0]) >= 0
+            for o, q in zip(pts, pts[1:] + pts[:1])
+        )
+
+    amin, amax = min(a for a, _ in pts) - 1, max(a for a, _ in pts) + 1
+    bmin, bmax = min(b for _, b in pts) - 1, max(b for _, b in pts) + 1
+    out = set()
+    for a in range(amin, amax + 1):
+        for b in range(bmin, bmax + 1):
+            for t in ((True, a, b), (False, a, b)):
+                if all(inside(v) for v in triangle_vertices(t)):
+                    out.add(t)
+    return frozenset(out)
+
+
 def oracle_candidate_points(system, covs) -> set[Pt]:
     """All line ends plus the crossing of every two supports of different
     classes, covered there or not: O(L^2) points."""
@@ -150,13 +173,57 @@ def oracle_incidence(hc):
     return inc
 
 
-def reference_stop_epsilon(h, pl):
-    """``deform.stop_epsilon`` as it was before the sweep was capped: every
-    path line meets every integral vertex ahead of it, all sorted."""
-    movers = [(b, b.vertex, b.motion()) for b in pl.bends]
-    integral_verts = [v for v in h.vertices if is_integral_point(v)]
-    on_line = vertices_by_line(h.vertices)
+def at_scale(hc, p: Pt) -> Pt:
+    """A rational point in the int coordinates of ``hc``."""
+    x, y = (Fraction(c) * hc.scale for c in p)
+    assert x.denominator == y.denominator == 1, (p, hc.scale)
+    return (int(x), int(y))
+
+
+def frac_span(hc, e):
+    """``(cls, c, lo, hi)`` of an edge of ``hc`` in Fractions."""
+    line = e.scaled(Fraction(1, hc.scale))
+    return (line.cls, line.c, line.lo, line.hi)
+
+
+def oracle_meet_time(u, mu, v, mv):
+    """Positive solution of u + t*mu == v + t*mv, if any, in Fractions."""
+    t = None
+    for k in range(2):
+        dm = mu[k] - mv[k]
+        dp = v[k] - u[k]
+        if dm == 0:
+            if dp != 0:
+                return None
+        else:
+            cand = Fraction(dp, 1) / dm
+            if t is None:
+                t = cand
+            elif t != cand:
+                return None
+    return t if t is not None and t > 0 else None
+
+
+def _is_integral(p: Pt) -> bool:
+    return p[0].denominator == 1 and p[1].denominator == 1
+
+
+def reference_candidates(h, pl):
+    """The tagged candidate stops of ``deform.stop_epsilon`` before its
+    sweep and its meets were capped, in Fractions of the plane: every path
+    line meets every integral vertex ahead of it, and every meet is kept.
+    Tags name points in Fractions."""
+    unit = Fraction(1, h.scale)
+
+    def pt(p):
+        return (p[0] * unit, p[1] * unit)
+
+    verts = [pt(v) for v in h.vertices]
+    movers = [(b, pt(b.vertex), b.motion()) for b in pl.bends]
+    integral_verts = [v for v in verts if _is_integral(v)]
+    on_line = vertices_by_line(verts)
     vanish = pl.vanish_bound()
+    vanish = None if vanish is None else vanish * unit
     is_open = not pl.is_cycle
 
     candidates = {}
@@ -170,28 +237,40 @@ def reference_stop_epsilon(h, pl):
     if is_open:
         for i in (0, len(pl.lines) - 1):
             line = pl.lines[i]
-            assert line.c.denominator != 1
+            c = line.c * unit
+            assert c.denominator != 1
             if line.trav == 1:
-                add(Fraction(line.c.__ceil__()) - line.c, ("e1", i))
+                add(Fraction(c.__ceil__()) - c, ("e1", i))
             else:
-                add(line.c - Fraction(line.c.__floor__()), ("e1", i))
+                add(c - Fraction(c.__floor__()), ("e1", i))
     for a in range(len(movers)):
         ba, ua, ma = movers[a]
         for bb, ub, mb in movers[a + 1 :]:
-            t = _meet_time(ua, ma, ub, mb)
+            t = oracle_meet_time(ua, ma, ub, mb)
             if t is not None:
                 add(t, ("meet", ba, bb))
         # A bend moves along its third-class line, so it can meet only the
         # stationary vertices on that line.
         for v in on_line.get((ba.third_cls, dval(ua, ba.third_cls)), ()):
-            t = _meet_time(ua, ma, v, (0, 0))
+            t = oracle_meet_time(ua, ma, v, (0, 0))
             if t is not None:
                 add(t, ("meet", ba, v))
     for i, line in enumerate(pl.lines):
         for v in integral_verts:
-            t = (dval(v, line.cls) - line.c) * line.trav
+            t = (dval(v, line.cls) - line.c * unit) * line.trav
             if t > 0:
                 add(t, ("sweep", i, v))
+    return candidates
+
+
+def reference_stop_epsilon(h, pl):
+    """``deform.stop_epsilon`` over ``reference_candidates``, in Fractions."""
+    unit = Fraction(1, h.scale)
+    candidates = reference_candidates(h, pl)
+
+    def shifted(b, eps):
+        m = b.motion()
+        return (b.vertex[0] * unit + m[0] * eps, b.vertex[1] * unit + m[1] * eps)
 
     prev = Fraction(0)
     for eps_c in sorted(candidates):
@@ -202,7 +281,8 @@ def reference_stop_epsilon(h, pl):
         def mid_honeycomb():
             nonlocal mid_h
             if mid_h is None:
-                mid_h = canonicalize(build_deformed_system(h, pl, (prev + eps_c) / 2).as_system())
+                hm = canonicalize(build_deformed_system(h, pl, (prev + eps_c) / 2).as_system())
+                mid_h = hm, {hm.point(v): v for v in hm.vertices}
             return mid_h
 
         for tag in tags:
@@ -211,19 +291,21 @@ def reference_stop_epsilon(h, pl):
             elif tag[0] == "e1":
                 kinds.add(STOP_BOUNDARY_INTEGRAL)
             elif tag[0] == "sweep":
-                moved = HLine(*_moved_line_span(pl, tag[1], eps_c))
-                if moved.contains_t(t_of(moved.cls, tag[2])):
+                # the moved line at scale h.scale * q, q the denominator of eps_c
+                q = eps_c.denominator
+                moved = HLine(*_moved_line_span(pl, tag[1], eps_c.numerator * h.scale, q))
+                if moved.contains_t(t_of(moved.cls, tag[2]) * h.scale * q):
                     kinds.add(STOP_INTEGRAL_VERTEX)
             else:
                 _, pa, pb = tag  # pa is a Bend; pb a Bend or a stationary vertex
                 mid = (prev + eps_c) / 2
-                qa = pa.shifted(mid)
-                qb = pb.shifted(mid) if isinstance(pb, Bend) else pb
-                if not isinstance(pb, Bend) and is_integral_point(pb):
+                qa = shifted(pa, mid)
+                qb = shifted(pb, mid) if isinstance(pb, Bend) else pb
+                if not isinstance(pb, Bend) and _is_integral(pb):
                     kinds.add(STOP_INTEGRAL_VERTEX)
-                hm = mid_honeycomb()
-                if qa in hm.vertex_set and qb in hm.vertex_set:
-                    if divergency(hm, qa) * divergency(hm, qb) < 0:
+                hm, at = mid_honeycomb()
+                if qa in at and qb in at:
+                    if divergency(hm, at[qa]) * divergency(hm, at[qb]) < 0:
                         kinds.add(STOP_OPPOSITE_MERGE)
                         # Validity-bound flavours: a negative stub running off
                         # its covering edge, or two negative stubs colliding.

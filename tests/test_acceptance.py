@@ -144,7 +144,7 @@ def test_criterion_6_rigid_half_integer_instance():
 
 def _verify_multiplicity_and_bends(h, p):
     """Test-local restatement of the path guarantees."""
-    assert all(e.c.denominator != 1 for e in p.edges)
+    assert all(e.c % h.scale != 0 for e in p.edges)
     if p.is_cycle:
         assert p.verts[0] == p.verts[-1] is not None
     else:

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import reference_stop_epsilon
+from conftest import at_scale, frac_span, oracle_meet_time, reference_candidates, reference_stop_epsilon
 from test_paths import benzene_cycle, nonintegral_line_honeycomb
 from cocirc.constructions import counterexample_instance, hexagon_instance
 from cocirc.deform import (
@@ -12,6 +13,9 @@ from cocirc.deform import (
     STOP_OPPOSITE_MERGE,
     STOP_LINE_VANISHED,
     STOP_VALIDITY_BOUND,
+    Bend,
+    _candidates,
+    _meet_time,
     build_deformed_system,
     decompose,
     deform,
@@ -88,9 +92,10 @@ def zigzag_collision_fixture(T=F(3), S=F(3), m=F(1)):
         ray(2, "+", x4),
     ]
     hc = canonicalize([(l, 1) for l in path_lines + extras])
-    by_line = {(e.cls, e.c, e.lo, e.hi): e for e in hc.edges}
+    by_line = {frac_span(hc, e): e for e in hc.edges}
     edges = tuple(by_line[(l.cls, l.c, l.lo, l.hi)] for l in path_lines)
-    path = LegalPath((None, A, x1, x2, x3, x4, B, None), edges, False)
+    verts = tuple(at_scale(hc, v) for v in (A, x1, x2, x3, x4, B))
+    path = LegalPath((None, *verts, None), edges, False)
     check_legal_path(hc, path)
     return hc, path, A, B
 
@@ -125,7 +130,7 @@ def test_decompose_benzene_cycle():
     hc, path = benzene_cycle()
     pl = decompose(hc, path)
     assert len(pl.lines) == 6
-    assert all(l.is_finite and l.length() == 1 for l in pl.lines)
+    assert all(l.is_finite and l.length() == hc.scale for l in pl.lines)  # length 1
     assert len(pl.bends) == 6
     assert len({b.turn for b in pl.bends}) == 1  # all the same direction
 
@@ -139,7 +144,7 @@ def test_build_at_zero_is_identity():
 def test_build_epsilon_out_of_range():
     hc, path = benzene_cycle()
     pl = decompose(hc, orient_cycle_rightward(hc, path))
-    assert pl.vanish_bound() == 1
+    assert pl.vanish_bound() == hc.scale  # 1
     with pytest.raises(EpsilonOutOfRange):
         build_deformed_system(hc, pl, F(3, 2))
     with pytest.raises(EpsilonOutOfRange):
@@ -182,8 +187,8 @@ def test_stop_epsilon_e1_increasing_direction():
     hc = nonintegral_line_honeycomb(F(1, 3))
     by_sign = {e.ray_sign: e for e in hc.edges if e.cls == 1 and e.is_ray}
     finite = next(e for e in hc.edges if e.cls == 1 and e.is_finite)
-    a = point_on(1, F(1, 3), F(0))
-    b = point_on(1, F(1, 3), F(-3, 2))
+    a = at_scale(hc, point_on(1, F(1, 3), F(0)))
+    b = at_scale(hc, point_on(1, F(1, 3), F(-3, 2)))
     upward = LegalPath((None, b, a, None), (by_sign["-"], finite, by_sign["+"]), False)
     check_legal_path(hc, upward)
     ev = stop_epsilon(hc, decompose(hc, upward))
@@ -200,7 +205,7 @@ def test_benzene_collapse_to_center():
         assert ev.eps == scale
         assert STOP_LINE_VANISHED in ev.kinds and STOP_OPPOSITE_MERGE in ev.kinds
         center = (base[0] - scale, base[1] + scale)
-        assert len(h2.vertices) == 1 and h2.vertices[0] == center
+        assert len(h2.vertices) == 1 and h2.point(h2.vertices[0]) == center
         assert len(h2.edges) == 6 and all(e.is_ray and e.weight == 1 for e in h2.edges)
 
 
@@ -232,7 +237,7 @@ def test_zigzag_validity_bound_collision():
     # left bends patch with weight -1 stubs, right bends with +1
     stubs = [w for l, w in build_deformed_system(hc, pl, F(1, 8)).lines if w < 0]
     assert stubs == [-1, -1]
-    assert pl.vanish_bound() == 1
+    assert pl.vanish_bound() == hc.scale  # 1
     ev = stop_epsilon(hc, pl)
     assert ev.eps == F(1, 2)
     assert STOP_OPPOSITE_MERGE in ev.kinds and STOP_VALIDITY_BOUND in ev.kinds
@@ -240,7 +245,7 @@ def test_zigzag_validity_bound_collision():
     assert ev2.eps == F(1, 2)
     # the two negative stubs merged in the middle of the covering edge
     mid = (A[0] - F(1, 2), A[1])
-    assert mid in h2.vertex_set
+    assert at_scale(h2, mid) in h2.vertices
 
 
 def test_random_epsilon_prehoneycomb():
@@ -254,6 +259,18 @@ def test_random_epsilon_prehoneycomb():
         for _ in range(10):
             eps = ev.eps * F(rng.randint(1, 63), 64)
             assert is_prehoneycomb(build_deformed_system(hc, pl, eps).as_system())
+
+
+def test_meet_time_in_half_units():
+    # twice the meeting time, against the Fraction solution, for every pair
+    # of rates in {-1, 0, 1} and offsets in -3..3
+    rates = list(itertools.product((-1, 0, 1), repeat=2))
+    offsets = list(itertools.product(range(-3, 4), repeat=2))
+    for mu, mv in itertools.product(rates, repeat=2):
+        for v in offsets:
+            t = oracle_meet_time((0, 0), mu, v, mv)
+            assert _meet_time((0, 0), mu, v, mv) == (None if t is None else 2 * t)
+    assert _meet_time((0, 0), (1, -1), (1, -1), (-1, 1)) == 1  # half a unit
 
 
 def test_stop_epsilon_deterministic():
@@ -270,7 +287,7 @@ def racket_fixture():
     base = (F(1, 3), F(1, 3))
     hc0, cyc = benzene_cycle(base=base)
     lines = []
-    for e in hc0.edges:
+    for e, _ in hc0.as_system():
         if e.is_finite:
             lines.append((e, 2))  # hexagon sides
         elif e.ends()[0] == base:
@@ -286,18 +303,18 @@ def racket_fixture():
     hc = canonicalize(lines)
 
     def edge_at(cls, c, lo, hi):
-        (e,) = [x for x in hc.edges if (x.cls, x.c, x.lo, x.hi) == (cls, c, lo, hi)]
+        (e,) = [x for x in hc.edges if frac_span(hc, x) == (cls, c, lo, hi)]
         return e
 
     handle = edge_at(3, dval(base, 3), t0, t1)
     enter = edge_at(1, dval(w, 1), None, t_of(1, w))
     exit_ray = edge_at(3, dval(w, 3), t_of(3, w), None)
     ring = []
-    verts_cycle = list(cyc.verts[:-1])
+    verts_cycle = [at_scale(hc, hc0.point(v)) for v in cyc.verts[:-1]]
     for i in range(6):
-        old = cyc.edges[i]
-        ring.append(edge_at(old.cls, old.c, old.lo, old.hi))
-    verts = (None, w, base, *verts_cycle[1:], base, w, None)
+        ring.append(edge_at(*frac_span(hc0, cyc.edges[i])))
+    base_v, w_v = at_scale(hc, base), at_scale(hc, w)
+    verts = (None, w_v, base_v, *verts_cycle[1:], base_v, w_v, None)
     edges = (enter, handle, *ring, handle, exit_ray)
     path = LegalPath(verts, edges, False)
     check_legal_path(hc, path)
@@ -312,11 +329,25 @@ def test_double_use_weight_bookkeeping():
     eps = F(1, 5)
     sys_eps = build_deformed_system(hc, pl, eps)
     # the handle is fully consumed; every hexagon side keeps one copy
-    span = (handle.cls, handle.c, handle.lo, handle.hi)
-    assert all((l.cls, l.c, l.lo, l.hi) != span for l, _ in sys_eps.lines)
+    span = frac_span(hc, handle)
+    assert all((l.cls, l.c, l.lo, l.hi) != span for l, _ in sys_eps.as_system())
     assert is_prehoneycomb(sys_eps.as_system())
     h2, ev = deform(hc, path)
     assert ev.eps > 0
+
+
+def _tag_rows(candidates, time, point):
+    """Sorted (time, kind, ...) rows of tagged candidates, in Fractions."""
+
+    def name(x):
+        return ("bend", x.index) if isinstance(x, Bend) else ("point", point(x))
+
+    rows = []
+    for k, tags in candidates.items():
+        for tag in tags:
+            rest = [name(x) if isinstance(x, (Bend, tuple)) else x for x in tag[1:]]
+            rows.append((time(k), tag[0], *rest))
+    return sorted(rows)
 
 
 def test_capped_sweep_matches_uncapped_reference(small_corpus):
@@ -324,6 +355,7 @@ def test_capped_sweep_matches_uncapped_reference(small_corpus):
     instances = list(small_corpus) + [hexagon_instance(k) for k in (1, 2, 3)]
     instances.append(counterexample_instance())
     kinds = set()
+    meets = 0
     for g, h in instances:
         hc = grid_to_honeycomb(g, h)
         while not potential(hc).settled:
@@ -334,5 +366,16 @@ def test_capped_sweep_matches_uncapped_reference(small_corpus):
             ev = stop_epsilon(hc, pl)
             assert ev == reference_stop_epsilon(hc, pl)
             kinds.update(ev.kinds)
-            hc = canonicalize(build_deformed_system(hc, pl, ev.eps).as_system())
-    assert STOP_INTEGRAL_VERTEX in kinds
+            # the same candidates, meets and sweeps included, up to the cap
+            ref = reference_candidates(hc, pl)
+            cap = min((t for t, tags in ref.items() if any(x[0] in ("eps0", "e1") for x in tags)), default=None)
+            expected = _tag_rows(ref, lambda t: t, lambda p: p)
+            got = _tag_rows(_candidates(hc, pl), lambda k: F(k, 2 * hc.scale), hc.point)
+            assert [r for r in got if cap is None or r[0] <= cap] == [
+                r for r in expected if cap is None or r[0] <= cap
+            ]
+            meets += sum(1 for r in got if r[1] == "meet")
+            ds = build_deformed_system(hc, pl, ev.eps)
+            hc = canonicalize(ds.as_system())
+            assert canonicalize(ds.lines, ds.scale) == hc  # the loop's int path
+    assert STOP_INTEGRAL_VERTEX in kinds and meets > 0

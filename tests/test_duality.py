@@ -65,7 +65,7 @@ def test_dualize_rejects_nonconcave():
 
 def test_hexagon_instance_k2_has_half_integer_edge():
     hc = grid_to_honeycomb(*hexagon_instance(2))
-    assert any(e.c.denominator == 2 for e in hc.edges)
+    assert any(line.c.denominator == 2 for line, _ in hc.as_system())
 
 
 def test_round_trips_and_conservation(small_corpus):

@@ -1,15 +1,17 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import hexagon_grid
+from conftest import hexagon_grid, oracle_fill_convex_polygon
 from cocirc.errors import NotACocirculation, NotConcave, NotConnected, NotConvex
 from cocirc.grid import (
     ConvexGrid,
     cocirculation_from_quadratic,
     edge_head,
     edge_tail,
+    fill_convex_polygon,
     integer_edge_sets,
     is_concave,
     little_rhombi,
@@ -208,3 +210,32 @@ def test_random_concave_is_concave_many_seeds():
 def test_random_concave_property(seed, size):
     g = three_side_grid(size)
     assert is_concave(g, random_concave(g, seed))
+
+
+def _closed_hexagons(top: int):
+    """Corner lists of every hexagon walk with side lengths 0..top that
+    closes up, in the anticlockwise step order of a vertex's local grid."""
+    steps = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    for w in itertools.product(range(top + 1), repeat=6):
+        corner, corners = (0, 0), []
+        for n, (da, db) in zip(w, steps):
+            corners.append(corner)
+            corner = (corner[0] + n * da, corner[1] + n * db)
+        if corner == (0, 0):
+            yield corners
+
+
+def test_fill_convex_polygon_matches_brute_force():
+    hexagons = list(_closed_hexagons(4))
+    assert len(hexagons) == 325
+    for corners in hexagons:
+        assert fill_convex_polygon(corners) == oracle_fill_convex_polygon(corners), corners
+    for n in range(1, 13):
+        corners = [(0, 0), (n, 0), (n, n)]
+        assert three_side_grid(n).triangles == oracle_fill_convex_polygon(corners)
+        assert len(three_side_grid(n).triangles) == n * n
+    # sides in any lattice direction: every anticlockwise triangle on a 4x4 patch
+    points = [(a, b) for a in range(4) for b in range(4)]
+    for p, q, r in itertools.combinations(points, 3):
+        if (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]) > 0:
+            assert fill_convex_polygon([p, q, r]) == oracle_fill_convex_polygon([p, q, r])

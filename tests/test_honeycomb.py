@@ -149,7 +149,7 @@ def test_candidates_of_a_honeycomb_are_its_vertices(small_corpus):
     instances.append(counterexample_instance())
     for g, h in instances:
         hc = grid_to_honeycomb(g, h)
-        s = hc.as_system()
+        s = [(e, e.weight) for e in hc.edges]  # in the honeycomb's ints
         assert _candidate_points(s, _supports(s)) == set(hc.vertices)
 
 
@@ -251,7 +251,7 @@ def test_nonintegral_sets_shifted_claw():
     center = (F(1, 2), F(-1, 2))
     hc = claw(center)
     vs, es = nonintegral_sets(hc)
-    assert vs == frozenset({center})
+    assert {hc.point(v) for v in vs} == {center}
     fractional = [cls for cls in (1, 2, 3) if dval(center, cls).denominator != 1]
     assert len(fractional) == 2
     assert len(es) == 2  # the two rays with fractional constant coordinate
@@ -260,7 +260,7 @@ def test_nonintegral_sets_shifted_claw():
 def test_nonintegral_sets_hexagon_instance():
     hc = grid_to_honeycomb(*hexagon_instance(2))
     _, es = nonintegral_sets(hc)
-    assert any(abs(e.c) == F(1, 2) for e in es)
+    assert any(abs(F(e.c, hc.scale)) == F(1, 2) for e in es)
 
 
 def test_sum_far_apart_and_coincident_claws():
@@ -316,27 +316,38 @@ def test_canonicalize_commutes_with_scaling(small_corpus):
     systems += list(_claw_sums(seed=8, count=6))
     for system in systems:
         hc = canonicalize(system)
+        for k in (2, 3, 7):
+            # the same coordinates at a finer scale come back at the least one
+            finer = [(e.scaled(k), e.weight) for e in hc.edges]
+            assert canonicalize(finer, hc.scale * k) == hc
         for k in (F(2), F(3), F(7), F(1, 2), F(1, 3), F(1, 7)):
             scaled = [
                 (HLine(ln.cls, ln.c * k, _times(ln.lo, k), _times(ln.hi, k)), w) for ln, w in system
             ]
             big = canonicalize(scaled)
-            assert big.vertices == tuple((x * k, y * k) for x, y in hc.vertices)
-            assert big.edges == tuple(
-                HEdge(e.cls, e.c * k, _times(e.lo, k), _times(e.hi, k), e.weight) for e in hc.edges
+            assert tuple(map(big.point, big.vertices)) == tuple(
+                (x * k, y * k) for x, y in map(hc.point, hc.vertices)
             )
+            assert big.as_system() == [(line.scaled(k), w) for line, w in hc.as_system()]
 
 
 def test_output_coordinates_are_fractions():
+    # a honeycomb stores ints in units of 1/scale, the least common
+    # denominator; its accessors give Fractions, also for an int input
     ints = [(HLine(cls, 0, 0, None), 1) for cls in (1, 2, 3)]
     fractional = [plus_ray(cls, (F(1, 2), F(-1, 3))) for cls in (1, 2, 3)]
-    for system in (ints, fractional):
+    for system, scale in ((ints, 1), (fractional, 6)):
         hc = canonicalize(system)
-        coords = [x for v in hc.vertices for x in v]
-        coords += [x for e in hc.edges for x in (e.c, e.lo, e.hi) if x is not None]
-        coords += [x for v in hc.incidence for x in v]
+        assert hc.scale == scale
+        stored = [x for v in hc.vertices for x in v]
+        stored += [x for e in hc.edges for x in (e.c, e.lo, e.hi) if x is not None]
+        stored += [x for v in hc.incidence for x in v]
+        assert stored and all(type(x) is int for x in stored)
+        coords = [x for v in hc.vertices for x in hc.point(v)]
+        coords += [x for line, _ in hc.as_system() for x in (line.c, line.lo, line.hi) if x is not None]
         assert coords and all(type(x) is Fraction for x in coords)
     assert canonicalize(ints).vertices == (ORIGIN,)
+    assert canonicalize(fractional).point(canonicalize(fractional).vertices[0]) == (F(1, 2), F(-1, 3))
 
 
 # Every NotPreHoneycomb that canonicalize raises on these systems names

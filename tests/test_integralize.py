@@ -1,4 +1,6 @@
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 import cocirc
 
 from conftest import corpus
+from cocirc import serialize
 from cocirc.constructions import counterexample_instance, fractional_vertex_instance, hexagon_instance
 from cocirc.deform import deform
 from cocirc.duality import grid_to_honeycomb
@@ -17,6 +20,7 @@ from cocirc.grid import (
     cocirculation_from_quadratic,
     integer_edge_sets,
     is_concave,
+    random_concave,
     three_side_grid,
     triangle_edges,
 )
@@ -65,9 +69,9 @@ def test_potential_hexagon_regression():
     pot = potential(grid_to_honeycomb(*hexagon_instance(2)))
     # pinned by a definition scan of the k=2 honeycomb
     beta = sum(
-        e.weight
-        for e in grid_to_honeycomb(*hexagon_instance(2)).boundary
-        if e.c.denominator != 1
+        w
+        for e, w in grid_to_honeycomb(*hexagon_instance(2)).as_system()
+        if e.is_ray and e.c.denominator != 1
     )
     assert pot.nonintegral_boundary == beta
     assert pot.value == pot.nonintegral_boundary + pot.nonintegral_excess - pot.integral_incident
@@ -123,9 +127,9 @@ def test_integral_vertices_never_move_or_split():
             from cocirc.deform import deform
             from cocirc.paths import find_legal_path
 
-            frozen = {v for v in hc.vertices if is_integral_point(v)}
+            frozen = {hc.point(v) for v in hc.vertices if is_integral_point(v, hc.scale)}
             hc, _ = deform(hc, find_legal_path(hc))
-            assert frozen <= set(hc.vertices)
+            assert frozen <= set(map(hc.point, hc.vertices))
 
 
 def test_hexagon_instance_rounds():
@@ -184,7 +188,7 @@ def test_rounding_audit_under_optimize():
 
 def _edgewise_omega(h):
     """Weight of the edges with an integral vertex among their ends."""
-    intverts = frozenset(v for v in h.vertices if is_integral_point(v))
+    intverts = frozenset(v for v in h.vertices if is_integral_point(v, h.scale))
     return sum(e.weight for e in h.edges if any(v in intverts for v in e.ends()))
 
 
@@ -199,3 +203,47 @@ def test_potential_counts_each_edge_at_integral_vertices_once(small_corpus):
             if pot.settled:
                 break
             hc, _ = deform(hc, find_legal_path(hc))
+
+
+def _golden_corpus():
+    """The n=4 rungs of the benchmark ladder at seed 1 (twelve seeds of
+    ``random_concave(g, s, 7)`` drawn from ``random.Random(1)``), the
+    hexagon instances k=1..3 and the counterexample."""
+    rng = random.Random(1)
+    g = three_side_grid(4)
+    out = [(f"n4.s{s}", g, random_concave(g, s, 7)) for s in (rng.randrange(2**31) for _ in range(12))]
+    out += [(f"hexagon{k}", *hexagon_instance(k)) for k in (1, 2, 3)]
+    out.append(("counterexample", *counterexample_instance()))
+    return out
+
+
+def _pot_row(p):
+    return {
+        "nonintegral_boundary": p.nonintegral_boundary,
+        "nonintegral_excess": p.nonintegral_excess,
+        "integral_incident": p.integral_incident,
+        "value": p.value,
+    }
+
+
+def test_rounding_outputs_and_traces_are_pinned():
+    # A change that only makes rounding faster must leave every output
+    # value and every trace row as they are.  The digest covers the JSON
+    # of each output cocirculation and of its trace rows, written as the
+    # CLI writes them.
+    digest = hashlib.sha256()
+    for name, g, h in _golden_corpus():
+        out, trace = integralize(g, h)
+        rows = [
+            {
+                "eps": serialize.frac_to_str(s.eps),
+                "kinds": list(s.kinds),
+                "cycle": s.cycle,
+                "before": _pot_row(s.before),
+                "after": _pot_row(s.after),
+            }
+            for s in trace
+        ]
+        doc = {"name": name, "out": serialize.cocirc_to_json(out), "trace": rows}
+        digest.update(serialize.dumps(doc).encode())
+    assert digest.hexdigest() == "9930b114d357bd7df7045dae09914de42be18d98b818465f25dcd7cd032a5783"

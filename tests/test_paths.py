@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import corpus
+from conftest import at_scale, corpus, frac_span
 from cocirc.constructions import hexagon_instance, sample_honeycomb
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NoNonintegralEdge
@@ -69,9 +69,10 @@ def benzene_cycle(base=(F(1, 3), F(1, 3)), scale=F(1)):
         u, w = verts[i], verts[(i + 1) % 6]
         cls = edge_cls[i]
         ts = sorted((t_of(cls, u), t_of(cls, w)))
-        (e,) = [x for x in hc.edges if (x.cls, x.c, x.lo, x.hi) == (cls, dval(u, cls), ts[0], ts[1])]
+        (e,) = [x for x in hc.edges if frac_span(hc, x) == (cls, dval(u, cls), ts[0], ts[1])]
         cyc_edges.append(e)
-    path = LegalPath(tuple(verts + [verts[0]]), tuple(cyc_edges), True)
+    cyc_verts = [at_scale(hc, v) for v in verts]
+    path = LegalPath(tuple(cyc_verts + [cyc_verts[0]]), tuple(cyc_edges), True)
     return hc, path
 
 
@@ -96,19 +97,19 @@ def test_dominating_edges_sample_vertex():
 
 
 def test_is_legal_pair():
-    center = (F(1, 2), F(-1, 2))
-    hc = claw(center)  # two rays nonintegral, one integral
+    hc = claw((F(1, 2), F(-1, 2)))  # two rays nonintegral, one integral
+    center = at_scale(hc, (F(1, 2), F(-1, 2)))
     es = {(e.cls): e for e in hc.edges}
     assert is_legal_pair(hc, center, es[1], es[2])  # both dominating, nonintegral
     assert not is_legal_pair(hc, center, es[1], es[3])  # d^c(class 3) = 0 integral
     assert not is_legal_pair(hc, center, es[1], es[1])
     line = nonintegral_line_honeycomb()
-    a = point_on(1, F(1, 2), F(0))
+    a = at_scale(line, point_on(1, F(1, 2), F(0)))
     opp = {e.sign_at(a): e for e in line.edges if e.cls == 1 and a in e.ends()}
     assert is_legal_pair(line, a, opp["+"], opp["-"])
     # opposite but integral edges never form a legal pair
     cross = {e.sign_at(a): e for e in line.edges if e.cls == 2 and a in e.ends()}
-    assert cross["+"].c.denominator == 1
+    assert frac_span(line, cross["+"])[1].denominator == 1
     assert not is_legal_pair(line, a, cross["+"], cross["-"])
 
 
@@ -138,7 +139,7 @@ def test_benzene_cycle_is_legal():
 def test_hexagon_instance_path_invariants():
     hc = grid_to_honeycomb(*hexagon_instance(2))
     p = find_legal_path(hc)  # check_legal_path runs inside
-    assert all(e.nonintegral for e in p.edges)
+    assert all(frac_span(hc, e)[1].denominator != 1 for e in p.edges)
 
 
 def test_paths_on_corpus_satisfy_invariants():
