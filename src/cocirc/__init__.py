@@ -8,7 +8,6 @@ from .deform import StopEvent, build_deformed_system, decompose, deform, shifted
 from .duality import grid_to_honeycomb, honeycomb_to_grid
 from .errors import (
     CocircError,
-    DanglingEdge,
     EpsilonOutOfRange,
     FNotSubsetOfEdges,
     NoNonintegralEdge,
@@ -53,7 +52,7 @@ from .honeycomb import (
     is_prehoneycomb,
     nonintegral_sets,
 )
-from .integralize import Potential, TraceStep, integralize, integralize_honeycomb, iteration_bound_check, potential
+from .integralize import Potential, TraceStep, integralize, iteration_bound_check, potential
 from .paths import LegalPath, check_legal_path, dominating_edges, find_legal_path, is_legal_pair
 
 from .constructions import (

@@ -66,15 +66,11 @@ class PathLine:
         return abs(t_of(self.cls, self.end) - t_of(self.cls, self.start))
 
 
-def shifted_point(
-    u: Pt, eps, cls_in: int, cls_out: int, sign: str, direction: str = TURN_RIGHT
-) -> Pt:
+def shifted_point(u: Pt, eps, cls_in: int, cls_out: int, sign: str) -> Pt:
     """Shift rule at a bend: the incoming line's coordinate moves by
     -eps and the outgoing one by +eps when both lines have sign '+' at the
-    vertex, and oppositely for sign '-'; a left move flips both."""
+    vertex, and oppositely for sign '-'."""
     s = 1 if sign == "+" else -1
-    if direction == TURN_LEFT:
-        s = -s
     rates = {cls_in: -s, cls_out: s, 6 - cls_in - cls_out: 0}
     return (u[0] + rates[1] * eps, u[1] + rates[2] * eps)
 

@@ -32,15 +32,14 @@ HEX_ORDER: list[tuple[tuple[int, str], Point]] = [
 ]
 
 
-def _local_grid(w6: dict[tuple[int, str], int]):
-    """Triangles and per-side corner spans of the hexagonal grid whose
-    boundary runs have the six given lengths: one vertex's local grid, or
-    the whole grid of a honeycomb from its boundary weights."""
+def _local_grid(w6: tuple[int, ...]):
+    """Triangles and per-side corner spans of one vertex's local grid: the
+    hexagonal grid whose boundary runs have the six ray weights ``w6``,
+    listed in ``HEX_ORDER``."""
     corner = (0, 0)
     corners = [corner]
     spans = {}
-    for slot, (da, db) in HEX_ORDER:
-        n = w6[slot]
+    for (slot, (da, db)), n in zip(HEX_ORDER, w6):
         end = (corner[0] + n * da, corner[1] + n * db)
         spans[slot] = (corner, end)
         corner = end
@@ -51,7 +50,14 @@ def _local_grid(w6: dict[tuple[int, str], int]):
 
 def honeycomb_to_grid(h: Honeycomb) -> tuple[ConvexGrid, Cocirculation]:
     """Glue the local grids of all vertices; anchor at the least vertex."""
-    local = {v: _local_grid(h.weights_at(v)) for v in h.vertices}
+    fills: dict[tuple[int, ...], tuple] = {}  # vertices with equal ray weights share a local grid
+    local = {}
+    for v in h.vertices:
+        w = h.weights_at(v)
+        w6 = tuple(w[slot] for slot, _ in HEX_ORDER)
+        if w6 not in fills:
+            fills[w6] = _local_grid(w6)
+        local[v] = fills[w6]
     offsets: dict[Pt, Point] = {h.vertices[0]: (0, 0)}
     queue = [h.vertices[0]]
     while queue:
@@ -118,7 +124,7 @@ def grid_to_honeycomb(g: ConvexGrid, h: Cocirculation) -> Honeycomb:
     tile_of, pts = tile_points(g, h, tiles)
 
     shared: dict[tuple[int, int], tuple[int, int]] = {}
-    for diag, t1, t2 in gr.little_rhombi(g):
+    for diag, t1, t2, _, _ in g.rhombi:
         i, j = tile_of[t1], tile_of[t2]
         if i == j:
             continue

@@ -13,10 +13,6 @@ class NotConvex(CocircError):
     """Grid region has a reflex turn or a hole in its boundary."""
 
 
-class DanglingEdge(CocircError):
-    """An edge does not belong to any little triangle."""
-
-
 class NotACocirculation(CocircError):
     """Some little-triangle circuit has a nonzero value sum."""
 

@@ -71,7 +71,7 @@ class _TileVars:
         self.tiles = tiles
         self.tile_of = {t: i for i, ts in enumerate(tiles) for t in ts}
         self._parent = list(range(3 * len(tiles)))
-        for diag, t1, t2 in gr.little_rhombi(g):
+        for diag, t1, t2, _, _ in g.rhombi:
             i, j = self.tile_of[t1], self.tile_of[t2]
             if i != j:
                 self._union(self._slot(i, diag[2]), self._slot(j, diag[2]))

@@ -31,9 +31,15 @@ Edge = tuple[int, int, int]
 Triangle = tuple[bool, int, int]
 Cocirculation = dict[Edge, Fraction]
 Tiling = tuple[frozenset[Triangle], ...]
+Rhombus = tuple[Edge, Triangle, Triangle, Edge, Edge]
 
 # Lattice coordinates of the three generators.
 DIRS: dict[int, Point] = {1: (1, 0), 2: (0, 1), 3: (-1, -1)}
+# Boundary step -> (class, sign) of the side it runs along.
+STEP_SIDE: dict[Point, tuple[int, str]] = {
+    **{v: (d, "+") for d, v in DIRS.items()},
+    **{(-v[0], -v[1]): (d, "-") for d, v in DIRS.items()},
+}
 
 
 def edge_tail(e: Edge) -> Point:
@@ -109,9 +115,28 @@ class ConvexGrid:
         return {e: tuple(ts) for e, ts in faces.items()}
 
     @cached_property
-    def rhombi(self) -> tuple[tuple[Edge, Triangle, Triangle], ...]:
-        """Interior edges in sorted order, each with its two faces."""
-        return tuple((e, ts[0], ts[1]) for e, ts in sorted(self.edge_faces.items()) if len(ts) == 2)
+    def rhombi(self) -> tuple[Rhombus, ...]:
+        """The little rhombi as ``(diag, t1, t2, dom, other)``: each
+        interior edge in sorted order, its two faces, and the rhombus's
+        parallel edge pair of the least class other than the diagonal's.
+
+        The dominant edge ``dom`` is the one entering an obtuse rhombus
+        vertex, i.e. an endpoint of the shared diagonal; concavity asks
+        ``h[dom] >= h[other]``.  On a cocirculation the other parallel pair
+        has the same difference, so one pair decides the rhombus.
+        """
+        out = []
+        for diag, ts in sorted(self.edge_faces.items()):
+            if len(ts) != 2:
+                continue
+            t1, t2 = ts
+            cls = 2 if diag[2] == 1 else 1
+            e1, e2 = triangle_edge(t1, cls), triangle_edge(t2, cls)
+            if edge_head(e1) in (edge_tail(diag), edge_head(diag)):
+                out.append((diag, t1, t2, e1, e2))
+            else:
+                out.append((diag, t1, t2, e2, e1))
+        return tuple(out)
 
     @cached_property
     def boundary_edges(self) -> frozenset[Edge]:
@@ -165,29 +190,16 @@ class ConvexGrid:
         steps = steps[k:] + steps[:k]
         sides: list[Side] = []
         run: list[Edge] = []
-
-        def flush(step: Point) -> None:
-            for d, v in DIRS.items():
-                if step == v:
-                    sides.append(Side(d, "+", tuple(run)))
-                    return
-                if step == (-v[0], -v[1]):
-                    sides.append(Side(d, "-", tuple(run)))
-                    return
-            raise NotConvex(f"boundary step {step} is not a lattice direction")
-
         for i in range(n):
-            p, q = walk[i], walk[(i + 1) % n]
-            step = _sub(q, p)
-            e = (p[0], p[1], 0)
-            for d, v in DIRS.items():
-                if step == v:
-                    e = (p[0], p[1], d)
-                elif step == (-v[0], -v[1]):
-                    e = (q[0], q[1], d)
-            run.append(e)
+            step = steps[i]
+            if step not in STEP_SIDE:
+                raise NotConvex(f"boundary step {step} is not a lattice direction")
+            cls, sign = STEP_SIDE[step]
+            # A '-' step walks its edge backwards, from head to tail.
+            tail = walk[i] if sign == "+" else walk[(i + 1) % n]
+            run.append((tail[0], tail[1], cls))
             if steps[(i + 1) % n] != step:
-                flush(step)
+                sides.append(Side(cls, sign, tuple(run)))
                 run = []
         return tuple(sides)
 
@@ -296,45 +308,18 @@ def check_cocirculation(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> None:
             raise NotACocirculation(f"circuit sum {s} on face {t}")
 
 
-def little_rhombi(g: ConvexGrid) -> tuple[tuple[Edge, Triangle, Triangle], ...]:
-    """Interior edges with their two faces; each pair spans a little rhombus."""
-    return g.rhombi
-
-
-def rhombus_pairs(
-    diag: Edge, t1: Triangle, t2: Triangle
-) -> list[tuple[Edge, Edge]]:
-    """The two parallel edge pairs of a rhombus as (dominant, other).
-
-    The dominant edge is the one entering an obtuse rhombus vertex, i.e.
-    an endpoint of the shared diagonal.
-    """
-    obtuse = {edge_tail(diag), edge_head(diag)}
-    pairs = []
-    for cls in (1, 2, 3):
-        if cls == diag[2]:
-            continue
-        e1, e2 = triangle_edge(t1, cls), triangle_edge(t2, cls)
-        in1, in2 = edge_head(e1) in obtuse, edge_head(e2) in obtuse
-        assert in1 != in2, (diag, e1, e2)
-        pairs.append((e1, e2) if in1 else (e2, e1))
-    return pairs
-
-
 def is_concave(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> bool:
     """Whether every little rhombus satisfies the concavity inequality."""
     check_cocirculation(g, h)
-    for diag, t1, t2 in little_rhombi(g):
-        dom, other = rhombus_pairs(diag, t1, t2)[0]
-        if h[dom] < h[other]:
-            return False
-    return True
+    return all(h[dom] >= h[other] for _, _, _, dom, other in g.rhombi)
 
 
 def tiling_of(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> Tiling:
-    """Flatspace decomposition: faces joined across tight rhombi."""
-    if not is_concave(g, h):
-        raise NotConcave("tiling requested for a non-concave cocirculation")
+    """Flatspace decomposition: faces joined across tight rhombi.
+
+    Raises ``NotACocirculation`` on a nonzero circuit sum, else
+    ``NotConcave`` on the first rhombus with ``h[dom] < h[other]``."""
+    check_cocirculation(g, h)
     parent: dict[Triangle, Triangle] = {t: t for t in g.triangles}
 
     def find(t: Triangle) -> Triangle:
@@ -343,8 +328,9 @@ def tiling_of(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> Tiling:
             t = parent[t]
         return t
 
-    for diag, t1, t2 in little_rhombi(g):
-        dom, other = rhombus_pairs(diag, t1, t2)[0]
+    for _, t1, t2, dom, other in g.rhombi:
+        if h[dom] < h[other]:
+            raise NotConcave("tiling requested for a non-concave cocirculation")
         if h[dom] == h[other]:
             parent[find(t1)] = find(t2)
     groups: dict[Triangle, set[Triangle]] = {}

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from . import grid as gr
 from .deform import deform
-from .duality import _local_grid, grid_to_honeycomb, honeycomb_to_grid
+from .duality import grid_to_honeycomb, honeycomb_to_grid
 from .grid import Cocirculation, ConvexGrid
-from .honeycomb import Honeycomb, boundary_partition, excess, nonintegral_sets
+from .honeycomb import Honeycomb, excess, nonintegral_sets
 from .paths import find_legal_path
 
 
@@ -55,15 +55,6 @@ class TraceStep:
     after: Potential
 
 
-def dual_grid_edge_count(h: Honeycomb) -> int:
-    """|E| of the grid determined by the boundary flows; this bounds the
-    integral-incident weight from above."""
-    part, _ = boundary_partition(h)
-    sides = {slot: sum(e.weight for e in edges) for slot, edges in part.items()}
-    triangles, _ = _local_grid(sides)
-    return (3 * len(triangles) + sum(sides.values())) // 2
-
-
 def _monotone(before: Potential, after: Potential) -> bool:
     """One step lowers the potential and moves none of its parts the wrong way."""
     return (
@@ -79,28 +70,6 @@ def _step_budget(initial: Potential, edges: int) -> int:
     return initial.nonintegral_boundary + initial.nonintegral_excess + edges
 
 
-def integralize_honeycomb(h: Honeycomb) -> tuple[Honeycomb, list[TraceStep]]:
-    sets = nonintegral_sets(h)
-    pot = potential(h, sets)
-    budget = _step_budget(pot, dual_grid_edge_count(h))
-    trace: list[TraceStep] = []
-    while not pot.settled:
-        path = find_legal_path(h, sets)
-        h2, ev = deform(h, path)
-        sets = nonintegral_sets(h2)
-        pot2 = potential(h2, sets)
-        # Explicit raises, not asserts: the audit must also run under -O.
-        if pot2.value >= pot.value:
-            raise AssertionError("potential failed to decrease")
-        if not _monotone(pot, pot2):
-            raise AssertionError()
-        trace.append(TraceStep(ev.eps, ev.kinds, path.is_cycle, pot, pot2))
-        h, pot = h2, pot2
-        if len(trace) > budget:
-            raise AssertionError("iteration budget exceeded")
-    return h, trace
-
-
 def integralize(
     g: ConvexGrid, h: Cocirculation
 ) -> tuple[Cocirculation, list[TraceStep]]:
@@ -108,8 +77,25 @@ def integralize(
     boundary edges and on edges of all-integer faces."""
     o_set, i_set = gr.integer_edge_sets(g, h)
     hc = grid_to_honeycomb(g, h)  # raises NotConcave
-    hc2, trace = integralize_honeycomb(hc)
-    g2, vals = honeycomb_to_grid(hc2)
+    sets = nonintegral_sets(hc)
+    pot = potential(hc, sets)
+    budget = _step_budget(pot, len(g.edges))
+    trace: list[TraceStep] = []
+    while not pot.settled:
+        path = find_legal_path(hc, sets)
+        hc2, ev = deform(hc, path)
+        sets = nonintegral_sets(hc2)
+        pot2 = potential(hc2, sets)
+        # Explicit raises, not asserts: the audit must also run under -O.
+        if pot2.value >= pot.value:
+            raise AssertionError("potential failed to decrease")
+        if not _monotone(pot, pot2):
+            raise AssertionError()
+        trace.append(TraceStep(ev.eps, ev.kinds, path.is_cycle, pot, pot2))
+        hc, pot = hc2, pot2
+        if len(trace) > budget:
+            raise AssertionError("iteration budget exceeded")
+    g2, vals = honeycomb_to_grid(hc)
     da, db = g.anchor_offset()
     if g.translate(da, db) != g2:
         raise AssertionError("grid changed during rounding")

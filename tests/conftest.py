@@ -21,8 +21,11 @@ from cocirc.deform import (
 from cocirc.grid import (
     ConvexGrid,
     cocirculation_from_quadratic,
+    edge_head,
+    edge_tail,
     fill_convex_polygon,
     three_side_grid,
+    triangle_edge,
     triangle_vertices,
 )
 from cocirc.honeycomb import (
@@ -97,6 +100,22 @@ def corpus(n: int, seed0: int = 0):
         g = shapes[i % len(shapes)]
         out.append((g, mixed_concave(g, seed0 + i)))
     return out
+
+
+def oracle_rhombus_pairs(diag, t1, t2):
+    """Both parallel edge pairs of a rhombus as (dominant, other), in class
+    order.  The dominant edge is the one entering an obtuse rhombus vertex,
+    i.e. an endpoint of the shared diagonal."""
+    obtuse = {edge_tail(diag), edge_head(diag)}
+    pairs = []
+    for cls in (1, 2, 3):
+        if cls == diag[2]:
+            continue
+        e1, e2 = triangle_edge(t1, cls), triangle_edge(t2, cls)
+        in1, in2 = edge_head(e1) in obtuse, edge_head(e2) in obtuse
+        assert in1 != in2, (diag, e1, e2)
+        pairs.append((e1, e2) if in1 else (e2, e1))
+    return pairs
 
 
 def oracle_ray_weights(lines, v: Pt):

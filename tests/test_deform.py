@@ -112,8 +112,6 @@ def test_shifted_point_four_cases():
     assert dval(m12, 1) == e and dval(m12, 2) == -e
     m13 = shifted_point(u, e, 1, 3, "-")
     assert dval(m13, 1) == e and dval(m13, 3) == -e
-    left = shifted_point(u, e, 1, 3, "+", direction="left")
-    assert dval(left, 1) == e and dval(left, 3) == -e
     assert shifted_point(u, F(0), 2, 3, "+") == u
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import hexagon_grid, oracle_fill_convex_polygon
+from conftest import hexagon_grid, oracle_fill_convex_polygon, oracle_rhombus_pairs
 from cocirc.errors import NotACocirculation, NotConcave, NotConnected, NotConvex
+from cocirc.constructions import counterexample_instance
 from cocirc.grid import (
     ConvexGrid,
     cocirculation_from_quadratic,
@@ -14,9 +15,7 @@ from cocirc.grid import (
     fill_convex_polygon,
     integer_edge_sets,
     is_concave,
-    little_rhombi,
     random_concave,
-    rhombus_pairs,
     three_side_grid,
     tiling_of,
     triangle_edges,
@@ -84,12 +83,16 @@ def test_zero_cocirculation_is_concave():
 
 
 def test_single_edge_bump_breaks_circuit_sums():
+    # the circuit sums are checked before concavity: a bump that also
+    # breaks a rhombus still reports NotACocirculation, not NotConcave
     g = three_side_grid(3)
     h = random_concave(g, seed=11)
     e = next(iter(g.edges - g.boundary_edges))
-    h[e] += 1
-    with pytest.raises(NotACocirculation):
-        is_concave(g, h)
+    h[e] += 1 + 4 * max(abs(v) for v in h.values())
+    assert any(h[dom] < h[other] for _, _, _, dom, other in g.rhombi)
+    for check in (is_concave, tiling_of):
+        with pytest.raises(NotACocirculation):
+            check(g, h)
 
 
 def test_potential_bump_breaks_concavity():
@@ -119,13 +122,24 @@ def test_rhombus_equalities_come_in_pairs():
     g = hexagon_grid(2, 2, 2)
     for seed in range(25):
         h = random_concave(g, seed)
-        for diag, t1, t2 in little_rhombi(g):
-            p1, p2 = rhombus_pairs(diag, t1, t2)
+        for diag, t1, t2, _, _ in g.rhombi:
+            p1, p2 = oracle_rhombus_pairs(diag, t1, t2)
             tight1 = h[p1[0]] == h[p1[1]]
             tight2 = h[p2[0]] == h[p2[1]]
             assert tight1 == tight2
             # the two inequalities are equivalent, not just the equalities
             assert (h[p1[0]] - h[p1[1]]) == (h[p2[0]] - h[p2[1]])
+
+
+def test_rhombus_table_matches_oracle():
+    grids = [three_side_grid(n) for n in range(1, 7)]
+    grids += [hexagon_grid(2, 2, 2), counterexample_instance()[0]]
+    for g in grids:
+        interior = sorted(e for e, ts in g.edge_faces.items() if len(ts) == 2)
+        assert [r[0] for r in g.rhombi] == interior
+        for diag, t1, t2, dom, other in g.rhombi:
+            assert g.edge_faces[diag] == (t1, t2)
+            assert (dom, other) == oracle_rhombus_pairs(diag, t1, t2)[0]
 
 
 def test_tiling_strict_quadratic_all_singletons():
@@ -157,14 +171,14 @@ def test_tiling_is_maximal():
     tiles = tiling_of(g, h)
     tile_of = {t: i for i, ts in enumerate(tiles) for t in ts}
     strict_between = set()
-    for diag, t1, t2 in little_rhombi(g):
+    for diag, t1, t2, _, _ in g.rhombi:
         i, j = tile_of[t1], tile_of[t2]
         if i != j:
-            dom, other = rhombus_pairs(diag, t1, t2)[0]
+            dom, other = oracle_rhombus_pairs(diag, t1, t2)[0]
             if h[dom] > h[other]:
                 strict_between.add((min(i, j), max(i, j)))
     adjacent = set()
-    for diag, t1, t2 in little_rhombi(g):
+    for diag, t1, t2, _, _ in g.rhombi:
         i, j = tile_of[t1], tile_of[t2]
         if i != j:
             adjacent.add((min(i, j), max(i, j)))
