@@ -2,10 +2,11 @@
 
 The loop works on the dual honeycomb: while any nonintegral content
 remains, find a legal path and deform it rightward (reversing a cycle
-when needed).  The potential below drops by at least one per step and is
-bounded, so the loop terminates after at most
-``beta0 + delta0 + |E(G)|`` deformations.  Boundary edges with integer
-values and edges of all-integer faces are preserved.
+when needed).  The potential below is an integer that drops by at least
+one per step and never falls below ``-2|E(G)|``, so the loop terminates
+after at most ``beta0 + delta0 - omega0 + 2|E(G)|`` deformations.
+Boundary edges with integer values and edges of all-integer faces are
+preserved.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .paths import find_legal_path
 class Potential:
     nonintegral_boundary: int  # weight of nonintegral semiinfinite edges
     nonintegral_excess: int  # total excess over nonintegral vertices
-    integral_incident: int  # weight of edges touching integral vertices
+    integral_incident: int  # edge weight at integral vertices, once per incidence
 
     @property
     def value(self) -> int:
@@ -41,8 +42,10 @@ def potential(h: Honeycomb, nonintegral=None) -> Potential:
     vs, es = nonintegral_sets(h) if nonintegral is None else nonintegral
     beta = sum(e.weight for e in es if e.is_ray)
     delta = sum(excess(h, v) for v in vs)
-    touching = {e for v in h.vertices if v not in vs for e in h.incidence[v].values()}
-    omega = sum(e.weight for e in touching)
+    # An edge between two integral vertices counts at both of its ends, so
+    # the merge of two such edges at a vanished nonintegral vertex between
+    # them leaves omega unchanged.
+    omega = sum(e.weight for v in h.vertices if v not in vs for e in h.incidence[v].values())
     return Potential(beta, delta, omega)
 
 
@@ -66,8 +69,18 @@ def _monotone(before: Potential, after: Potential) -> bool:
 
 
 def _step_budget(initial: Potential, edges: int) -> int:
-    """The linear step budget beta0 + delta0 + |E(G)|."""
-    return initial.nonintegral_boundary + initial.nonintegral_excess + edges
+    """The linear step budget ``beta0 + delta0 - omega0 + 2|E(G)|``.
+
+    Each step lowers the integer potential ``beta + delta - omega`` by at
+    least one, and ``beta, delta >= 0``, so the number of steps is at most
+    ``value0 - min(-omega)``.  An edge of weight w is dual to w grid edges
+    with two different flatspaces on their sides (a ray: w boundary edges),
+    and every honeycomb of the loop is dual to a cocirculation on the same
+    grid, so the total edge weight is at most |E(G)|.  omega counts each
+    edge weight at most twice, once per end, so ``omega <= 2|E(G)|`` and
+    the steps number at most ``value0 + 2|E(G)|``.
+    """
+    return initial.value + 2 * edges
 
 
 def integralize(

@@ -14,7 +14,7 @@ from conftest import corpus
 from cocirc import serialize
 from cocirc.constructions import counterexample_instance, fractional_vertex_instance, hexagon_instance
 from cocirc.deform import deform
-from cocirc.duality import grid_to_honeycomb
+from cocirc.duality import grid_to_honeycomb, honeycomb_to_grid
 from cocirc.errors import NotConcave
 from cocirc.grid import (
     cocirculation_from_quadratic,
@@ -24,7 +24,7 @@ from cocirc.grid import (
     three_side_grid,
     triangle_edges,
 )
-from cocirc.honeycomb import is_integral_point
+from cocirc.honeycomb import claw, honeycomb_sum, is_integral_point
 from cocirc.paths import find_legal_path
 from cocirc.integralize import (
     Potential,
@@ -47,8 +47,6 @@ def test_potential_integral_honeycomb():
 
 
 def test_potential_shifted_claw():
-    from cocirc.honeycomb import claw
-
     pot = potential(claw((F(1, 2), F(-1, 2))))
     assert pot == Potential(2, 1, 0)
     assert pot.value == 3
@@ -140,58 +138,77 @@ def test_integral_vertex_capture_grows_anchored_weight():
     assert seen > 0
 
 
-_ROUND_FRACTIONAL = """
-from cocirc.constructions import fractional_vertex_instance
-from cocirc.integralize import integralize
+_FROZEN_STEP = """
+import importlib
+from cocirc.constructions import counterexample_instance
 
-def outcomes():
-    out = []
-    for k in (2, 3):
-        try:
-            integralize(*fractional_vertex_instance(k)[:2])
-            out.append(f"{k}: rounded")
-        except AssertionError as exc:
-            out.append(f"{k}: AssertionError {exc}")
-    return out
+rounding = importlib.import_module("cocirc.integralize")  # the module, not the function
+
+rounding.deform = lambda h, path: (h, None)  # a step that moves nothing
+try:
+    rounding.integralize(*counterexample_instance())
+    print("rounded")
+except AssertionError as exc:
+    print(f"AssertionError {exc}")
 """
 
 
 def test_rounding_audit_under_optimize():
     # ``python -O`` strips asserts; the potential audit must still stop a
-    # run whose steps break it, with the same error as without -O.  Both
-    # instances break it because ``potential`` counts the weight at integral
-    # vertices once per edge, not once per incidence.
-    scope: dict = {}
-    exec(_ROUND_FRACTIONAL, scope)
-    expected = scope["outcomes"]()
-    assert all("AssertionError" in line for line in expected)
+    # run whose step leaves the potential where it was, with the same
+    # error as without -O.
     src = str(Path(cocirc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _ROUND_FRACTIONAL + "print(*outcomes(), sep='\\n')"],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == expected
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _FROZEN_STEP],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["AssertionError potential failed to decrease"], flags
 
 
-def _edgewise_omega(h):
-    """Weight of the edges with an integral vertex among their ends."""
+def _integral_ends(h):
+    """Each edge with the number of integral vertices among its ends."""
     intverts = frozenset(v for v in h.vertices if is_integral_point(v, h.scale))
-    return sum(e.weight for e in h.edges if any(v in intverts for v in e.ends()))
+    return [(e, sum(v in intverts for v in e.ends())) for e in h.edges]
 
 
-def test_potential_counts_each_edge_at_integral_vertices_once(small_corpus):
-    # potential reads the incidence map; the value stays the edge-wise one
+def test_potential_counts_edge_weight_at_each_integral_end(small_corpus):
+    # potential reads the incidence map; an edge between two integral
+    # vertices counts at both ends
     instances = list(small_corpus) + [hexagon_instance(k) for k in (1, 2, 3)]
+    both_ends = 0
     for g, h in instances:
         hc = grid_to_honeycomb(g, h)
         while True:
             pot = potential(hc)
-            assert pot.integral_incident == _edgewise_omega(hc)
+            ends = _integral_ends(hc)
+            assert pot.integral_incident == sum(e.weight * n for e, n in ends)
+            both_ends += any(n == 2 for _, n in ends)
             if pot.settled:
                 break
             hc, _ = deform(hc, find_legal_path(hc))
+    assert both_ends > 0
+
+
+def test_rounds_where_edges_merge_between_integral_vertices():
+    # The claw sum has a nonintegral vertex between two integral ones on a
+    # line; its one step removes that vertex and the two edges merge into
+    # one.  The fractional-vertex instances k >= 2 hit the same merge.
+    hc = honeycomb_sum(
+        honeycomb_sum(claw((-1, 2), 2, "-"), claw((-1, 0), 2, "+")),
+        claw((-1, F(2, 3)), 1, "+"),
+    )
+    instances = [honeycomb_to_grid(hc)]
+    instances += [fractional_vertex_instance(k)[:2] for k in range(1, 6)]
+    steps = []
+    for g, h in instances:
+        out, trace = integralize(g, h)
+        assert all(v.denominator == 1 for v in out.values())
+        assert iteration_bound_check(g, trace, potential(grid_to_honeycomb(g, h)))
+        steps.append(len(trace))
+    assert steps == [1, 0, 1, 2, 3, 4]
 
 
 def _golden_corpus():
@@ -217,10 +234,11 @@ def _pot_row(p):
 
 def test_rounding_outputs_and_traces_are_pinned():
     # A change that only makes rounding faster must leave every output
-    # value and every trace row as they are.  The digest covers the JSON
-    # of each output cocirculation and of its trace rows, written as the
-    # CLI writes them.
-    digest = hashlib.sha256()
+    # value and every trace row as they are.  The two digests cover the
+    # JSON of each output cocirculation and of its trace rows, written as
+    # the CLI writes them; a change to the potential's definition moves
+    # only the trace digest.
+    out_digest, trace_digest = hashlib.sha256(), hashlib.sha256()
     for name, g, h in _golden_corpus():
         out, trace = integralize(g, h)
         rows = [
@@ -233,6 +251,7 @@ def test_rounding_outputs_and_traces_are_pinned():
             }
             for s in trace
         ]
-        doc = {"name": name, "out": serialize.cocirc_to_json(out), "trace": rows}
-        digest.update(serialize.dumps(doc).encode())
-    assert digest.hexdigest() == "9930b114d357bd7df7045dae09914de42be18d98b818465f25dcd7cd032a5783"
+        out_digest.update(serialize.dumps({"name": name, "out": serialize.cocirc_to_json(out)}).encode())
+        trace_digest.update(serialize.dumps({"name": name, "trace": rows}).encode())
+    assert out_digest.hexdigest() == "3a25f67a9bc9195be1fb4a3d2acb97b515fafc979db2b2c8f256f94efba46681"
+    assert trace_digest.hexdigest() == "c4c88ae6d79a43b9980fb7d3a29c355f68487388ed032d897f8a439bb713fb94"
