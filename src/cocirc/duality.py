@@ -32,14 +32,14 @@ HEX_ORDER: list[tuple[tuple[int, str], Point]] = [
 ]
 
 
-def _local_grid(w6: tuple[int, ...]):
+def _local_grid(w6: dict[tuple[int, str], int]):
     """Triangles and per-side corner spans of one vertex's local grid: the
-    hexagonal grid whose boundary runs have the six ray weights ``w6``,
-    listed in ``HEX_ORDER``."""
+    hexagonal grid whose boundary runs have the six given ray weights."""
     corner = (0, 0)
     corners = [corner]
     spans = {}
-    for (slot, (da, db)), n in zip(HEX_ORDER, w6):
+    for slot, (da, db) in HEX_ORDER:
+        n = w6[slot]
         end = (corner[0] + n * da, corner[1] + n * db)
         spans[slot] = (corner, end)
         corner = end
@@ -50,14 +50,9 @@ def _local_grid(w6: tuple[int, ...]):
 
 def honeycomb_to_grid(h: Honeycomb) -> tuple[ConvexGrid, Cocirculation]:
     """Glue the local grids of all vertices; anchor at the least vertex."""
-    fills: dict[tuple[int, ...], tuple] = {}  # vertices with equal ray weights share a local grid
-    local = {}
-    for v in h.vertices:
-        w = h.weights_at(v)
-        w6 = tuple(w[slot] for slot, _ in HEX_ORDER)
-        if w6 not in fills:
-            fills[w6] = _local_grid(w6)
-        local[v] = fills[w6]
+    w6s = {v: tuple(h.weights_at(v).items()) for v in h.vertices}
+    fills = {w6: _local_grid(dict(w6)) for w6 in set(w6s.values())}  # one per distinct hexagon
+    local = {v: fills[w6] for v, w6 in w6s.items()}
     offsets: dict[Pt, Point] = {h.vertices[0]: (0, 0)}
     queue = [h.vertices[0]]
     while queue:

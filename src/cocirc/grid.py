@@ -36,10 +36,8 @@ Rhombus = tuple[Edge, Triangle, Triangle, Edge, Edge]
 # Lattice coordinates of the three generators.
 DIRS: dict[int, Point] = {1: (1, 0), 2: (0, 1), 3: (-1, -1)}
 # Boundary step -> (class, sign) of the side it runs along.
-STEP_SIDE: dict[Point, tuple[int, str]] = {
-    **{v: (d, "+") for d, v in DIRS.items()},
-    **{(-v[0], -v[1]): (d, "-") for d, v in DIRS.items()},
-}
+STEP_SIDE: dict[Point, tuple[int, str]] = {v: (d, "+") for d, v in DIRS.items()}
+STEP_SIDE.update({(-a, -b): (d, "-") for d, (a, b) in DIRS.items()})
 
 
 def edge_tail(e: Edge) -> Point:
@@ -116,15 +114,13 @@ class ConvexGrid:
 
     @cached_property
     def rhombi(self) -> tuple[Rhombus, ...]:
-        """The little rhombi as ``(diag, t1, t2, dom, other)``: each
-        interior edge in sorted order, its two faces, and the rhombus's
-        parallel edge pair of the least class other than the diagonal's.
+        """Each interior edge ``diag`` in sorted order, its two faces, and the
+        parallel pair ``dom``, ``other`` of their rhombus in the least class
+        that is not ``diag``'s.
 
-        The dominant edge ``dom`` is the one entering an obtuse rhombus
-        vertex, i.e. an endpoint of the shared diagonal; concavity asks
-        ``h[dom] >= h[other]``.  On a cocirculation the other parallel pair
-        has the same difference, so one pair decides the rhombus.
-        """
+        ``dom`` enters an obtuse rhombus vertex (an end of ``diag``), and
+        concavity asks ``h[dom] >= h[other]``; on a cocirculation the other
+        parallel pair has the same difference."""
         out = []
         for diag, ts in sorted(self.edge_faces.items()):
             if len(ts) != 2:

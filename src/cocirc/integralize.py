@@ -42,9 +42,8 @@ def potential(h: Honeycomb, nonintegral=None) -> Potential:
     vs, es = nonintegral_sets(h) if nonintegral is None else nonintegral
     beta = sum(e.weight for e in es if e.is_ray)
     delta = sum(excess(h, v) for v in vs)
-    # An edge between two integral vertices counts at both of its ends, so
-    # the merge of two such edges at a vanished nonintegral vertex between
-    # them leaves omega unchanged.
+    # Each edge counts once per integral end: when a nonintegral vertex
+    # between integral ones vanishes and its two edges merge, omega holds.
     omega = sum(e.weight for v in h.vertices if v not in vs for e in h.incidence[v].values())
     return Potential(beta, delta, omega)
 
@@ -72,14 +71,10 @@ def _step_budget(initial: Potential, edges: int) -> int:
     """The linear step budget ``beta0 + delta0 - omega0 + 2|E(G)|``.
 
     Each step lowers the integer potential ``beta + delta - omega`` by at
-    least one, and ``beta, delta >= 0``, so the number of steps is at most
-    ``value0 - min(-omega)``.  An edge of weight w is dual to w grid edges
-    with two different flatspaces on their sides (a ray: w boundary edges),
-    and every honeycomb of the loop is dual to a cocirculation on the same
-    grid, so the total edge weight is at most |E(G)|.  omega counts each
-    edge weight at most twice, once per end, so ``omega <= 2|E(G)|`` and
-    the steps number at most ``value0 + 2|E(G)|``.
-    """
+    least one and ``beta, delta >= 0``.  Every honeycomb of the loop is dual
+    to a cocirculation on G, and an edge of weight w is dual to w edges of
+    G, so omega, which counts each weight at most once per end, is at most
+    2|E(G)|: the potential never falls below ``-2|E(G)|``."""
     return initial.value + 2 * edges
 
 
