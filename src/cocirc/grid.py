@@ -121,13 +121,16 @@ class ConvexGrid:
         ``dom`` enters an obtuse rhombus vertex (an end of ``diag``), and
         concavity asks ``h[dom] >= h[other]``; on a cocirculation the other
         parallel pair has the same difference."""
+        # The table lives as long as the grid: point it at the edge objects
+        # the grid already holds rather than at fresh copies.
+        edge = {e: e for e in self.edge_faces}
         out = []
         for diag, ts in sorted(self.edge_faces.items()):
             if len(ts) != 2:
                 continue
             t1, t2 = ts
             cls = 2 if diag[2] == 1 else 1
-            e1, e2 = triangle_edge(t1, cls), triangle_edge(t2, cls)
+            e1, e2 = edge[triangle_edge(t1, cls)], edge[triangle_edge(t2, cls)]
             if edge_head(e1) in (edge_tail(diag), edge_head(diag)):
                 out.append((diag, t1, t2, e1, e2))
             else:
