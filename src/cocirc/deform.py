@@ -29,10 +29,10 @@ from .honeycomb import (
     HEdge,
     HLine,
     Honeycomb,
+    Patch,
     Pt,
-    XiSystem,
     canonicalize,
-    divergency,
+    canonicalize_patch,
     dval,
     is_integral_point,
     t_of,
@@ -173,19 +173,6 @@ class StopEvent:
     kinds: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DeformedSystem:
-    """Lines with int coordinates in units of ``1/scale``."""
-
-    lines: tuple[tuple[HLine, int], ...]
-    scale: int
-
-    def as_system(self) -> XiSystem:
-        """The lines as a system in Fractions."""
-        unit = Fraction(1, self.scale)
-        return [(line.scaled(unit), w) for line, w in self.lines]
-
-
 def _moved_line_span(
     pl: PathLines, i: int, eps: int, f: int = 1
 ) -> tuple[int, int, Optional[int], Optional[int]]:
@@ -211,11 +198,10 @@ def _moved_line_span(
     return line.cls, c2, lo, hi
 
 
-def build_deformed_system(
-    h: Honeycomb, pl: PathLines, eps
-) -> DeformedSystem:
+def build_deformed_system(h: Honeycomb, pl: PathLines, eps) -> Patch:
     """Background with path copies removed, moved copies, and bend stubs,
-    at the least multiple of ``h.scale`` that holds the rational ``eps``."""
+    at the least multiple of ``h.scale`` that holds the rational ``eps``:
+    ``h`` patched by the path's edges and the lines added."""
     eps = Fraction(eps)
     f = eps.denominator // gcd(eps.denominator, h.scale)
     scale = h.scale * f
@@ -225,12 +211,9 @@ def build_deformed_system(
         shown = None if bound is None else Fraction(bound, h.scale)
         raise EpsilonOutOfRange(f"eps={eps} outside [0, {shown}]")
     used = Counter(e for line in pl.lines for e in line.edges)
+    for e, n in used.items():
+        assert n <= e.weight, "path overuses an edge"
     lines: list[tuple[HLine, int]] = []
-    for e in h.edges:
-        w = e.weight - used[e]
-        assert w >= 0, "path overuses an edge"
-        if w > 0:
-            lines.append((e if f == 1 else e.scaled(f), w))
     for i in range(len(pl.lines)):
         cls, c2, lo, hi = _moved_line_span(pl, i, units, f)
         if lo is not None and lo == hi:
@@ -243,7 +226,7 @@ def build_deformed_system(
             ta, tb = f * t_of(cls, b.vertex), t_of(cls, b.shifted(units, f))
             lo, hi = min(ta, tb), max(ta, tb)
             lines.append((HLine(cls, c, lo, hi), 1 if b.turn == TURN_RIGHT else -1))
-    return DeformedSystem(tuple(lines), scale)
+    return Patch(h, f, used, tuple(lines))
 
 
 def _meet_time(u: Pt, mu: Pt, v: Pt, mv: Pt) -> Optional[int]:
@@ -314,6 +297,15 @@ def _candidates(h: Honeycomb, pl: PathLines) -> dict[int, list[tuple]]:
     return candidates
 
 
+def _divergency_at(ps: Patch, p: Pt, unit: int) -> Optional[int]:
+    """``ps.divergency_at`` for a point ``p`` in units of ``1/unit``, a
+    multiple of ``ps.scale``: no vertex sits off the patch's grid."""
+    r = unit // ps.scale
+    if p[0] % r or p[1] % r:
+        return None
+    return ps.divergency_at((p[0] // r, p[1] // r))
+
+
 def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
     """First parameter at which the rightward motion must stop.
 
@@ -325,7 +317,7 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
     for k in sorted(candidates):
         kinds: set[str] = set()
         mid = prev + k  # the middle of (prev, k), in units of 1/(4*scale)
-        mid_at: Optional[dict[Pt, Pt]] = None  # its vertices by their points at 4*scale
+        mid_sys: Optional[Patch] = None  # the system there
         for tag in candidates[k]:
             if tag[0] == "eps0":
                 kinds.add(STOP_LINE_VANISHED)
@@ -343,20 +335,17 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
                     qb = (4 * pb[0], 4 * pb[1])
                     if is_integral_point(pb, h.scale):
                         kinds.add(STOP_INTEGRAL_VERTEX)
-                if mid_at is None:
-                    ds = build_deformed_system(h, pl, Fraction(mid, 4 * h.scale))
-                    hm = canonicalize(ds.lines, ds.scale)
-                    r = 4 * h.scale // hm.scale
-                    mid_at = {(v[0] * r, v[1] * r): v for v in hm.vertices}
-                va, vb = mid_at.get(pa.shifted(mid, 4)), mid_at.get(qb)
-                if va is not None and vb is not None:
-                    if divergency(hm, va) * divergency(hm, vb) < 0:
-                        kinds.add(STOP_OPPOSITE_MERGE)
-                        # Validity-bound flavours: a negative stub running off
-                        # its covering edge, or two negative stubs colliding.
-                        b_ok = pb.turn == TURN_LEFT if isinstance(pb, Bend) else True
-                        if pa.turn == TURN_LEFT and b_ok:
-                            kinds.add(STOP_VALIDITY_BOUND)
+                if mid_sys is None:
+                    mid_sys = build_deformed_system(h, pl, Fraction(mid, 4 * h.scale))
+                da = _divergency_at(mid_sys, pa.shifted(mid, 4), 4 * h.scale)
+                db = None if da is None else _divergency_at(mid_sys, qb, 4 * h.scale)
+                if db is not None and da * db < 0:
+                    kinds.add(STOP_OPPOSITE_MERGE)
+                    # Validity-bound flavours: a negative stub running off
+                    # its covering edge, or two negative stubs colliding.
+                    b_ok = pb.turn == TURN_LEFT if isinstance(pb, Bend) else True
+                    if pa.turn == TURN_LEFT and b_ok:
+                        kinds.add(STOP_VALIDITY_BOUND)
         if kinds:
             return StopEvent(Fraction(k, 2 * h.scale), tuple(sorted(kinds)))
         prev = k
@@ -408,5 +397,4 @@ def deform(h: Honeycomb, p: LegalPath, direction: str = TURN_RIGHT) -> tuple[Hon
         p = orient_cycle_rightward(h, p)
     pl = decompose(h, p)
     ev = stop_epsilon(h, pl)
-    ds = build_deformed_system(h, pl, ev.eps)
-    return canonicalize(ds.lines, ds.scale), ev
+    return canonicalize_patch(build_deformed_system(h, pl, ev.eps)), ev

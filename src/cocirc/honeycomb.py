@@ -20,6 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from typing import Optional
 
@@ -47,17 +48,29 @@ def dval(p: Pt, cls: int) -> Fraction:
 
 
 def point_from_two(cls1: int, c1: Fraction, cls2: int, c2: Fraction) -> Pt:
-    d = {cls1: c1, cls2: c2, 6 - cls1 - cls2: -c1 - c2}
-    return (d[1], d[2])
+    if cls1 > cls2:
+        cls1, c1, cls2, c2 = cls2, c2, cls1, c1
+    if cls1 == 2:
+        return (-c1 - c2, c1)
+    return (c1, c2) if cls2 == 2 else (c1, -c1 - c2)
 
 
 def point_on(cls: int, c: Fraction, t: Fraction) -> Pt:
     """The point on the class-``cls`` line ``d_cls = c`` with ``d_nxt = t``."""
-    return point_from_two(cls, c, nxt(cls), t)
+    if cls == 1:
+        return (c, t)
+    if cls == 2:
+        return (-c - t, c)
+    return (t, -c - t)
 
 
 def t_of(cls: int, p: Pt) -> Fraction:
-    return dval(p, nxt(cls))
+    """``d_nxt(cls)`` of ``p``."""
+    if cls == 1:
+        return p[1]
+    if cls == 2:
+        return -p[0] - p[1]
+    return p[0]
 
 
 def is_integral_point(p: Pt, scale: int) -> bool:
@@ -167,6 +180,13 @@ class _Coverage:
             running += deltas[t]
             self.vals.append(running)
 
+    @classmethod
+    def of_steps(cls, base: int, ts: list, vals: list) -> "_Coverage":
+        """The coverage ``base`` before ``ts[0]`` and ``vals[i]`` after ``ts[i]``."""
+        cov = cls.__new__(cls)
+        cov.base, cov.ts, cov.vals = base, ts, vals
+        return cov
+
     def plus(self, t: Fraction) -> int:
         """Coverage just right of t."""
         i = bisect_right(self.ts, t) - 1
@@ -188,7 +208,11 @@ class _Coverage:
 
     def covers(self, t: Fraction) -> bool:
         """Nonzero coverage on at least one side of t."""
-        return self.plus(t) != 0 or self.minus(t) != 0
+        i = bisect_right(self.ts, t) - 1
+        if (self.base if i < 0 else self.vals[i]) != 0:
+            return True
+        i = bisect_left(self.ts, t) - 1
+        return (self.base if i < 0 else self.vals[i]) != 0
 
     def spans(self) -> list[tuple[Optional[Fraction], Optional[Fraction]]]:
         """Maximal closed spans of the t at which ``covers`` holds."""
@@ -204,52 +228,75 @@ class _Coverage:
         return out
 
 
+def _live(lo: Optional[Fraction], hi: Optional[Fraction], w: int) -> bool:
+    """Whether a line of weight ``w`` over ``[lo, hi]`` covers anything."""
+    return w != 0 and (lo is None or hi is None or lo < hi)
+
+
 def _supports(system: XiSystem) -> dict[tuple[int, Fraction], _Coverage]:
     per: dict[tuple[int, Fraction], list] = {}
     for line, w in system:
-        if w == 0 or (line.is_finite and line.lo >= line.hi):
-            continue
-        per.setdefault((line.cls, line.c), []).append((line.lo, line.hi, w))
+        if _live(line.lo, line.hi, w):
+            per.setdefault((line.cls, line.c), []).append((line.lo, line.hi, w))
     return {key: _Coverage(iv) for key, iv in per.items()}
 
 
-def _candidate_points(system: XiSystem, covs) -> set[Pt]:
-    """All line ends, plus each crossing of two supports covered there.
+def _sorted_keys(keys) -> dict[int, list]:
+    """The ``c`` of the given ``(cls, c)`` lines, sorted, per class."""
+    out: dict[int, list] = {1: [], 2: [], 3: []}
+    for cls, c in keys:
+        out[cls].append(c)
+    return {cls: sorted(cs) for cls, cs in out.items()}
 
-    On the class-i support ``d_i = c1`` the crossing with the
-    class-``nxt(i)`` support ``d_nxt(i) = c2`` sits at ``t = c2``, so the
-    crossings inside one covered span are a range of the sorted class keys;
-    on the second support the same point sits at ``t = -c1 - c2``.
+
+def _crossings(key, spans, cls2: int, keys, covs) -> list[Pt]:
+    """The points in ``spans`` of the support ``key`` where a covered
+    class-``cls2`` support crosses it.
+
+    On ``key = (cls1, c1)`` the crossing with ``d_cls2 = c2`` sits at
+    ``t = c2`` when ``cls2 = nxt(cls1)`` and at ``t = -c1 - c2`` when
+    ``cls2 = prv(cls1)``, so the crossings inside one covered span are a
+    range of the sorted ``keys[cls2]``.
     """
+    cls1, c1 = key
+    cs = keys[cls2]
+    rising = cls2 == nxt(cls1)
+    out = []
+    for lo, hi in spans:
+        if not rising:
+            lo, hi = (None if hi is None else -c1 - hi), (None if lo is None else -c1 - lo)
+        i = 0 if lo is None else bisect_left(cs, lo)
+        j = len(cs) if hi is None else bisect_right(cs, hi)
+        for c2 in cs[i:j]:
+            cov2 = covs.get((cls2, c2))
+            # the crossing's t on the class-cls2 support
+            if cov2 is not None and cov2.covers(-c1 - c2 if rising else c1):
+                out.append(point_from_two(cls1, c1, cls2, c2))
+    return out
+
+
+def _candidate_points(system: XiSystem, covs) -> set[Pt]:
+    """All line ends, plus each crossing of two supports covered there."""
     pts: set[Pt] = set()
     for line, w in system:
         if w != 0:
             pts.update(line.ends())
-    by_cls = {
-        cls: sorted((c, cov) for (k, c), cov in covs.items() if k == cls) for cls in (1, 2, 3)
-    }
-    keys = {cls: [c for c, _ in pairs] for cls, pairs in by_cls.items()}
-    for (cls1, c1), cov1 in covs.items():
-        cls2 = nxt(cls1)
-        cs = keys[cls2]
-        for lo, hi in cov1.spans():
-            i = 0 if lo is None else bisect_left(cs, lo)
-            j = len(cs) if hi is None else bisect_right(cs, hi)
-            for c2, cov2 in by_cls[cls2][i:j]:
-                if cov2.covers(-c1 - c2):
-                    pts.add(point_on(cls1, c1, c2))
+    keys = _sorted_keys(covs)
+    for key, cov in covs.items():
+        pts.update(_crossings(key, cov.spans(), nxt(key[0]), keys, covs))
     return pts
 
 
 def six_weights(covs, p: Pt) -> dict[tuple[int, str], int]:
     """The six ray weights w_i^s at a point, from precomputed coverages."""
     out = {}
-    for cls in (1, 2, 3):
-        cov = covs.get((cls, dval(p, cls)))
+    d3 = -p[0] - p[1]
+    # (cls, d_cls, t_of(cls, p)) for the three lines through p
+    for cls, c, t in ((1, p[0], p[1]), (2, p[1], d3), (3, d3, p[0])):
+        cov = covs.get((cls, c))
         if cov is None:
             out[(cls, "+")] = out[(cls, "-")] = 0
         else:
-            t = t_of(cls, p)
             out[(cls, "+")] = cov.plus(t)
             out[(cls, "-")] = cov.minus(t)
     return out
@@ -273,28 +320,67 @@ def _integer_system(system: XiSystem) -> tuple[int, XiSystem]:
     return scale, [(HLine(ln.cls, up(ln.c), up(ln.lo), up(ln.hi)), w) for ln, w in system]
 
 
+def _check_full_lines(covs, scale: int) -> None:
+    """Raise NotPreHoneycomb on a line without ends whose coverage is negative."""
+    for (cls, c), cov in covs:
+        if not cov.ts and cov.base < 0:
+            raise NotPreHoneycomb(f"negative ray weight along {(cls, Fraction(c, scale))}")
+
+
+def _is_vertex(w6: dict[tuple[int, str], int], p: Pt, scale: int) -> bool:
+    """Whether ``p``, with ray weights ``w6``, has at least three nonzero.
+
+    Raises NotPreHoneycomb on a negative ray weight or unequal tension.
+    Messages divide coordinates by ``scale``, so they name points of the
+    unscaled system.
+    """
+    ws = list(w6.values())
+    if min(ws) < 0:
+        raise NotPreHoneycomb(f"negative ray weight at {frac_point(p, scale)}")
+    divs = {cls: w6[(cls, "+")] - w6[(cls, "-")] for cls in (1, 2, 3)}
+    if not divs[1] == divs[2] == divs[3]:
+        raise NotPreHoneycomb(f"unequal tension {divs} at {frac_point(p, scale)}")
+    return ws.count(0) <= 3
+
+
 def _vertices(system: XiSystem, covs, scale: int) -> list[Pt]:
     """Candidate points with at least three nonzero ray weights, sorted.
 
     Raises NotPreHoneycomb on a line without ends whose coverage is
-    negative, and at the least candidate with a negative ray weight or
-    unequal tension.  Messages divide coordinates by ``scale``, so they
-    name points and lines of the unscaled system.
+    negative, and at the least candidate that ``_is_vertex`` rejects.
     """
-    for (cls, c), cov in covs.items():
-        if not cov.ts and cov.base < 0:
-            raise NotPreHoneycomb(f"negative ray weight along {(cls, Fraction(c, scale))}")
-    verts: list[Pt] = []
-    for p in sorted(_candidate_points(system, covs)):
-        w6 = six_weights(covs, p)
-        if any(v < 0 for v in w6.values()):
-            raise NotPreHoneycomb(f"negative ray weight at {frac_point(p, scale)}")
-        divs = {cls: w6[(cls, "+")] - w6[(cls, "-")] for cls in (1, 2, 3)}
-        if len(set(divs.values())) != 1:
-            raise NotPreHoneycomb(f"unequal tension {divs} at {frac_point(p, scale)}")
-        if sum(1 for v in w6.values() if v != 0) >= 3:
-            verts.append(p)
-    return verts
+    _check_full_lines(covs.items(), scale)
+    return [p for p in sorted(_candidate_points(system, covs)) if _is_vertex(six_weights(covs, p), p, scale)]
+
+
+def _cut(cls: int, c, cov: _Coverage, at: list, g: int, scale: int, slots, edges: list) -> None:
+    """Cut the support ``d_cls = c`` into edges at the vertices ``at``.
+
+    ``at`` holds pairs ``(t, key)`` in increasing ``t``.  Each edge, with
+    its coordinates divided by ``g``, goes to ``edges`` and into the ray
+    slots ``slots[key]`` of its ends.  Raises NotPreHoneycomb where the
+    coverage is negative or steps away from a vertex, or covers a line
+    without vertices.
+    """
+    if not at:
+        if cov.base != 0 or any(v != 0 for v in cov.vals):
+            raise NotPreHoneycomb(f"fully infinite covered line {(cls, Fraction(c, scale))}")
+        return
+    cuts = [(None, None), *at, (None, None)]
+    for (a, va), (b, vb) in zip(cuts, cuts[1:]):
+        w = cov.minus(b) if a is None else cov.plus(a)
+        if w == 0:
+            continue
+        if w < 0:
+            raise NotPreHoneycomb(f"negative coverage on {(cls, Fraction(c, scale))}")
+        if not cov.constant_on(a, b):
+            raise NotPreHoneycomb(f"coverage step without a vertex on {(cls, Fraction(c, scale))}")
+        e = HEdge(cls, c // g, None if a is None else a // g, None if b is None else b // g, w)
+        edges.append(e)
+        if va is not None:
+            slots[va][(cls, "+")] = e
+        if vb is not None:
+            slots[vb][(cls, "-")] = e
 
 
 def is_prehoneycomb(system: XiSystem) -> bool:
@@ -397,25 +483,7 @@ def canonicalize(system: XiSystem, scale: Optional[int] = None) -> Honeycomb:
     # give the edges already in HEdge.sort_key order.
     for (cls, c), cov in sorted(covs.items()):
         at = sorted((t_of(cls, v), v) for v in on_line.get((cls, c), ()))
-        if not at:
-            if cov.base != 0 or any(v != 0 for v in cov.vals):
-                raise NotPreHoneycomb(f"fully infinite covered line {(cls, Fraction(c, scale))}")
-            continue
-        cuts = [(None, None), *at, (None, None)]
-        for (a, va), (b, vb) in zip(cuts, cuts[1:]):
-            w = cov.minus(b) if a is None else cov.plus(a)
-            if w == 0:
-                continue
-            if w < 0:
-                raise NotPreHoneycomb(f"negative coverage on {(cls, Fraction(c, scale))}")
-            if not cov.constant_on(a, b):
-                raise NotPreHoneycomb(f"coverage step without a vertex on {(cls, Fraction(c, scale))}")
-            e = HEdge(cls, c // g, None if a is None else a // g, None if b is None else b // g, w)
-            edges.append(e)
-            if va is not None:
-                slots[va][(cls, "+")] = e
-            if vb is not None:
-                slots[vb][(cls, "-")] = e
+        _cut(cls, c, cov, at, g, scale, slots, edges)
     if g > 1:
         slots = {(v[0] // g, v[1] // g): vs for v, vs in slots.items()}
         on_line = vertices_by_line(slots)
@@ -424,6 +492,258 @@ def canonicalize(system: XiSystem, scale: Optional[int] = None) -> Honeycomb:
         assert len(hc.incidence[v]) >= 3
         divergency(hc, v)
     return hc
+
+
+def _times(x: Optional[int], f: int, g: int = 1) -> Optional[int]:
+    return None if x is None else x * f // g
+
+
+@dataclass(frozen=True)
+class Patch:
+    """A honeycomb changed in a few places, as a system in ints.
+
+    The system is the edges of ``base`` with every coordinate multiplied
+    by ``f``, each with the weight in ``removed`` taken off, plus the
+    ``added`` lines; its unit is ``1/scale`` with ``scale = base.scale *
+    f``.  A support is dirty when a removed edge or an added line lies on
+    it; every other support has the coverage it has in ``base``.
+    """
+
+    base: Honeycomb
+    f: int
+    removed: dict[HEdge, int]
+    added: tuple[tuple[HLine, int], ...]
+
+    @property
+    def scale(self) -> int:
+        return self.base.scale * self.f
+
+    @cached_property
+    def lines(self) -> tuple[tuple[HLine, int], ...]:
+        """The whole system: the base edges left, then the added lines."""
+        out = []
+        for e in self.base.edges:
+            w = e.weight - self.removed.get(e, 0)
+            if w > 0:
+                out.append((e if self.f == 1 else e.scaled(self.f), w))
+        return (*out, *self.added)
+
+    def as_system(self) -> XiSystem:
+        """The lines as a system in Fractions."""
+        unit = Fraction(1, self.scale)
+        return [(line.scaled(unit), w) for line, w in self.lines]
+
+    @cached_property
+    def covs(self) -> _PatchCoverages:
+        return _PatchCoverages(self)
+
+    def divergency_at(self, p: Pt) -> Optional[int]:
+        """The divergency of the canonical form at ``p``, or None where it
+        has no vertex; read from the six weights at ``p`` alone."""
+        w6 = six_weights(self.covs, p)
+        try:
+            vertex = _is_vertex(w6, p, self.scale)
+        except NotPreHoneycomb:
+            canonicalize(self.lines, self.scale)  # raises, naming the least violation
+            raise
+        return w6[(1, "+")] - w6[(1, "-")] if vertex else None
+
+
+class _PatchCoverages(dict):
+    """The coverage of each support of a patch, built on first use; ``None``
+    for a line without any."""
+
+    # ``six_weights`` and ``_crossings`` read coverages through ``get``;
+    # here a lookup that misses builds the coverage (``__missing__``).
+    get = dict.__getitem__
+
+    def __init__(self, p: Patch):
+        super().__init__()
+        self.p = p
+        f = p.f
+        # support -> the (lo, hi, w) of its lines: the base edges, scaled,
+        # then the removed weight (negative) and the added lines
+        self.lines: dict[tuple[int, int], list] = {}
+        for e in p.base.edges:
+            self.lines.setdefault((e.cls, e.c * f), []).append(
+                (e.lo, e.hi, e.weight) if f == 1 else (_times(e.lo, f), _times(e.hi, f), e.weight)
+            )
+        self.added: dict[tuple[int, int], list] = {}  # the added lines alone
+        self.dirty: set[tuple[int, int]] = set()
+        for e, n in p.removed.items():
+            key = (e.cls, e.c * f)
+            self.dirty.add(key)
+            self.lines[key].append((_times(e.lo, f), _times(e.hi, f), -n))
+        for line, w in p.added:
+            if _live(line.lo, line.hi, w):
+                key = (line.cls, line.c)
+                self.dirty.add(key)
+                self.added.setdefault(key, []).append((line.lo, line.hi, w))
+                self.lines.setdefault(key, []).append((line.lo, line.hi, w))
+
+    def base_on(self, key: tuple[int, int]) -> list[Pt]:
+        """The base vertices on the line ``key``, in base coordinates."""
+        cls, c = key
+        f = self.p.f
+        return self.p.base.on_line.get((cls, c // f), []) if c % f == 0 else []
+
+    def __missing__(self, key: tuple[int, int]) -> Optional[_Coverage]:
+        iv = self.lines.get(key)
+        cov = self[key] = None if iv is None else _Coverage(iv)
+        return cov
+
+
+def _inside(t, lines) -> bool:
+    """Whether ``t`` lies in the closed span of one of the ``(lo, hi, w)``."""
+    return any((lo is None or lo <= t) and (hi is None or t <= hi) for lo, hi, _ in lines)
+
+
+def _clip(spans: list, windows: list) -> list:
+    """The nonempty intersections of the closed ``spans`` with the closed
+    spans of the ``windows``, ``(lo, hi, w)``; None is an infinite end."""
+    out = []
+    for lo, hi in spans:
+        for wlo, whi, _ in windows:
+            a = wlo if lo is None else lo if wlo is None else max(lo, wlo)
+            b = whi if hi is None else hi if whi is None else min(hi, whi)
+            if a is None or b is None or a <= b:
+                out.append((a, b))
+    return out
+
+
+def canonicalize_patch(p: Patch) -> Honeycomb:
+    """``canonicalize(p.lines, p.scale)``, recomputed only where the patch
+    changes coverage.
+
+    A point keeps its six weights unless a removed edge or an added line
+    covers it, so its vertex status changes only there.  The candidates
+    are the base vertices there (the ends of the removed edges and those
+    on added lines), the ends of the added lines, and the crossings of the
+    added lines with covered supports of both other classes.  Inside a
+    removed edge no base support crosses: a covered crossing of the base
+    is a base vertex.  Only the touched supports, dirty (carrying a
+    removed edge or an added line) or through a vertex that appeared or
+    vanished, are cut again; the others keep their edges, and the other
+    vertices their incidence.  On any violation the full ``canonicalize``
+    runs, so its messages are the ones raised.
+    """
+    try:
+        return _canonicalize_patch(p)
+    except NotPreHoneycomb:
+        return canonicalize(p.lines, p.scale)
+
+
+def _canonicalize_patch(p: Patch) -> Honeycomb:
+    h, f, scale, covs = p.base, p.f, p.scale, p.covs
+    gone = {v for e in p.removed for v in e.ends()}  # base coordinates
+    for key, lines in covs.added.items():
+        for v in covs.base_on(key):
+            if _inside(f * t_of(key[0], v), lines):
+                gone.add(v)
+    gone_up = gone if f == 1 else {(v[0] * f, v[1] * f) for v in gone}
+    pts = {q for line, _ in p.added for q in line.ends()} | gone_up
+    live = [(key, cov) for key in covs.dirty if (cov := covs.get(key)) is not None]
+    _check_full_lines(live, scale)
+    keys = _sorted_keys(covs.lines)
+    for key, lines in covs.added.items():
+        cov = covs.get(key)
+        if cov is not None:
+            spans = _clip(cov.spans(), lines)
+            for cls2 in (nxt(key[0]), prv(key[0])):
+                pts.update(_crossings(key, spans, cls2, keys, covs))
+    fresh = [q for q in pts if _is_vertex(six_weights(covs, q), q, scale)]
+    if not fresh and len(gone) == len(h.vertices):
+        raise NotPreHoneycomb("covered set has no vertex")
+    g = gcd(scale, *chain.from_iterable(fresh))
+    if g > 1:
+        g = gcd(g, f * gcd(h.scale, *chain.from_iterable(v for v in h.vertices if v not in gone)))
+    same = f == g  # the base's coordinates carry over unchanged
+
+    def down(q: Pt) -> Pt:
+        return q if g == 1 else (q[0] // g, q[1] // g)
+
+    touched = set(covs.dirty)
+    for q in gone_up.symmetric_difference(fresh):
+        touched.update((cls, dval(q, cls)) for cls in (1, 2, 3))
+    fresh_on = vertices_by_line(fresh)
+    along = {}  # touched line -> its vertices, in point order, at ``scale``
+    for key in touched:
+        vs = [v for v in covs.base_on(key) if v not in gone]
+        if f > 1:
+            vs = [(v[0] * f, v[1] * f) for v in vs]
+        vs += fresh_on.get(key, ())
+        if vs:
+            vs.sort()
+            along[key] = vs if g == 1 else [(q[0] // g, q[1] // g) for q in vs]
+    cut_slots: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for vs in along.values() for v in vs}
+    cut_edges: dict[tuple[int, int], list[HEdge]] = {}
+    for key in touched:
+        cov = covs.get(key)
+        if cov is not None:
+            cls, vs = key[0], along.get(key, [])
+            at = [(g * t_of(cls, v), v) for v in (vs[::-1] if cls == 2 else vs)]
+            _cut(cls, key[1], cov, at, g, scale, cut_slots, cut_edges.setdefault(key, []))
+
+    # The base edges between touched supports, in order, and the cut ones.
+    moved: dict[HEdge, HEdge] = {}  # base edge -> its edge in the result
+
+    def carry(run: tuple[HEdge, ...]):
+        if same:
+            return run
+        out = [HEdge(e.cls, e.c * f // g, _times(e.lo, f, g), _times(e.hi, f, g), e.weight) for e in run]
+        moved.update(zip(run, out))
+        return out
+
+    ekeys = [(e.cls, e.c * f) for e in h.edges]
+    edges: list[HEdge] = []
+    i = 0
+    for key in sorted(touched):
+        j = bisect_left(ekeys, key, i)
+        edges += carry(h.edges[i:j])
+        edges += cut_edges.get(key, ())
+        i = bisect_right(ekeys, key, j)
+    edges += carry(h.edges[i:])
+
+    incidence = h.incidence
+    if same:
+        slots = dict(incidence)
+        for v in gone:
+            del slots[v]
+    else:
+        slots = {}
+        for v, vs in incidence.items():
+            w = (v[0] * f // g, v[1] * f // g)
+            if v not in gone and w not in cut_slots:
+                slots[w] = {slot: moved[e] for slot, e in vs.items()}
+    touched_lines = touched if g == 1 else {(cls, c // g) for cls, c in touched if c % g == 0}
+    for v, cut in cut_slots.items():
+        if same:
+            old = incidence.get(v, {})
+        else:
+            q = (v[0] * g, v[1] * g)
+            old = incidence.get((q[0] // f, q[1] // f), {}) if q[0] % f == 0 and q[1] % f == 0 else {}
+        mine = {}
+        for cls in (1, 2, 3):
+            src = cut if (cls, dval(v, cls)) in touched_lines else old
+            for s in ("-", "+"):
+                e = src.get((cls, s))
+                if e is not None:
+                    mine[(cls, s)] = e if same or src is cut else moved[e]
+        slots[v] = mine
+    assert all(len(slots[v]) >= 3 for v in cut_slots)
+    vertices = tuple(sorted(slots))
+    if same:
+        on_line = dict(h.on_line)
+        for key in touched:
+            if key[1] % g == 0:
+                line = key if g == 1 else (key[0], key[1] // g)
+                if key in along:
+                    on_line[line] = along[key]
+                else:
+                    on_line.pop(line, None)
+    else:
+        on_line = vertices_by_line(vertices)
+    return Honeycomb(vertices, tuple(edges), scale // g, slots, on_line)
 
 
 def boundary_partition(h: Honeycomb) -> tuple[dict[tuple[int, str], tuple[HEdge, ...]], int]:
