@@ -4,6 +4,7 @@ denominator-k polytope vertex), and the rigid half-integer fixture."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from .duality import grid_to_honeycomb, honeycomb_to_grid
@@ -23,6 +24,7 @@ from .honeycomb import (
     HLine,
     Honeycomb,
     canonicalize,
+    claw,
     dval,
     honeycomb_sum,
     nxt,
@@ -228,6 +230,34 @@ def counterexample_instance() -> tuple[ConvexGrid, Cocirculation]:
     assert set(h) == g.edges
     assert is_concave(g, h)
     return g, h
+
+
+def claw_sum(parts) -> Honeycomb:
+    """The sum of the claws ``claw(center, weight, sign)`` for the given
+    ``(center, weight, sign)``; a ``-`` claw is an anticlaw."""
+    hc = None
+    for center, weight, sign in parts:
+        c = claw(center, weight, sign)
+        hc = c if hc is None else honeycomb_sum(hc, c)
+    return hc
+
+
+def random_claw_parts(rng: random.Random) -> list:
+    """Two to four ``(center, weight, sign)``: centres with coordinates in
+    [-4, 4] of denominator 1 to 3, weights 1 to 2, either sign."""
+    parts = []
+    for _ in range(rng.randint(2, 4)):
+        d = rng.randint(1, 3)
+        center = (Fraction(rng.randint(-4 * d, 4 * d), d), Fraction(rng.randint(-4 * d, 4 * d), d))
+        parts.append((center, rng.randint(1, 2), rng.choice("+-")))
+    return parts
+
+
+def random_honeycomb(seed: int) -> Honeycomb:
+    """A sum of claws and anticlaws drawn by ``random_claw_parts``;
+    deterministic in ``seed``.  Unlike the duals of quadratics, its
+    vertices sit anywhere and its boundary rays have any sign."""
+    return claw_sum(random_claw_parts(random.Random(seed)))
 
 
 def sample_honeycomb() -> Honeycomb:

@@ -7,9 +7,10 @@ Every moving coordinate is affine in the parameter, so all stopping
 events (end line reaching an integer coordinate, opposite-sign vertices
 merging, a moving line capturing an integral vertex, a piece shrinking to
 a point, the validity bound) happen at rational times found by solving
-linear equations.  The engine enumerates all candidate times, takes the
-first that triggers a stop, and the caller canonicalizes the system
-there.
+linear equations.  The engine enumerates all candidate times and takes
+the first that triggers a stop.  The deformed system there is the
+honeycomb patched by the path edges taken off and the lines added, and
+``canonicalize_patch`` redoes only what that patch touches.
 
 Coordinates are the honeycomb's ints in units of ``1/scale``.  Every rate
 is -1, 0 or +1, so every candidate time is a multiple of ``1/(2*scale)``.
@@ -297,27 +298,19 @@ def _candidates(h: Honeycomb, pl: PathLines) -> dict[int, list[tuple]]:
     return candidates
 
 
-def _divergency_at(ps: Patch, p: Pt, unit: int) -> Optional[int]:
-    """``ps.divergency_at`` for a point ``p`` in units of ``1/unit``, a
-    multiple of ``ps.scale``: no vertex sits off the patch's grid."""
-    r = unit // ps.scale
-    if p[0] % r or p[1] % r:
-        return None
-    return ps.divergency_at((p[0] // r, p[1] // r))
-
-
 def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
     """First parameter at which the rightward motion must stop.
 
-    Times run in units of ``1/(2*h.scale)``.  A meet is tested on the
-    honeycomb in the middle of its interval, in units of ``1/(4*h.scale)``.
+    Times run in units of ``1/(2*h.scale)``.  A meet is tested in the
+    middle of its interval, on the six weights of the deformed system at
+    the two meeting points: a point is a vertex of the canonical form, and
+    has its divergency, exactly when those weights make it one.
     """
     candidates = _candidates(h, pl)
     prev = 0
     for k in sorted(candidates):
         kinds: set[str] = set()
-        mid = prev + k  # the middle of (prev, k), in units of 1/(4*scale)
-        mid_sys: Optional[Patch] = None  # the system there
+        mid_sys: Optional[Patch] = None  # the system in the middle of (prev, k)
         for tag in candidates[k]:
             if tag[0] == "eps0":
                 kinds.add(STOP_LINE_VANISHED)
@@ -329,16 +322,15 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
                     kinds.add(STOP_INTEGRAL_VERTEX)
             else:
                 _, pa, pb = tag  # pa is a Bend; pb a Bend or a stationary vertex
-                if isinstance(pb, Bend):
-                    qb = pb.shifted(mid, 4)
-                else:
-                    qb = (4 * pb[0], 4 * pb[1])
-                    if is_integral_point(pb, h.scale):
-                        kinds.add(STOP_INTEGRAL_VERTEX)
+                if not isinstance(pb, Bend) and is_integral_point(pb, h.scale):
+                    kinds.add(STOP_INTEGRAL_VERTEX)
                 if mid_sys is None:
-                    mid_sys = build_deformed_system(h, pl, Fraction(mid, 4 * h.scale))
-                da = _divergency_at(mid_sys, pa.shifted(mid, 4), 4 * h.scale)
-                db = None if da is None else _divergency_at(mid_sys, qb, 4 * h.scale)
+                    mid_sys = build_deformed_system(h, pl, Fraction(prev + k, 4 * h.scale))
+                    f = mid_sys.f
+                    units = (prev + k) * f // 4  # the parameter in units of 1/mid_sys.scale
+                qb = pb.shifted(units, f) if isinstance(pb, Bend) else (f * pb[0], f * pb[1])
+                da = mid_sys.divergency_at(pa.shifted(units, f))
+                db = None if da is None else mid_sys.divergency_at(qb)
                 if db is not None and da * db < 0:
                     kinds.add(STOP_OPPOSITE_MERGE)
                     # Validity-bound flavours: a negative stub running off

@@ -73,25 +73,30 @@ def honeycomb_to_grid(h: Honeycomb) -> tuple[ConvexGrid, Cocirculation]:
                 queue.append(u)
     assert len(offsets) == len(h.vertices), "honeycomb not edge-connected"
 
-    tris: dict[Triangle, Pt] = {}
+    # Anchor the least grid point at the origin.  A translation keeps the
+    # lexicographic order, so that point is the least over the vertices of
+    # the least point of each local grid, moved by its offset.
+    least = {w6: min(p for t in fill[0] for p in gr.triangle_vertices(t)) for w6, fill in fills.items()}
+    a0, b0 = min((oa + least[w6s[v]][0], ob + least[w6s[v]][1]) for v, (oa, ob) in offsets.items())
+    tris: set[Triangle] = set()
     values: Cocirculation = {}
     for v in h.vertices:
-        oa, ob = offsets[v]
+        oa, ob = offsets[v][0] - a0, offsets[v][1] - b0
         d1, d2 = h.point(v)
         vals = (d1, d2, -d1 - d2)
         for up, a, b in local[v][0]:
             t = (up, a + oa, b + ob)
             assert t not in tris, "overlapping local grids"
-            tris[t] = v
+            tris.add(t)
             for e, val in zip(gr.triangle_edges(t), vals):
                 assert values.get(e, val) == val, "gluing value mismatch"
                 values[e] = val
-    g = ConvexGrid.of(tris)
-    da, db = g.anchor_offset()
-    g = g.translate(da, db)
-    values = {(a + da, b + db, d): x for (a, b, d), x in values.items()}
+    g = ConvexGrid(frozenset(tris))
     gr.validate_grid(g)
-    assert gr.is_concave(g, values)
+    # An explicit raise, not an assert: rounding relies on this check of
+    # its output, also under -O.
+    if not gr.is_concave(g, values):
+        raise AssertionError("glued values are not a concave cocirculation")
     return g, values
 
 

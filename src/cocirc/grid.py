@@ -191,8 +191,8 @@ class ConvexGrid:
         run: list[Edge] = []
         for i in range(n):
             step = steps[i]
-            if step not in STEP_SIDE:
-                raise NotConvex(f"boundary step {step} is not a lattice direction")
+            # Each step joins the two ends of a boundary edge, so it is a
+            # unit lattice step and in STEP_SIDE.
             cls, sign = STEP_SIDE[step]
             # A '-' step walks its edge backwards, from head to tail.
             tail = walk[i] if sign == "+" else walk[(i + 1) % n]
@@ -341,8 +341,9 @@ def tiling_of(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> Tiling:
 def integer_edge_sets(
     g: ConvexGrid, h: Mapping[Edge, Fraction]
 ) -> tuple[frozenset[Edge], frozenset[Edge]]:
-    """Boundary edges with integer value; edges of all-integer faces."""
-    check_cocirculation(g, h)
+    """Boundary edges with integer value; edges of all-integer faces.
+
+    ``h`` is a cocirculation on ``g``: the caller has checked it."""
     o = frozenset(e for e in g.boundary_edges if h[e].denominator == 1)
     i = frozenset(
         e

@@ -83,8 +83,11 @@ def integralize(
 ) -> tuple[Cocirculation, list[TraceStep]]:
     """Integer concave cocirculation agreeing with ``h`` on integer
     boundary edges and on edges of all-integer faces."""
+    # Each cocirculation is checked once: the input by tiling_of, inside
+    # grid_to_honeycomb (NotACocirculation, then NotConcave), and the
+    # output by honeycomb_to_grid.
+    hc = grid_to_honeycomb(g, h)
     o_set, i_set = gr.integer_edge_sets(g, h)
-    hc = grid_to_honeycomb(g, h)  # raises NotConcave
     sets = nonintegral_sets(hc)
     pot = potential(hc, sets)
     budget = _step_budget(pot, len(g.edges))
@@ -109,8 +112,6 @@ def integralize(
         raise AssertionError("grid changed during rounding")
     out = {(a, b, d): vals[(a + da, b + db, d)] for (a, b, d) in g.edges}
     if any(v.denominator != 1 for v in out.values()):
-        raise AssertionError()
-    if not gr.is_concave(g, out):
         raise AssertionError()
     for e in o_set | i_set:
         if out[e] != h[e]:

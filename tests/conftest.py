@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings, strategies as st
 
+from cocirc.constructions import random_honeycomb
 from cocirc.deform import (
     STOP_BOUNDARY_INTEGRAL,
     STOP_INTEGRAL_VERTEX,
@@ -18,6 +20,7 @@ from cocirc.deform import (
     _moved_line_span,
     build_deformed_system,
 )
+from cocirc.duality import honeycomb_to_grid
 from cocirc.grid import (
     ConvexGrid,
     cocirculation_from_quadratic,
@@ -39,6 +42,10 @@ from cocirc.honeycomb import (
     vertices_by_line,
 )
 from cocirc.paths import TURN_LEFT
+
+# A fixed example order and no deadline, so a failure in CI repeats
+# anywhere: select with --hypothesis-profile=ci.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def hexagon_grid(a: int, b: int, c: int) -> ConvexGrid:
@@ -340,3 +347,20 @@ def reference_stop_epsilon(h, pl):
 @pytest.fixture(scope="session")
 def small_corpus():
     return corpus(24, seed0=100)
+
+
+def fuzz_corpus(count: int = 40):
+    """The duals of ``random_honeycomb(seed)`` for the first ``count`` seeds."""
+    return [honeycomb_to_grid(random_honeycomb(seed)) for seed in range(count)]
+
+
+@st.composite
+def claw_parts(draw):
+    """The ``(center, weight, sign)`` lists ``random_claw_parts`` draws:
+    two to four, centres in [-4, 4] of denominator 1 to 3, weights 1 to 2."""
+    parts = []
+    for _ in range(draw(st.integers(2, 4))):
+        d = draw(st.integers(1, 3))
+        center = (Fraction(draw(st.integers(-4 * d, 4 * d)), d), Fraction(draw(st.integers(-4 * d, 4 * d)), d))
+        parts.append((center, draw(st.integers(1, 2)), draw(st.sampled_from("+-"))))
+    return parts

@@ -8,12 +8,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import hexagon_grid, mixed_concave
+from conftest import claw_parts, hexagon_grid, mixed_concave
 from cocirc.constructions import (
+    claw_sum,
     counterexample_instance,
     fractional_vertex_instance,
     hexagon_instance,
+    random_honeycomb,
     sample_honeycomb,
 )
 from cocirc.deform import build_deformed_system, decompose, orient_cycle_rightward, stop_epsilon
@@ -214,3 +217,32 @@ def test_criterion_8_deformed_systems_stay_valid():
             hc = canonicalize(build_deformed_system(hc, pl, ev.eps).as_system())
     print(f"\nPASS criterion 8: {checked} intermediate deformed systems "
           "verified as pre-honeycombs at random exact parameters")
+
+
+def _round_beyond_quadratics(hc) -> int:
+    """Dualize ``hc``, round it, audit the run and round-trip both ends;
+    the number of rounding steps."""
+    g, h = honeycomb_to_grid(hc)
+    assert grid_to_honeycomb(g, h) == hc
+    out, trace = integralize(g, h)
+    assert all(v.denominator == 1 for v in out.values()) and is_concave(g, out)
+    o_set, i_set = integer_edge_sets(g, h)
+    assert all(out[e] == h[e] for e in o_set | i_set)
+    assert iteration_bound_check(g, trace, potential(hc))
+    assert honeycomb_to_grid(grid_to_honeycomb(g, out)) == (g, out)
+    return len(trace)
+
+
+def test_criterion_9_random_honeycombs_round():
+    # Sums of claws and anticlaws put vertices anywhere and rays of
+    # either sign, which no quadratic cocirculation reaches.
+    steps = sum(_round_beyond_quadratics(random_honeycomb(seed)) for seed in range(120))
+    assert steps > 0
+    print(f"\nPASS criterion 9: 120 random claw sums dualized, rounded in {steps} "
+          "audited steps and round-tripped")
+
+
+@given(claw_parts())
+@settings(max_examples=40, deadline=None)
+def test_claw_sums_round(parts):
+    _round_beyond_quadratics(claw_sum(parts))

@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import at_scale, frac_span, oracle_meet_time, reference_candidates, reference_stop_epsilon
+from conftest import (
+    at_scale,
+    frac_span,
+    fuzz_corpus,
+    oracle_meet_time,
+    reference_candidates,
+    reference_stop_epsilon,
+)
 from test_paths import benzene_cycle, nonintegral_line_honeycomb
-from cocirc.constructions import counterexample_instance, hexagon_instance
+from cocirc.constructions import counterexample_instance, fractional_vertex_instance, hexagon_instance
 from cocirc.deform import (
     STOP_BOUNDARY_INTEGRAL,
     STOP_INTEGRAL_VERTEX,
@@ -30,6 +37,7 @@ from cocirc.errors import EpsilonOutOfRange
 from cocirc.honeycomb import (
     HLine,
     canonicalize,
+    canonicalize_patch,
     claw,
     dval,
     is_prehoneycomb,
@@ -377,3 +385,34 @@ def test_capped_sweep_matches_uncapped_reference(small_corpus):
             hc = canonicalize(ds.as_system())
             assert canonicalize(ds.lines, ds.scale) == hc  # the loop's int path
     assert STOP_INTEGRAL_VERTEX in kinds and meets > 0
+
+
+def test_patch_canonicalize_matches_full_at_every_step(small_corpus):
+    # Each deformation of the rounding loop, canonicalized from the
+    # honeycomb and its delta, equals the full canonicalize of the whole
+    # deformed system, index maps included; the stop itself, which reads
+    # the mid-interval weights locally, equals the reference's.
+    instances = list(small_corpus) + [hexagon_instance(k) for k in (1, 2, 3)]
+    instances.append(counterexample_instance())
+    instances += [fractional_vertex_instance(k)[:2] for k in range(1, 6)]
+    instances += fuzz_corpus()
+    steps = rescaled = 0
+    for g, h in instances:
+        hc = grid_to_honeycomb(g, h)
+        while not potential(hc).settled:
+            path = find_legal_path(hc)
+            if path.is_cycle:
+                path = orient_cycle_rightward(hc, path)
+            pl = decompose(hc, path)
+            ev = stop_epsilon(hc, pl)
+            assert ev == reference_stop_epsilon(hc, pl)
+            ds = build_deformed_system(hc, pl, ev.eps)
+            full = canonicalize(ds.lines, ds.scale)
+            local = canonicalize_patch(ds)
+            assert (local.vertices, local.edges, local.scale) == (full.vertices, full.edges, full.scale)
+            assert local.incidence == full.incidence
+            assert local.on_line == full.on_line  # lists compare in order
+            rescaled += local.scale != hc.scale
+            steps += 1
+            hc = local
+    assert steps > 200 and rescaled > 0
