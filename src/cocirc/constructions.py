@@ -235,29 +235,21 @@ def counterexample_instance() -> tuple[ConvexGrid, Cocirculation]:
 def claw_sum(parts) -> Honeycomb:
     """The sum of the claws ``claw(center, weight, sign)`` for the given
     ``(center, weight, sign)``; a ``-`` claw is an anticlaw."""
-    hc = None
-    for center, weight, sign in parts:
-        c = claw(center, weight, sign)
-        hc = c if hc is None else honeycomb_sum(hc, c)
-    return hc
+    return canonicalize([line for part in parts for line in claw(*part).as_system()])
 
 
-def random_claw_parts(rng: random.Random) -> list:
-    """Two to four ``(center, weight, sign)``: centres with coordinates in
-    [-4, 4] of denominator 1 to 3, weights 1 to 2, either sign."""
+def random_honeycomb(seed: int) -> Honeycomb:
+    """The sum of two to four claws and anticlaws, with centres whose
+    coordinates in [-4, 4] have denominator 1 to 3 and weights 1 to 2;
+    deterministic in ``seed``.  Unlike the duals of quadratics, its
+    vertices sit anywhere and its rays have either sign."""
+    rng = random.Random(seed)
     parts = []
     for _ in range(rng.randint(2, 4)):
         d = rng.randint(1, 3)
         center = (Fraction(rng.randint(-4 * d, 4 * d), d), Fraction(rng.randint(-4 * d, 4 * d), d))
         parts.append((center, rng.randint(1, 2), rng.choice("+-")))
-    return parts
-
-
-def random_honeycomb(seed: int) -> Honeycomb:
-    """A sum of claws and anticlaws drawn by ``random_claw_parts``;
-    deterministic in ``seed``.  Unlike the duals of quadratics, its
-    vertices sit anywhere and its boundary rays have any sign."""
-    return claw_sum(random_claw_parts(random.Random(seed)))
+    return claw_sum(parts)
 
 
 def sample_honeycomb() -> Honeycomb:

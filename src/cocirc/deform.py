@@ -26,18 +26,8 @@ from math import gcd
 from typing import Optional
 
 from .errors import EpsilonOutOfRange
-from .honeycomb import (
-    HEdge,
-    HLine,
-    Honeycomb,
-    Patch,
-    Pt,
-    canonicalize,
-    canonicalize_patch,
-    dval,
-    is_integral_point,
-    t_of,
-)
+from .honeycomb import HEdge, HLine, Honeycomb, Pt, canonicalize, dval, is_integral_point, t_of
+from .patch import Patch, canonicalize_patch
 from .paths import LegalPath, TURN_LEFT, TURN_RIGHT, edge_travels, travel_angle, turn_of
 
 STOP_BOUNDARY_INTEGRAL = "boundary_integral"

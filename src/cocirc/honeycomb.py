@@ -20,7 +20,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd, lcm
 from typing import Optional
 
@@ -180,13 +179,6 @@ class _Coverage:
             running += deltas[t]
             self.vals.append(running)
 
-    @classmethod
-    def of_steps(cls, base: int, ts: list, vals: list) -> "_Coverage":
-        """The coverage ``base`` before ``ts[0]`` and ``vals[i]`` after ``ts[i]``."""
-        cov = cls.__new__(cls)
-        cov.base, cov.ts, cov.vals = base, ts, vals
-        return cov
-
     def plus(self, t: Fraction) -> int:
         """Coverage just right of t."""
         i = bisect_right(self.ts, t) - 1
@@ -249,9 +241,9 @@ def _sorted_keys(keys) -> dict[int, list]:
     return {cls: sorted(cs) for cls, cs in out.items()}
 
 
-def _crossings(key, spans, cls2: int, keys, covs) -> list[Pt]:
+def _crossings(key, spans, classes, keys, covs) -> list[Pt]:
     """The points in ``spans`` of the support ``key`` where a covered
-    class-``cls2`` support crosses it.
+    support of one of the ``classes`` crosses it.
 
     On ``key = (cls1, c1)`` the crossing with ``d_cls2 = c2`` sits at
     ``t = c2`` when ``cls2 = nxt(cls1)`` and at ``t = -c1 - c2`` when
@@ -259,19 +251,20 @@ def _crossings(key, spans, cls2: int, keys, covs) -> list[Pt]:
     range of the sorted ``keys[cls2]``.
     """
     cls1, c1 = key
-    cs = keys[cls2]
-    rising = cls2 == nxt(cls1)
     out = []
-    for lo, hi in spans:
-        if not rising:
-            lo, hi = (None if hi is None else -c1 - hi), (None if lo is None else -c1 - lo)
-        i = 0 if lo is None else bisect_left(cs, lo)
-        j = len(cs) if hi is None else bisect_right(cs, hi)
-        for c2 in cs[i:j]:
-            cov2 = covs.get((cls2, c2))
-            # the crossing's t on the class-cls2 support
-            if cov2 is not None and cov2.covers(-c1 - c2 if rising else c1):
-                out.append(point_from_two(cls1, c1, cls2, c2))
+    for cls2 in classes:
+        cs = keys[cls2]
+        rising = cls2 == nxt(cls1)
+        for lo, hi in spans:
+            if not rising:
+                lo, hi = (None if hi is None else -c1 - hi), (None if lo is None else -c1 - lo)
+            i = 0 if lo is None else bisect_left(cs, lo)
+            j = len(cs) if hi is None else bisect_right(cs, hi)
+            for c2 in cs[i:j]:
+                cov2 = covs.get((cls2, c2))
+                # the crossing's t on the class-cls2 support
+                if cov2 is not None and cov2.covers(-c1 - c2 if rising else c1):
+                    out.append(point_from_two(cls1, c1, cls2, c2))
     return out
 
 
@@ -283,7 +276,7 @@ def _candidate_points(system: XiSystem, covs) -> set[Pt]:
             pts.update(line.ends())
     keys = _sorted_keys(covs)
     for key, cov in covs.items():
-        pts.update(_crossings(key, cov.spans(), nxt(key[0]), keys, covs))
+        pts.update(_crossings(key, cov.spans(), (nxt(key[0]),), keys, covs))
     return pts
 
 
@@ -492,258 +485,6 @@ def canonicalize(system: XiSystem, scale: Optional[int] = None) -> Honeycomb:
         assert len(hc.incidence[v]) >= 3
         divergency(hc, v)
     return hc
-
-
-def _times(x: Optional[int], f: int, g: int = 1) -> Optional[int]:
-    return None if x is None else x * f // g
-
-
-@dataclass(frozen=True)
-class Patch:
-    """A honeycomb changed in a few places, as a system in ints.
-
-    The system is the edges of ``base`` with every coordinate multiplied
-    by ``f``, each with the weight in ``removed`` taken off, plus the
-    ``added`` lines; its unit is ``1/scale`` with ``scale = base.scale *
-    f``.  A support is dirty when a removed edge or an added line lies on
-    it; every other support has the coverage it has in ``base``.
-    """
-
-    base: Honeycomb
-    f: int
-    removed: dict[HEdge, int]
-    added: tuple[tuple[HLine, int], ...]
-
-    @property
-    def scale(self) -> int:
-        return self.base.scale * self.f
-
-    @cached_property
-    def lines(self) -> tuple[tuple[HLine, int], ...]:
-        """The whole system: the base edges left, then the added lines."""
-        out = []
-        for e in self.base.edges:
-            w = e.weight - self.removed.get(e, 0)
-            if w > 0:
-                out.append((e if self.f == 1 else e.scaled(self.f), w))
-        return (*out, *self.added)
-
-    def as_system(self) -> XiSystem:
-        """The lines as a system in Fractions."""
-        unit = Fraction(1, self.scale)
-        return [(line.scaled(unit), w) for line, w in self.lines]
-
-    @cached_property
-    def covs(self) -> _PatchCoverages:
-        return _PatchCoverages(self)
-
-    def divergency_at(self, p: Pt) -> Optional[int]:
-        """The divergency of the canonical form at ``p``, or None where it
-        has no vertex; read from the six weights at ``p`` alone."""
-        w6 = six_weights(self.covs, p)
-        try:
-            vertex = _is_vertex(w6, p, self.scale)
-        except NotPreHoneycomb:
-            canonicalize(self.lines, self.scale)  # raises, naming the least violation
-            raise
-        return w6[(1, "+")] - w6[(1, "-")] if vertex else None
-
-
-class _PatchCoverages(dict):
-    """The coverage of each support of a patch, built on first use; ``None``
-    for a line without any."""
-
-    # ``six_weights`` and ``_crossings`` read coverages through ``get``;
-    # here a lookup that misses builds the coverage (``__missing__``).
-    get = dict.__getitem__
-
-    def __init__(self, p: Patch):
-        super().__init__()
-        self.p = p
-        f = p.f
-        # support -> the (lo, hi, w) of its lines: the base edges, scaled,
-        # then the removed weight (negative) and the added lines
-        self.lines: dict[tuple[int, int], list] = {}
-        for e in p.base.edges:
-            self.lines.setdefault((e.cls, e.c * f), []).append(
-                (e.lo, e.hi, e.weight) if f == 1 else (_times(e.lo, f), _times(e.hi, f), e.weight)
-            )
-        self.added: dict[tuple[int, int], list] = {}  # the added lines alone
-        self.dirty: set[tuple[int, int]] = set()
-        for e, n in p.removed.items():
-            key = (e.cls, e.c * f)
-            self.dirty.add(key)
-            self.lines[key].append((_times(e.lo, f), _times(e.hi, f), -n))
-        for line, w in p.added:
-            if _live(line.lo, line.hi, w):
-                key = (line.cls, line.c)
-                self.dirty.add(key)
-                self.added.setdefault(key, []).append((line.lo, line.hi, w))
-                self.lines.setdefault(key, []).append((line.lo, line.hi, w))
-
-    def base_on(self, key: tuple[int, int]) -> list[Pt]:
-        """The base vertices on the line ``key``, in base coordinates."""
-        cls, c = key
-        f = self.p.f
-        return self.p.base.on_line.get((cls, c // f), []) if c % f == 0 else []
-
-    def __missing__(self, key: tuple[int, int]) -> Optional[_Coverage]:
-        iv = self.lines.get(key)
-        cov = self[key] = None if iv is None else _Coverage(iv)
-        return cov
-
-
-def _inside(t, lines) -> bool:
-    """Whether ``t`` lies in the closed span of one of the ``(lo, hi, w)``."""
-    return any((lo is None or lo <= t) and (hi is None or t <= hi) for lo, hi, _ in lines)
-
-
-def _clip(spans: list, windows: list) -> list:
-    """The nonempty intersections of the closed ``spans`` with the closed
-    spans of the ``windows``, ``(lo, hi, w)``; None is an infinite end."""
-    out = []
-    for lo, hi in spans:
-        for wlo, whi, _ in windows:
-            a = wlo if lo is None else lo if wlo is None else max(lo, wlo)
-            b = whi if hi is None else hi if whi is None else min(hi, whi)
-            if a is None or b is None or a <= b:
-                out.append((a, b))
-    return out
-
-
-def canonicalize_patch(p: Patch) -> Honeycomb:
-    """``canonicalize(p.lines, p.scale)``, recomputed only where the patch
-    changes coverage.
-
-    A point keeps its six weights unless a removed edge or an added line
-    covers it, so its vertex status changes only there.  The candidates
-    are the base vertices there (the ends of the removed edges and those
-    on added lines), the ends of the added lines, and the crossings of the
-    added lines with covered supports of both other classes.  Inside a
-    removed edge no base support crosses: a covered crossing of the base
-    is a base vertex.  Only the touched supports, dirty (carrying a
-    removed edge or an added line) or through a vertex that appeared or
-    vanished, are cut again; the others keep their edges, and the other
-    vertices their incidence.  On any violation the full ``canonicalize``
-    runs, so its messages are the ones raised.
-    """
-    try:
-        return _canonicalize_patch(p)
-    except NotPreHoneycomb:
-        return canonicalize(p.lines, p.scale)
-
-
-def _canonicalize_patch(p: Patch) -> Honeycomb:
-    h, f, scale, covs = p.base, p.f, p.scale, p.covs
-    gone = {v for e in p.removed for v in e.ends()}  # base coordinates
-    for key, lines in covs.added.items():
-        for v in covs.base_on(key):
-            if _inside(f * t_of(key[0], v), lines):
-                gone.add(v)
-    gone_up = gone if f == 1 else {(v[0] * f, v[1] * f) for v in gone}
-    pts = {q for line, _ in p.added for q in line.ends()} | gone_up
-    live = [(key, cov) for key in covs.dirty if (cov := covs.get(key)) is not None]
-    _check_full_lines(live, scale)
-    keys = _sorted_keys(covs.lines)
-    for key, lines in covs.added.items():
-        cov = covs.get(key)
-        if cov is not None:
-            spans = _clip(cov.spans(), lines)
-            for cls2 in (nxt(key[0]), prv(key[0])):
-                pts.update(_crossings(key, spans, cls2, keys, covs))
-    fresh = [q for q in pts if _is_vertex(six_weights(covs, q), q, scale)]
-    if not fresh and len(gone) == len(h.vertices):
-        raise NotPreHoneycomb("covered set has no vertex")
-    g = gcd(scale, *chain.from_iterable(fresh))
-    if g > 1:
-        g = gcd(g, f * gcd(h.scale, *chain.from_iterable(v for v in h.vertices if v not in gone)))
-    same = f == g  # the base's coordinates carry over unchanged
-
-    def down(q: Pt) -> Pt:
-        return q if g == 1 else (q[0] // g, q[1] // g)
-
-    touched = set(covs.dirty)
-    for q in gone_up.symmetric_difference(fresh):
-        touched.update((cls, dval(q, cls)) for cls in (1, 2, 3))
-    fresh_on = vertices_by_line(fresh)
-    along = {}  # touched line -> its vertices, in point order, at ``scale``
-    for key in touched:
-        vs = [v for v in covs.base_on(key) if v not in gone]
-        if f > 1:
-            vs = [(v[0] * f, v[1] * f) for v in vs]
-        vs += fresh_on.get(key, ())
-        if vs:
-            vs.sort()
-            along[key] = vs if g == 1 else [(q[0] // g, q[1] // g) for q in vs]
-    cut_slots: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for vs in along.values() for v in vs}
-    cut_edges: dict[tuple[int, int], list[HEdge]] = {}
-    for key in touched:
-        cov = covs.get(key)
-        if cov is not None:
-            cls, vs = key[0], along.get(key, [])
-            at = [(g * t_of(cls, v), v) for v in (vs[::-1] if cls == 2 else vs)]
-            _cut(cls, key[1], cov, at, g, scale, cut_slots, cut_edges.setdefault(key, []))
-
-    # The base edges between touched supports, in order, and the cut ones.
-    moved: dict[HEdge, HEdge] = {}  # base edge -> its edge in the result
-
-    def carry(run: tuple[HEdge, ...]):
-        if same:
-            return run
-        out = [HEdge(e.cls, e.c * f // g, _times(e.lo, f, g), _times(e.hi, f, g), e.weight) for e in run]
-        moved.update(zip(run, out))
-        return out
-
-    ekeys = [(e.cls, e.c * f) for e in h.edges]
-    edges: list[HEdge] = []
-    i = 0
-    for key in sorted(touched):
-        j = bisect_left(ekeys, key, i)
-        edges += carry(h.edges[i:j])
-        edges += cut_edges.get(key, ())
-        i = bisect_right(ekeys, key, j)
-    edges += carry(h.edges[i:])
-
-    incidence = h.incidence
-    if same:
-        slots = dict(incidence)
-        for v in gone:
-            del slots[v]
-    else:
-        slots = {}
-        for v, vs in incidence.items():
-            w = (v[0] * f // g, v[1] * f // g)
-            if v not in gone and w not in cut_slots:
-                slots[w] = {slot: moved[e] for slot, e in vs.items()}
-    touched_lines = touched if g == 1 else {(cls, c // g) for cls, c in touched if c % g == 0}
-    for v, cut in cut_slots.items():
-        if same:
-            old = incidence.get(v, {})
-        else:
-            q = (v[0] * g, v[1] * g)
-            old = incidence.get((q[0] // f, q[1] // f), {}) if q[0] % f == 0 and q[1] % f == 0 else {}
-        mine = {}
-        for cls in (1, 2, 3):
-            src = cut if (cls, dval(v, cls)) in touched_lines else old
-            for s in ("-", "+"):
-                e = src.get((cls, s))
-                if e is not None:
-                    mine[(cls, s)] = e if same or src is cut else moved[e]
-        slots[v] = mine
-    assert all(len(slots[v]) >= 3 for v in cut_slots)
-    vertices = tuple(sorted(slots))
-    if same:
-        on_line = dict(h.on_line)
-        for key in touched:
-            if key[1] % g == 0:
-                line = key if g == 1 else (key[0], key[1] // g)
-                if key in along:
-                    on_line[line] = along[key]
-                else:
-                    on_line.pop(line, None)
-    else:
-        on_line = vertices_by_line(vertices)
-    return Honeycomb(vertices, tuple(edges), scale // g, slots, on_line)
 
 
 def boundary_partition(h: Honeycomb) -> tuple[dict[tuple[int, str], tuple[HEdge, ...]], int]:

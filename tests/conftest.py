@@ -356,8 +356,8 @@ def fuzz_corpus(count: int = 40):
 
 @st.composite
 def claw_parts(draw):
-    """The ``(center, weight, sign)`` lists ``random_claw_parts`` draws:
-    two to four, centres in [-4, 4] of denominator 1 to 3, weights 1 to 2."""
+    """``claw_sum`` parts over the space of ``random_honeycomb``: two to
+    four, centres in [-4, 4] of denominator 1 to 3, weights 1 to 2."""
     parts = []
     for _ in range(draw(st.integers(2, 4))):
         d = draw(st.integers(1, 3))

@@ -37,7 +37,6 @@ from cocirc.errors import EpsilonOutOfRange
 from cocirc.honeycomb import (
     HLine,
     canonicalize,
-    canonicalize_patch,
     claw,
     dval,
     is_prehoneycomb,
@@ -45,6 +44,7 @@ from cocirc.honeycomb import (
     t_of,
 )
 from cocirc.integralize import potential
+from cocirc.patch import canonicalize_patch
 from cocirc.paths import LegalPath, check_legal_path, find_legal_path
 
 F = Fraction
