@@ -321,7 +321,8 @@ def _check_full_lines(covs, scale: int) -> None:
 
 
 def _is_vertex(w6: dict[tuple[int, str], int], p: Pt, scale: int) -> bool:
-    """Whether ``p``, with ray weights ``w6``, has at least three nonzero.
+    """Whether ``p``, with ray weights ``w6``, is a vertex: three of them
+    or more are nonzero.
 
     Raises NotPreHoneycomb on a negative ray weight or unequal tension.
     Messages divide coordinates by ``scale``, so they name points of the

@@ -14,8 +14,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd
+from operator import attrgetter
 from typing import Optional
 
 from .errors import NotPreHoneycomb
@@ -113,10 +114,10 @@ class _Coverages(dict):
         # support -> (lo, hi, w) of its lines: the base edges, then the
         # removed weight (negative) and the added lines
         self.lines: dict[Key, list] = {}
-        for e in base.edges:
-            self.lines.setdefault((e.cls, e.c * f), []).append(
-                (e.lo, e.hi, e.weight) if f == 1 else (_times(e.lo, f), _times(e.hi, f), e.weight)
-            )
+        for (cls, c), run in groupby(base.edges, attrgetter("cls", "c")):  # edges come sorted
+            self.lines[(cls, c * f)] = [
+                (e.lo, e.hi, e.weight) if f == 1 else (_times(e.lo, f), _times(e.hi, f), e.weight) for e in run
+            ]
         self.added: dict[Key, list] = {}  # support -> (lo, hi, w) of its added lines
         self.dirty: set[Key] = set()
         for e, n in p.removed.items():
@@ -233,24 +234,22 @@ def _canonicalize_patch(p: Patch) -> Honeycomb:
             _cut(cls, key[1], cov, at, g, scale, cut_slots, cut_edges.setdefault(key, []))
 
     # The base edges of the other supports, in order, between the cut ones.
-    moved: dict[HEdge, HEdge] = {}  # base edge -> its edge in the result
-
-    def carry(run: tuple[HEdge, ...]):
-        if same:
-            return run
-        out = [HEdge(e.cls, e.c * f // g, _times(e.lo, f, g), _times(e.hi, f, g), e.weight) for e in run]
-        moved.update(zip(run, out))
-        return out
-
+    # A scale change rescales them all; those of touched supports, which
+    # may not divide, are dropped with the rest of their support.
+    if same:
+        carried = h.edges
+    else:
+        carried = [HEdge(e.cls, e.c * f // g, _times(e.lo, f, g), _times(e.hi, f, g), e.weight) for e in h.edges]
+        moved = dict(zip(h.edges, carried))  # base edge -> its edge in the result
     ekeys = [(e.cls, e.c * f) for e in h.edges]
     edges: list[HEdge] = []
     i = 0
     for key in sorted(touched):
         j = bisect_left(ekeys, key, i)
-        edges += carry(h.edges[i:j])
+        edges += carried[i:j]
         edges += cut_edges.get(key, ())
         i = bisect_right(ekeys, key, j)
-    edges += carry(h.edges[i:])
+    edges += carried[i:]
 
     # Incidence: the vertices off touched lines keep theirs; the others
     # take their slots on touched lines from the cut.
@@ -269,13 +268,8 @@ def _canonicalize_patch(p: Patch) -> Honeycomb:
     for v, cut in cut_slots.items():
         q = (v[0] * g, v[1] * g)
         old = incidence.get((q[0] // f, q[1] // f), {}) if q[0] % f == 0 and q[1] % f == 0 else {}
-        mine = {}
-        for cls in (1, 2, 3):
-            src = cut if (cls, dval(v, cls)) in touched_lines else old
-            for s in ("-", "+"):
-                e = src.get((cls, s))
-                if e is not None:
-                    mine[(cls, s)] = e if same or src is cut else moved[e]
+        mine = {s: e if same else moved[e] for s, e in old.items() if (s[0], dval(v, s[0])) not in touched_lines}
+        mine.update(cut)
         slots[v] = mine
     assert all(len(slots[v]) >= 3 for v in cut_slots)
     vertices = tuple(sorted(slots))
