@@ -236,11 +236,11 @@ def _canonicalize_patch(p: Patch) -> Honeycomb:
     # The base edges of the other supports, in order, between the cut ones.
     # A scale change rescales them all; those of touched supports, which
     # may not divide, are dropped with the rest of their support.
-    if same:
-        carried = h.edges
-    else:
+    carried = h.edges
+    moved: dict[HEdge, HEdge] = {}  # base edge -> its edge in the result, on a scale change
+    if not same:
         carried = [HEdge(e.cls, e.c * f // g, _times(e.lo, f, g), _times(e.hi, f, g), e.weight) for e in h.edges]
-        moved = dict(zip(h.edges, carried))  # base edge -> its edge in the result
+        moved = dict(zip(h.edges, carried))
     ekeys = [(e.cls, e.c * f) for e in h.edges]
     edges: list[HEdge] = []
     i = 0
