@@ -23,12 +23,7 @@ from .honeycomb import (
 
 # Anticlockwise hexagon walk: ray slot -> lattice step of that boundary run.
 HEX_ORDER: list[tuple[tuple[int, str], Point]] = [
-    ((1, "+"), (1, 0)),
-    ((3, "-"), (1, 1)),
-    ((2, "+"), (0, 1)),
-    ((1, "-"), (-1, 0)),
-    ((3, "+"), (-1, -1)),
-    ((2, "-"), (0, -1)),
+    (gr.STEP_SIDE[step], step) for step in ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 ]
 
 

@@ -45,8 +45,8 @@ from .honeycomb import (
 Key = tuple[int, int]  # a line (cls, d_cls)
 
 
-def _times(x: Optional[int], f: int, g: int = 1) -> Optional[int]:
-    return None if x is None else x * f // g
+def _times(x: Optional[int], f: int) -> Optional[int]:
+    return None if x is None else x * f
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,9 @@ class _Coverages(dict):
 
     def __init__(self, p: Patch):
         super().__init__()
-        # The patch's parts, not the patch: a reference back to it would
-        # make a cycle that keeps each step's honeycomb alive until the
-        # cyclic collector runs.
-        self.base, self.f = base, f = p.base, p.f
+        # No reference back to the patch: it would make a cycle that keeps
+        # each step's honeycomb alive until the cyclic collector runs.
+        base, f = p.base, p.f
         # support -> (lo, hi, w) of its lines: the base edges, then the
         # removed weight (negative) and the added lines
         self.lines: dict[Key, list] = {}
@@ -130,11 +129,6 @@ class _Coverages(dict):
                 self.dirty.add(key)
                 self.added.setdefault(key, []).append((line.lo, line.hi, w))
                 self.lines.setdefault(key, []).append((line.lo, line.hi, w))
-
-    def base_on(self, key: Key) -> list[Pt]:
-        """The base vertices on the line ``key``, in base coordinates."""
-        cls, c = key
-        return self.base.on_line.get((cls, c // self.f), []) if c % self.f == 0 else []
 
     def __missing__(self, key: Key) -> Optional[_Coverage]:
         iv = self.lines.get(key)
@@ -171,27 +165,31 @@ def canonicalize_patch(p: Patch) -> Honeycomb:
     added lines with covered supports of both other classes.  No base
     support crosses the inside of a removed edge: a covered crossing of
     the base is a base vertex.  Only the touched supports, dirty or
-    through a vertex that appeared or vanished, are cut again.  On any
-    violation the full ``canonicalize`` runs, so its message is raised.
+    through a vertex that appeared or vanished, are cut again.  A step
+    that changes the scale, finer (``p.f > 1``) or coarser, is
+    canonicalized in full, and so is any violation, so the full path
+    raises its message.
     """
     try:
-        return _canonicalize_patch(p)
+        h = _canonicalize_patch(p) if p.f == 1 else None
     except NotPreHoneycomb:
-        return canonicalize(p.lines, p.scale)
+        h = None
+    return canonicalize(p.lines, p.scale) if h is None else h
 
 
-def _canonicalize_patch(p: Patch) -> Honeycomb:
-    h, f, scale, covs = p.base, p.f, p.scale, p.covs
+def _canonicalize_patch(p: Patch) -> Optional[Honeycomb]:
+    """The canonical form of ``p`` at the base's scale, or None where the
+    least scale is coarser.  ``p.f`` is 1."""
+    h, scale, covs = p.base, p.scale, p.covs
 
-    # Vertex status: the base vertices where it may change (``gone``, in
-    # base coordinates) and the vertices there now (``fresh``, at ``scale``).
+    # Vertex status: the base vertices where it may change (``gone``) and
+    # the vertices there now (``fresh``).
     gone = {v for e in p.removed for v in e.ends()}
     for key, lines in covs.added.items():
-        for v in covs.base_on(key):
-            if _inside(f * t_of(key[0], v), lines):
+        for v in h.on_line.get(key, ()):
+            if _inside(t_of(key[0], v), lines):
                 gone.add(v)
-    gone_up = gone if f == 1 else {(v[0] * f, v[1] * f) for v in gone}
-    pts = {q for line, _ in p.added for q in line.ends()} | gone_up
+    pts = {q for line, _ in p.added for q in line.ends()} | gone
     _check_full_lines([(key, cov) for key in covs.dirty if (cov := covs.get(key))], scale)
     keys = _sorted_keys(covs.lines)
     for key, lines in covs.added.items():
@@ -201,88 +199,59 @@ def _canonicalize_patch(p: Patch) -> Honeycomb:
     fresh = [q for q in pts if _is_vertex(six_weights(covs, q), q, scale)]
     if not fresh and len(gone) == len(h.vertices):
         raise NotPreHoneycomb("covered set has no vertex")
-
-    # The least scale: coordinates divide by g.  ``same`` when the base's
-    # coordinates carry over unchanged.
+    # A coarser least scale is left to the full canonicalize.
     g = gcd(scale, *chain.from_iterable(fresh))
-    if g > 1:
-        g = gcd(g, f * gcd(h.scale, *chain.from_iterable(v for v in h.vertices if v not in gone)))
-    same = f == g
+    if g > 1 and gcd(g, *chain.from_iterable(v for v in h.vertices if v not in gone)) > 1:
+        return None
 
     # Cut again the dirty supports and the lines through a vertex that
     # appeared or vanished.
     touched = set(covs.dirty)
-    for q in gone_up.symmetric_difference(fresh):
+    for q in gone.symmetric_difference(fresh):
         touched.update((cls, dval(q, cls)) for cls in (1, 2, 3))
     fresh_on = vertices_by_line(fresh)
     along: dict[Key, list[Pt]] = {}  # touched line -> its vertices, final, in point order
     for key in touched:
-        vs = [v for v in covs.base_on(key) if v not in gone]
-        if f > 1:
-            vs = [(v[0] * f, v[1] * f) for v in vs]
+        vs = [v for v in h.on_line.get(key, ()) if v not in gone]
         vs += fresh_on.get(key, ())
         if vs:
             vs.sort()
-            along[key] = vs if g == 1 else [(q[0] // g, q[1] // g) for q in vs]
+            along[key] = vs
     cut_slots: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for vs in along.values() for v in vs}
     cut_edges: dict[Key, list[HEdge]] = {}
     for key in touched:
         cov = covs.get(key)
         if cov is not None:
             cls, vs = key[0], along.get(key, [])
-            at = [(g * t_of(cls, v), v) for v in (vs[::-1] if cls == 2 else vs)]  # t order
-            _cut(cls, key[1], cov, at, g, scale, cut_slots, cut_edges.setdefault(key, []))
+            at = [(t_of(cls, v), v) for v in (vs[::-1] if cls == 2 else vs)]  # t order
+            _cut(cls, key[1], cov, at, 1, scale, cut_slots, cut_edges.setdefault(key, []))
 
     # The base edges of the other supports, in order, between the cut ones.
-    # A scale change rescales them all; those of touched supports, which
-    # may not divide, are dropped with the rest of their support.
-    carried = h.edges
-    moved: dict[HEdge, HEdge] = {}  # base edge -> its edge in the result, on a scale change
-    if not same:
-        carried = [HEdge(e.cls, e.c * f // g, _times(e.lo, f, g), _times(e.hi, f, g), e.weight) for e in h.edges]
-        moved = dict(zip(h.edges, carried))
-    ekeys = [(e.cls, e.c * f) for e in h.edges]
+    ekeys = [(e.cls, e.c) for e in h.edges]
     edges: list[HEdge] = []
     i = 0
     for key in sorted(touched):
         j = bisect_left(ekeys, key, i)
-        edges += carried[i:j]
+        edges += h.edges[i:j]
         edges += cut_edges.get(key, ())
         i = bisect_right(ekeys, key, j)
-    edges += carried[i:]
+    edges += h.edges[i:]
 
     # Incidence: the vertices off touched lines keep theirs; the others
     # take their slots on touched lines from the cut.
-    incidence = h.incidence
-    if same:
-        slots = dict(incidence)
-        for v in gone:
-            del slots[v]
-    else:
-        slots = {}
-        for v, vs in incidence.items():
-            w = (v[0] * f // g, v[1] * f // g)
-            if v not in gone and w not in cut_slots:
-                slots[w] = {slot: moved[e] for slot, e in vs.items()}
-    touched_lines = touched if g == 1 else {(cls, c // g) for cls, c in touched if c % g == 0}
+    slots = dict(h.incidence)
+    for v in gone:
+        del slots[v]
     for v, cut in cut_slots.items():
-        q = (v[0] * g, v[1] * g)
-        old = incidence.get((q[0] // f, q[1] // f), {}) if q[0] % f == 0 and q[1] % f == 0 else {}
-        mine = {s: e if same else moved[e] for s, e in old.items() if (s[0], dval(v, s[0])) not in touched_lines}
+        mine = {s: e for s, e in h.incidence.get(v, {}).items() if (s[0], dval(v, s[0])) not in touched}
         mine.update(cut)
         slots[v] = mine
     assert all(len(slots[v]) >= 3 for v in cut_slots)
-    vertices = tuple(sorted(slots))
 
-    if same:
-        on_line = dict(h.on_line)
-        for key in touched:
-            if key[1] % g == 0:
-                line = key if g == 1 else (key[0], key[1] // g)
-                if key in along:
-                    on_line[line] = along[key]
-                else:
-                    on_line.pop(line, None)
-    else:
-        on_line = vertices_by_line(vertices)
-    return Honeycomb(vertices, tuple(edges), scale // g, slots, on_line)
+    on_line = dict(h.on_line)
+    for key in touched:
+        if key in along:
+            on_line[key] = along[key]
+        else:
+            on_line.pop(key, None)
+    return Honeycomb(tuple(sorted(slots)), tuple(edges), scale, slots, on_line)

@@ -1,14 +1,16 @@
 """JSON interchange for grids, cocirculations and honeycombs.
 
 Rationals travel as canonical ``"p/q"`` strings with positive reduced
-denominator; plain integers (``"p"`` or JSON numbers) are accepted on
-input.  Emitted documents are sorted so equal objects serialize byte for
-byte equal.
+denominator; plain integers (``"p"`` or JSON numbers) and unreduced
+``"p/q"`` are accepted on input, but not decimals, exponents or
+surrounding whitespace.  Emitted documents are sorted so equal objects
+serialize byte for byte equal.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -21,13 +23,16 @@ def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def frac_from_any(v: Any) -> Fraction:
     try:
         if isinstance(v, bool):
             raise ValueError
         if isinstance(v, int):
             return Fraction(v)
-        if isinstance(v, str):
+        if isinstance(v, str) and _RATIONAL.fullmatch(v):
             return Fraction(v)
     except (ValueError, ZeroDivisionError):
         pass
@@ -76,11 +81,14 @@ def cocirc_to_json(h: Cocirculation) -> dict:
 def _edge_rows(doc: Any, what: str):
     """``((a, b, dir), row)`` for each row of an ``{'edges': [...]}`` document."""
     _require(isinstance(doc, dict) and isinstance(doc.get("edges"), list), f"{what}: want {{'edges': [...]}}")
+    seen = set()
     for row in doc["edges"]:
         _require(isinstance(row, dict), f"{what}: edge rows must be objects")
         a, b, d = row.get("a"), row.get("b"), row.get("dir")
         _require(_is_int(a) and _is_int(b), f"{what}: 'a','b' must be integers")
         _require(d in (1, 2, 3), f"{what}: 'dir' must be 1, 2 or 3")
+        _require((a, b, d) not in seen, f"{what}: duplicate edge {(a, b, d)}")
+        seen.add((a, b, d))
         yield (a, b, d), row
 
 

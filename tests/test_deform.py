@@ -34,6 +34,7 @@ from cocirc.deform import (
 )
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import EpsilonOutOfRange
+from cocirc.grid import random_concave, three_side_grid
 from cocirc.honeycomb import (
     HLine,
     canonicalize,
@@ -396,7 +397,12 @@ def test_patch_canonicalize_matches_full_at_every_step(small_corpus):
     instances.append(counterexample_instance())
     instances += [fractional_vertex_instance(k)[:2] for k in range(1, 6)]
     instances += fuzz_corpus()
-    steps = rescaled = 0
+    # Its tenth step stops at eps = 45/14, half a unit of scale 7, so the
+    # deformed system is at scale 14 (the one finer step here); the tenth
+    # and eleventh canonical forms coarsen it 14 -> 2 -> 1.
+    g4 = three_side_grid(4)
+    instances.append((g4, random_concave(g4, 26, 7)))
+    steps = finer = coarser = 0
     for g, h in instances:
         hc = grid_to_honeycomb(g, h)
         while not potential(hc).settled:
@@ -412,7 +418,8 @@ def test_patch_canonicalize_matches_full_at_every_step(small_corpus):
             assert (local.vertices, local.edges, local.scale) == (full.vertices, full.edges, full.scale)
             assert local.incidence == full.incidence
             assert local.on_line == full.on_line  # lists compare in order
-            rescaled += local.scale != hc.scale
+            finer += ds.scale > hc.scale
+            coarser += local.scale < ds.scale
             steps += 1
             hc = local
-    assert steps > 200 and rescaled > 0
+    assert steps > 200 and finer > 0 and coarser > 0

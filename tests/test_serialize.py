@@ -29,7 +29,8 @@ def test_fraction_strings():
     assert frac_from_any("4/1") == 4
     assert frac_from_any("7") == 7
     assert frac_from_any(7) == 7
-    for bad in ("x", "1/0", None, 1.5, True):
+    assert frac_from_any("-2/4") == F(-1, 2)
+    for bad in ("x", "1/0", None, 1.5, True, "1.5", "1e3", " 2/4 ", "7\n", "1/-2"):
         with pytest.raises(SchemaError):
             frac_from_any(bad)
 
@@ -69,6 +70,13 @@ def test_schema_violations():
             cocirc_from_json({"edges": [{"a": a, "b": b, "dir": 1, "value": "1/2"}]})
         with pytest.raises(SchemaError):
             edge_list_from_json({"edges": [{"a": a, "b": b, "dir": 1}]})
+    with pytest.raises(SchemaError):
+        cocirc_from_json({"edges": [{"a": 0, "b": 0, "dir": 1, "value": "1.5"}]})
+    row = {"a": 0, "b": 0, "dir": 1}
+    with pytest.raises(SchemaError):
+        cocirc_from_json({"edges": [{**row, "value": "1/2"}, {**row, "value": "1/3"}]})
+    with pytest.raises(SchemaError):
+        edge_list_from_json({"edges": [row, row]})
     with pytest.raises(SchemaError):
         honeycomb_from_json({"edges": [{"class": 1, "weight": 0, "kind": "ray"}]})
     with pytest.raises(SchemaError):
