@@ -55,15 +55,19 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_grid(path: str, check: bool = True):
-    g = serialize.grid_from_json(serialize.loads(_read(path)))
-    if check:
-        validate_grid(g)
-    return g
-
-
-def _load_cocirc(path: str):
-    return serialize.cocirc_from_json(serialize.loads(_read(path)))
+def _load(args):
+    """The grid of ``--grid``, validated, and the cocirculation of ``--in``,
+    or None without one.  A cocirculation edge outside the grid is a
+    SchemaError."""
+    g = serialize.grid_from_json(serialize.loads(_read(args.grid)))
+    validate_grid(g)
+    if args.infile is None:
+        return g, None
+    h = serialize.cocirc_from_json(serialize.loads(_read(args.infile)))
+    outside = sorted(h.keys() - g.edges)
+    if outside:
+        raise SchemaError(f"cocirculation edges not in the grid: {outside[:3]}")
+    return g, h
 
 
 def _pot_json(p: Potential) -> dict:
@@ -88,10 +92,9 @@ def _trace_row(s: TraceStep) -> str:
 
 
 def _cmd_validate(args) -> int:
-    g = _load_grid(args.grid)
+    g, h = _load(args)
     out = {"ok": True, "triangles": len(g.triangles), "size": g.size}
-    if args.infile:
-        h = _load_cocirc(args.infile)
+    if h is not None:
         check_cocirculation(g, h)
         out["cocirculation"] = True
         out["concave"] = is_concave(g, h)
@@ -101,8 +104,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_dualize(args) -> int:
     if args.to == "honeycomb":
-        g = _load_grid(args.grid)
-        h = _load_cocirc(args.infile)
+        g, h = _load(args)
         hc = grid_to_honeycomb(g, h)
         _write(args.out, dumps(serialize.honeycomb_to_json(hc)))
     else:
@@ -114,8 +116,7 @@ def _cmd_dualize(args) -> int:
 
 
 def _cmd_integralize(args) -> int:
-    g = _load_grid(args.grid)
-    h = _load_cocirc(args.infile)
+    g, h = _load(args)
     out, trace = integralize(g, h)
     _write(args.out, dumps(serialize.cocirc_to_json(out)))
     if args.trace:
@@ -144,8 +145,7 @@ def _cmd_deform(args) -> int:
 
 
 def _cmd_vertex_check(args) -> int:
-    g = _load_grid(args.grid)
-    h = _load_cocirc(args.infile)
+    g, h = _load(args)
     fixed = serialize.edge_list_from_json(serialize.loads(_read(args.fixed)))
     dof = vertex_degrees_of_freedom(g, h, fixed)
     _write(args.out, dumps({"vertex": dof == 0, "degrees_of_freedom": dof}))

@@ -26,7 +26,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import EpsilonOutOfRange
-from .honeycomb import HEdge, HLine, Honeycomb, Pt, canonicalize, dval, is_integral_point, t_of
+from .honeycomb import HEdge, HLine, Honeycomb, Pt, dval, is_integral_point, t_of
 from .patch import Patch, canonicalize_patch
 from .paths import LegalPath, TURN_LEFT, TURN_RIGHT, edge_travels, travel_angle, turn_of
 
@@ -311,9 +311,10 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
                 if moved.contains_t(2 * t_of(moved.cls, tag[2])):
                     kinds.add(STOP_INTEGRAL_VERTEX)
             else:
-                _, pa, pb = tag  # pa is a Bend; pb a Bend or a stationary vertex
-                if not isinstance(pb, Bend) and is_integral_point(pb, h.scale):
-                    kinds.add(STOP_INTEGRAL_VERTEX)
+                # pa is a Bend; pb a Bend or a stationary vertex.  A bend's
+                # copy ends the moved copies of its lines, so the sweep
+                # tags of those lines already report an integral pb.
+                _, pa, pb = tag
                 if mid_sys is None:
                     mid_sys = build_deformed_system(h, pl, Fraction(prev + k, 4 * h.scale))
                     f = mid_sys.f
@@ -334,25 +335,6 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
     raise AssertionError("no stopping event found")
 
 
-# Mirror image across the xi1 axis: classes 2 and 3 swap, turns flip.
-_MIRROR_CLS = {1: 1, 2: 3, 3: 2}
-
-
-def _mirror_edge(e: HEdge) -> HEdge:
-    lo = None if e.hi is None else -e.c - e.hi
-    hi = None if e.lo is None else -e.c - e.lo
-    return HEdge(_MIRROR_CLS[e.cls], e.c, lo, hi, e.weight)
-
-
-def mirror_honeycomb(h: Honeycomb) -> Honeycomb:
-    return canonicalize([(m, m.weight) for m in map(_mirror_edge, h.edges)], h.scale)
-
-
-def mirror_path(p: LegalPath) -> LegalPath:
-    verts = tuple(None if v is None else (v[0], -v[0] - v[1]) for v in p.verts)
-    return LegalPath(verts, tuple(map(_mirror_edge, p.edges)), p.is_cycle)
-
-
 def orient_cycle_rightward(h: Honeycomb, p: LegalPath) -> LegalPath:
     """Choose the traversal with two consecutive right turns."""
 
@@ -371,10 +353,10 @@ def orient_cycle_rightward(h: Honeycomb, p: LegalPath) -> LegalPath:
 
 
 def deform(h: Honeycomb, p: LegalPath, direction: str = TURN_RIGHT) -> tuple[Honeycomb, StopEvent]:
-    """Apply the stopping-parameter deformation and canonicalize."""
+    """Apply the stopping-parameter deformation and canonicalize; a left
+    deformation is the right deformation of the reversed path."""
     if direction == TURN_LEFT:
-        hbar, ev = deform(mirror_honeycomb(h), mirror_path(p), TURN_RIGHT)
-        return mirror_honeycomb(hbar), ev
+        p = p.reversed()
     if p.is_cycle:
         p = orient_cycle_rightward(h, p)
     pl = decompose(h, p)

@@ -70,12 +70,13 @@ class _TileVars:
         self.g = g
         self.tiles = tiles
         self.tile_of = {t: i for i, ts in enumerate(tiles) for t in ts}
-        self._parent = list(range(3 * len(tiles)))
+        self._parent = parent = list(range(3 * len(tiles)))
         for diag, t1, t2, _, _ in g.rhombi:
             i, j = self.tile_of[t1], self.tile_of[t2]
             if i != j:
-                self._union(self._slot(i, diag[2]), self._slot(j, diag[2]))
-        roots = sorted({self._find(k) for k in range(len(self._parent))})
+                a, b = self._slot(i, diag[2]), self._slot(j, diag[2])
+                parent[gr.find(parent, a)] = gr.find(parent, b)
+        roots = sorted({gr.find(parent, k) for k in range(len(parent))})
         self.index = {r: n for n, r in enumerate(roots)}
         self.nvars = len(roots)
 
@@ -83,19 +84,8 @@ class _TileVars:
     def _slot(tile: int, cls: int) -> int:
         return 3 * tile + cls - 1
 
-    def _find(self, k: int) -> int:
-        while self._parent[k] != k:
-            self._parent[k] = self._parent[self._parent[k]]
-            k = self._parent[k]
-        return k
-
-    def _union(self, a: int, b: int) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
     def var(self, tile: int, cls: int) -> int:
-        return self.index[self._find(self._slot(tile, cls))]
+        return self.index[gr.find(self._parent, self._slot(tile, cls))]
 
     def var_of_edge(self, e: Edge) -> int:
         face = self.g.edge_faces[e][0]

@@ -313,6 +313,15 @@ def is_concave(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> bool:
     return all(h[dom] >= h[other] for _, _, _, dom, other in g.rhombi)
 
 
+def find(parent, x):
+    """The root of ``x`` in the union-find forest ``parent`` (a dict or a
+    list mapping each item to its parent), halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def tiling_of(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> Tiling:
     """Flatspace decomposition: faces joined across tight rhombi.
 
@@ -320,21 +329,14 @@ def tiling_of(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> Tiling:
     ``NotConcave`` on the first rhombus with ``h[dom] < h[other]``."""
     check_cocirculation(g, h)
     parent: dict[Triangle, Triangle] = {t: t for t in g.triangles}
-
-    def find(t: Triangle) -> Triangle:
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
     for _, t1, t2, dom, other in g.rhombi:
         if h[dom] < h[other]:
             raise NotConcave("tiling requested for a non-concave cocirculation")
         if h[dom] == h[other]:
-            parent[find(t1)] = find(t2)
+            parent[find(parent, t1)] = find(parent, t2)
     groups: dict[Triangle, set[Triangle]] = {}
     for t in g.triangles:
-        groups.setdefault(find(t), set()).add(t)
+        groups.setdefault(find(parent, t), set()).add(t)
     return tuple(sorted((frozenset(s) for s in groups.values()), key=min))
 
 

@@ -421,6 +421,10 @@ class Honeycomb:
     def boundary(self) -> tuple[HEdge, ...]:
         return tuple(e for e in self.edges if e.is_ray)
 
+    @cached_property
+    def nonintegral(self) -> tuple[frozenset[Pt], frozenset[HEdge]]:
+        return nonintegral_sets(self)
+
     def point(self, v: Pt) -> Pt:
         """A vertex in Fractions."""
         return frac_point(v, self.scale)

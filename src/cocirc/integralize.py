@@ -18,7 +18,7 @@ from . import grid as gr
 from .deform import deform
 from .duality import grid_to_honeycomb, honeycomb_to_grid
 from .grid import Cocirculation, ConvexGrid
-from .honeycomb import Honeycomb, excess, nonintegral_sets
+from .honeycomb import Honeycomb, excess
 from .paths import find_legal_path
 
 
@@ -37,9 +37,8 @@ class Potential:
         return self.nonintegral_boundary == 0 and self.nonintegral_excess == 0
 
 
-def potential(h: Honeycomb, nonintegral=None) -> Potential:
-    """``nonintegral`` is ``nonintegral_sets(h)`` when the caller has it."""
-    vs, es = nonintegral_sets(h) if nonintegral is None else nonintegral
+def potential(h: Honeycomb) -> Potential:
+    vs, es = h.nonintegral
     beta = sum(e.weight for e in es if e.is_ray)
     delta = sum(excess(h, v) for v in vs)
     # Each edge counts once per integral end: when a nonintegral vertex
@@ -88,15 +87,13 @@ def integralize(
     # output by honeycomb_to_grid.
     hc = grid_to_honeycomb(g, h)
     o_set, i_set = gr.integer_edge_sets(g, h)
-    sets = nonintegral_sets(hc)
-    pot = potential(hc, sets)
+    pot = potential(hc)
     budget = _step_budget(pot, len(g.edges))
     trace: list[TraceStep] = []
     while not pot.settled:
-        path = find_legal_path(hc, sets)
+        path = find_legal_path(hc)
         hc2, ev = deform(hc, path)
-        sets = nonintegral_sets(hc2)
-        pot2 = potential(hc2, sets)
+        pot2 = potential(hc2)
         # Explicit raises, not asserts: the audit must also run under -O.
         if pot2.value >= pot.value:
             raise AssertionError("potential failed to decrease")

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import NoNonintegralEdge
-from .honeycomb import HEdge, Honeycomb, Pt, divergency, nonintegral_sets, t_of
+from .honeycomb import HEdge, Honeycomb, Pt, divergency, t_of
 
 TURN_RIGHT = "right"
 TURN_LEFT = "left"
@@ -120,13 +120,12 @@ def _slot_key(h: Honeycomb, v: Pt, e: HEdge):
     return (e.cls, 0 if e.sign_at(v) == "+" else 1, e.c)
 
 
-def find_legal_path(h: Honeycomb, nonintegral=None) -> LegalPath:
+def find_legal_path(h: Honeycomb) -> LegalPath:
     """Grow and return an open legal path or legal cycle.
 
-    ``nonintegral`` is ``nonintegral_sets(h)`` when the caller has it.
     Raises NoNonintegralEdge when the honeycomb is fully integral.
     """
-    nonint_vs, nonint_es = nonintegral_sets(h) if nonintegral is None else nonintegral
+    nonint_vs, nonint_es = h.nonintegral
     if not nonint_vs:
         raise NoNonintegralEdge("honeycomb is integral")
     assert nonint_es

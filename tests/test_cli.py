@@ -90,6 +90,25 @@ def test_legal_path_and_deform(tmp_path, capsys):
     assert row["after"]["value"] < row["before"]["value"]
 
 
+def test_cocirculation_edge_outside_grid(tmp_path, capsys):
+    g, c, f = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "f.json"
+    assert run(capsys, "gen", "--kind", "fractional-vertex", "--k", "2", "--grid", str(g),
+               "--out", str(c), "--fixed", str(f))[0] == 0
+    doc = json.loads(c.read_text())
+    doc["edges"].append({"a": 99, "b": 99, "dir": 1, "value": "0/1"})
+    c.write_text(json.dumps(doc))
+    for argv in (
+        ("validate", "--grid", str(g), "--in", str(c)),
+        ("dualize", "--to", "honeycomb", "--grid", str(g), "--in", str(c)),
+        ("integralize", "--grid", str(g), "--in", str(c)),
+        ("vertex-check", "--grid", str(g), "--in", str(c), "--fixed", str(f)),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 3, argv
+        assert json.loads(out)["kind"] == "schema"
+        assert "(99, 99, 1)" in json.loads(out)["error"]
+
+
 def test_gen_random_concave_deterministic(tmp_path, capsys):
     outs = []
     for name in ("a", "b"):

@@ -26,8 +26,6 @@ from cocirc.deform import (
     build_deformed_system,
     decompose,
     deform,
-    mirror_honeycomb,
-    mirror_path,
     orient_cycle_rightward,
     shifted_point,
     stop_epsilon,
@@ -185,8 +183,24 @@ def test_deform_left_is_mirror():
     h2, ev = deform(hc, p, direction="left")
     assert ev.eps == F(1, 3)
     assert h2 == claw((F(2, 3), F(0)))
-    assert mirror_honeycomb(mirror_honeycomb(hc)) == hc
-    assert mirror_path(mirror_path(p)) == p
+
+
+def test_deform_left_is_right_of_reversed_path(small_corpus):
+    # At every step of the rounding loop, moving the path to its left is
+    # moving the reversed path to its right: the same honeycomb and stop.
+    instances = list(small_corpus) + [hexagon_instance(k) for k in (1, 2, 3)]
+    instances.append(counterexample_instance())
+    instances += fuzz_corpus()
+    steps = cycles = 0
+    for g, h in instances:
+        hc = grid_to_honeycomb(g, h)
+        while not potential(hc).settled:
+            path = find_legal_path(hc)
+            assert deform(hc, path, "left") == deform(hc, path.reversed())
+            steps += 1
+            cycles += path.is_cycle
+            hc, _ = deform(hc, path)
+    assert steps > 200 and cycles > 0
 
 
 def test_stop_epsilon_e1_increasing_direction():
