@@ -220,6 +220,12 @@ def _cmd_selftest(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cocirc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -272,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("dualgrid", "hexagon", "fractional-vertex", "counterexample", "random-concave"),
         required=True,
     )
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--k", type=_positive_int, default=2)
+    p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", default="-", help="grid output path where applicable")
     p.add_argument("--fixed", default=None, help="pinned-edges output (fractional-vertex)")

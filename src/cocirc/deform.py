@@ -119,7 +119,7 @@ class PathLines:
         return best
 
 
-def decompose(h: Honeycomb, p: LegalPath) -> PathLines:
+def decompose(p: LegalPath) -> PathLines:
     """Split a legal path at its bends into maximal straight lines."""
     if p.is_cycle:
         positions = p.bend_positions
@@ -335,21 +335,19 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
     raise AssertionError("no stopping event found")
 
 
-def orient_cycle_rightward(h: Honeycomb, p: LegalPath) -> LegalPath:
-    """Choose the traversal with two consecutive right turns."""
+def orient_cycle_rightward(p: LegalPath) -> PathLines:
+    """The lines of the traversal of the cycle ``p`` that has two
+    consecutive right turns."""
 
-    def has_double_right(path: LegalPath) -> bool:
-        turns = [b.turn for b in decompose(h, path).bends]
-        return any(
-            turns[i] == TURN_RIGHT and turns[(i + 1) % len(turns)] == TURN_RIGHT
-            for i in range(len(turns))
-        )
+    def double_right(pl: PathLines) -> bool:
+        turns = [b.turn for b in pl.bends]
+        return (TURN_RIGHT, TURN_RIGHT) in zip(turns, turns[1:] + turns[:1])
 
-    if has_double_right(p):
-        return p
-    q = p.reversed()
-    assert has_double_right(q), "neither orientation has two adjacent right turns"
-    return q
+    pl = decompose(p)
+    if not double_right(pl):
+        pl = decompose(p.reversed())
+        assert double_right(pl), "neither orientation has two adjacent right turns"
+    return pl
 
 
 def deform(h: Honeycomb, p: LegalPath, direction: str = TURN_RIGHT) -> tuple[Honeycomb, StopEvent]:
@@ -357,8 +355,6 @@ def deform(h: Honeycomb, p: LegalPath, direction: str = TURN_RIGHT) -> tuple[Hon
     deformation is the right deformation of the reversed path."""
     if direction == TURN_LEFT:
         p = p.reversed()
-    if p.is_cycle:
-        p = orient_cycle_rightward(h, p)
-    pl = decompose(h, p)
+    pl = orient_cycle_rightward(p) if p.is_cycle else decompose(p)
     ev = stop_epsilon(h, pl)
     return canonicalize_patch(build_deformed_system(h, pl, ev.eps)), ev

@@ -149,5 +149,5 @@ def grid_to_honeycomb(g: ConvexGrid, h: Cocirculation) -> Honeycomb:
         lines.append((HLine(cls, dval(p, cls), *span), n))
 
     hc = canonicalize(lines)
-    assert set(map(hc.point, hc.vertices)) == set(pts), "tiles and vertices disagree"
+    assert set(map(hc.point, hc.incidence)) == set(pts), "tiles and vertices disagree"
     return hc

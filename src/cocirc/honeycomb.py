@@ -347,19 +347,20 @@ def _vertices(system: XiSystem, covs, scale: int) -> list[Pt]:
     return [p for p in sorted(_candidate_points(system, covs)) if _is_vertex(six_weights(covs, p), p, scale)]
 
 
-def _cut(cls: int, c, cov: _Coverage, at: list, g: int, scale: int, slots, edges: list) -> None:
-    """Cut the support ``d_cls = c`` into edges at the vertices ``at``.
+def _cut(cls: int, c, cov: _Coverage, at: list, g: int, scale: int, slots) -> tuple[HEdge, ...]:
+    """The edges of the support ``d_cls = c`` cut at the vertices ``at``.
 
     ``at`` holds pairs ``(t, key)`` in increasing ``t``.  Each edge, with
-    its coordinates divided by ``g``, goes to ``edges`` and into the ray
-    slots ``slots[key]`` of its ends.  Raises NotPreHoneycomb where the
-    coverage is negative or steps away from a vertex, or covers a line
-    without vertices.
+    its coordinates divided by ``g``, also goes into the ray slots
+    ``slots[key]`` of its ends.  Raises NotPreHoneycomb where the coverage
+    is negative or steps away from a vertex, or covers a line without
+    vertices.
     """
     if not at:
         if cov.base != 0 or any(v != 0 for v in cov.vals):
             raise NotPreHoneycomb(f"fully infinite covered line {(cls, Fraction(c, scale))}")
-        return
+        return ()
+    edges = []
     cuts = [(None, None), *at, (None, None)]
     for (a, va), (b, vb) in zip(cuts, cuts[1:]):
         w = cov.minus(b) if a is None else cov.plus(a)
@@ -375,6 +376,7 @@ def _cut(cls: int, c, cov: _Coverage, at: list, g: int, scale: int, slots, edges
             slots[va][(cls, "+")] = e
         if vb is not None:
             slots[vb][(cls, "-")] = e
+    return tuple(edges)
 
 
 def is_prehoneycomb(system: XiSystem) -> bool:
@@ -399,10 +401,10 @@ def is_prehoneycomb(system: XiSystem) -> bool:
 
 @dataclass(frozen=True)
 class Honeycomb:
-    """Vertices and edges with int coordinates in units of ``1/scale``."""
+    """Edges with int coordinates in units of ``1/scale``, kept per support
+    ``(cls, d_cls)`` in increasing ``t``; no support is kept without one."""
 
-    vertices: tuple[Pt, ...]
-    edges: tuple[HEdge, ...]
+    supports: dict[tuple[int, int], tuple[HEdge, ...]]
     scale: int
     # The edge in each ray slot (cls, sign) of each vertex, and the
     # vertices on each line (cls, d_cls).  canonicalize fills both while it
@@ -410,6 +412,16 @@ class Honeycomb:
     # part in comparison.
     incidence: dict[Pt, dict[tuple[int, str], HEdge]] = field(compare=False, repr=False)
     on_line: dict[tuple[int, int], list[Pt]] = field(compare=False, repr=False)
+
+    @cached_property
+    def edges(self) -> tuple[HEdge, ...]:
+        """All edges, in ``HEdge.sort_key`` order."""
+        return tuple(e for key in sorted(self.supports) for e in self.supports[key])
+
+    @cached_property
+    def vertices(self) -> tuple[Pt, ...]:
+        """The vertices, sorted: exactly the edge ends, as each has three edges."""
+        return tuple(sorted(self.incidence))
 
     def weights_at(self, v: Pt) -> dict[tuple[int, str], int]:
         w6 = {(cls, s): 0 for cls in (1, 2, 3) for s in SIGNS}
@@ -476,18 +488,18 @@ def canonicalize(system: XiSystem, scale: Optional[int] = None) -> Honeycomb:
     g = gcd(scale, *(x for v in verts for x in v))
     slots: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for v in verts}
     on_line = vertices_by_line(verts)
-    edges: list[HEdge] = []
-    # Supports in sorted order and the stretches of each in increasing t
-    # give the edges already in HEdge.sort_key order.
+    supports: dict[tuple[int, int], tuple[HEdge, ...]] = {}
+    # In sorted order, so that the least violation raises first.
     for (cls, c), cov in sorted(covs.items()):
         at = sorted((t_of(cls, v), v) for v in on_line.get((cls, c), ()))
-        _cut(cls, c, cov, at, g, scale, slots, edges)
+        if edges := _cut(cls, c, cov, at, g, scale, slots):
+            supports[(cls, c // g)] = edges
     if g > 1:
         slots = {(v[0] // g, v[1] // g): vs for v, vs in slots.items()}
         on_line = vertices_by_line(slots)
-    hc = Honeycomb(tuple(slots), tuple(edges), scale // g, slots, on_line)
-    for v in hc.vertices:
-        assert len(hc.incidence[v]) >= 3
+    hc = Honeycomb(supports, scale // g, slots, on_line)
+    for v, vs in slots.items():
+        assert len(vs) >= 3
         divergency(hc, v)
     return hc
 
@@ -509,8 +521,8 @@ def nonintegral_sets(h: Honeycomb) -> tuple[frozenset[Pt], frozenset[HEdge]]:
     """Vertices with a fractional coordinate (so with two, as the three
     sum to zero); edges with fractional d^c."""
     s = h.scale
-    vs = frozenset(v for v in h.vertices if v[0] % s or v[1] % s)
-    return vs, frozenset(e for e in h.edges if e.c % s)
+    vs = frozenset(v for v in h.incidence if v[0] % s or v[1] % s)
+    return vs, frozenset(e for (_, c), es in h.supports.items() if c % s for e in es)
 
 
 def honeycomb_sum(a: Honeycomb, b: Honeycomb) -> Honeycomb:

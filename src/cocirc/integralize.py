@@ -43,7 +43,7 @@ def potential(h: Honeycomb) -> Potential:
     delta = sum(excess(h, v) for v in vs)
     # Each edge counts once per integral end: when a nonintegral vertex
     # between integral ones vanishes and its two edges merge, omega holds.
-    omega = sum(e.weight for v in h.vertices if v not in vs for e in h.incidence[v].values())
+    omega = sum(e.weight for v, slots in h.incidence.items() if v not in vs for e in slots.values())
     return Potential(beta, delta, omega)
 
 

@@ -10,13 +10,11 @@ other support its edges.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain
 from math import gcd
-from operator import attrgetter
 from typing import Optional
 
 from .errors import NotPreHoneycomb
@@ -70,7 +68,7 @@ class Patch:
     def lines(self) -> tuple[tuple[HLine, int], ...]:
         """The whole system: the base edges left, then the added lines."""
         out = []
-        for e in self.base.edges:
+        for e in chain.from_iterable(self.base.supports.values()):
             w = e.weight - self.removed.get(e, 0)
             if w > 0:
                 out.append((e if self.f == 1 else e.scaled(self.f), w))
@@ -99,7 +97,7 @@ class Patch:
 
 class _Coverages(dict):
     """The coverage of each support of a patch, built on first use from
-    its lines; ``None`` for a line without any."""
+    the base edges on it and its delta; ``None`` for a line without any."""
 
     # ``six_weights`` and ``_crossings`` read coverages through ``get``;
     # here a lookup that misses builds the coverage (``__missing__``).
@@ -109,30 +107,26 @@ class _Coverages(dict):
         super().__init__()
         # No reference back to the patch: it would make a cycle that keeps
         # each step's honeycomb alive until the cyclic collector runs.
-        base, f = p.base, p.f
-        # support -> (lo, hi, w) of its lines: the base edges, then the
-        # removed weight (negative) and the added lines
-        self.lines: dict[Key, list] = {}
-        for (cls, c), run in groupby(base.edges, attrgetter("cls", "c")):  # edges come sorted
-            self.lines[(cls, c * f)] = [
-                (e.lo, e.hi, e.weight) if f == 1 else (_times(e.lo, f), _times(e.hi, f), e.weight) for e in run
-            ]
-        self.added: dict[Key, list] = {}  # support -> (lo, hi, w) of its added lines
-        self.dirty: set[Key] = set()
+        f = self.f = p.f
+        self.supports = p.base.supports
+        # dirty support -> (lo, hi, w) of its removed weight (negative) and
+        # added lines; ``added`` holds the added lines alone
+        self.delta: dict[Key, list] = {}
+        self.added: dict[Key, list] = {}
         for e, n in p.removed.items():
-            key = (e.cls, e.c * f)
-            self.dirty.add(key)
-            self.lines[key].append((_times(e.lo, f), _times(e.hi, f), -n))
+            self.delta.setdefault((e.cls, e.c * f), []).append((_times(e.lo, f), _times(e.hi, f), -n))
         for line, w in p.added:
             if _live(line.lo, line.hi, w):
                 key = (line.cls, line.c)
-                self.dirty.add(key)
                 self.added.setdefault(key, []).append((line.lo, line.hi, w))
-                self.lines.setdefault(key, []).append((line.lo, line.hi, w))
+                self.delta.setdefault(key, []).append((line.lo, line.hi, w))
 
     def __missing__(self, key: Key) -> Optional[_Coverage]:
-        iv = self.lines.get(key)
-        cov = self[key] = None if iv is None else _Coverage(iv)
+        (cls, c), f = key, self.f
+        es = self.supports.get((cls, c // f), ()) if c % f == 0 else ()  # the base edges on it
+        iv = [(_times(e.lo, f), _times(e.hi, f), e.weight) for e in es]
+        iv += self.delta.get(key, ())
+        cov = self[key] = _Coverage(iv) if iv else None
         return cov
 
 
@@ -190,23 +184,23 @@ def _canonicalize_patch(p: Patch) -> Optional[Honeycomb]:
             if _inside(t_of(key[0], v), lines):
                 gone.add(v)
     pts = {q for line, _ in p.added for q in line.ends()} | gone
-    _check_full_lines([(key, cov) for key in covs.dirty if (cov := covs.get(key))], scale)
-    keys = _sorted_keys(covs.lines)
+    _check_full_lines([(key, cov) for key in covs.delta if (cov := covs.get(key))], scale)
+    keys = _sorted_keys(h.supports.keys() | covs.delta.keys())
     for key, lines in covs.added.items():
         cov = covs.get(key)
         if cov is not None:
             pts.update(_crossings(key, _clip(cov.spans(), lines), (nxt(key[0]), prv(key[0])), keys, covs))
     fresh = [q for q in pts if _is_vertex(six_weights(covs, q), q, scale)]
-    if not fresh and len(gone) == len(h.vertices):
+    if not fresh and len(gone) == len(h.incidence):
         raise NotPreHoneycomb("covered set has no vertex")
     # A coarser least scale is left to the full canonicalize.
     g = gcd(scale, *chain.from_iterable(fresh))
-    if g > 1 and gcd(g, *chain.from_iterable(v for v in h.vertices if v not in gone)) > 1:
+    if g > 1 and gcd(g, *chain.from_iterable(v for v in h.incidence if v not in gone)) > 1:
         return None
 
     # Cut again the dirty supports and the lines through a vertex that
-    # appeared or vanished.
-    touched = set(covs.dirty)
+    # appeared or vanished; the other supports keep their edges.
+    touched = set(covs.delta)
     for q in gone.symmetric_difference(fresh):
         touched.update((cls, dval(q, cls)) for cls in (1, 2, 3))
     fresh_on = vertices_by_line(fresh)
@@ -218,24 +212,14 @@ def _canonicalize_patch(p: Patch) -> Optional[Honeycomb]:
             vs.sort()
             along[key] = vs
     cut_slots: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for vs in along.values() for v in vs}
-    cut_edges: dict[Key, list[HEdge]] = {}
+    supports = dict(h.supports)
     for key in touched:
-        cov = covs.get(key)
-        if cov is not None:
+        supports.pop(key, None)
+        if (cov := covs.get(key)) is not None:
             cls, vs = key[0], along.get(key, [])
             at = [(t_of(cls, v), v) for v in (vs[::-1] if cls == 2 else vs)]  # t order
-            _cut(cls, key[1], cov, at, 1, scale, cut_slots, cut_edges.setdefault(key, []))
-
-    # The base edges of the other supports, in order, between the cut ones.
-    ekeys = [(e.cls, e.c) for e in h.edges]
-    edges: list[HEdge] = []
-    i = 0
-    for key in sorted(touched):
-        j = bisect_left(ekeys, key, i)
-        edges += h.edges[i:j]
-        edges += cut_edges.get(key, ())
-        i = bisect_right(ekeys, key, j)
-    edges += h.edges[i:]
+            if edges := _cut(cls, key[1], cov, at, 1, scale, cut_slots):
+                supports[key] = edges
 
     # Incidence: the vertices off touched lines keep theirs; the others
     # take their slots on touched lines from the cut.
@@ -254,4 +238,4 @@ def _canonicalize_patch(p: Patch) -> Optional[Honeycomb]:
             on_line[key] = along[key]
         else:
             on_line.pop(key, None)
-    return Honeycomb(tuple(sorted(slots)), tuple(edges), scale, slots, on_line)
+    return Honeycomb(supports, scale, slots, on_line)

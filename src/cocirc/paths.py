@@ -141,7 +141,7 @@ def find_legal_path(h: Honeycomb) -> LegalPath:
     # vertex -> bend triples (position i, incoming, outgoing)
     bends: dict[Pt, list[tuple[int, HEdge, HEdge]]] = {}
 
-    for _ in range(2 * len(h.edges) + 2):
+    for _ in range(2 * sum(map(len, h.supports.values())) + 2):
         v = verts[-1]
         e = edges[-1]
         dom = dominating_edges(h, v)

@@ -172,5 +172,5 @@ def dumps(doc: dict) -> str:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as ex:
+    except (ValueError, RecursionError) as ex:  # JSONDecodeError, too many digits, too deep
         raise SchemaError(f"invalid JSON: {ex}") from ex

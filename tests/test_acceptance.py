@@ -206,9 +206,7 @@ def test_criterion_8_deformed_systems_stay_valid():
         hc = grid_to_honeycomb(g, h)
         while not potential(hc).settled:
             p = find_legal_path(hc)
-            if p.is_cycle:
-                p = orient_cycle_rightward(hc, p)
-            pl = decompose(hc, p)
+            pl = orient_cycle_rightward(p) if p.is_cycle else decompose(p)
             ev = stop_epsilon(hc, pl)
             for _ in range(10):
                 eps = ev.eps * F(rng.randint(1, 127), 128)

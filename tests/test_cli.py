@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cocirc
 from cocirc.cli import main
 from cocirc.serialize import loads
@@ -107,6 +109,37 @@ def test_cocirculation_edge_outside_grid(tmp_path, capsys):
         assert code == 3, argv
         assert json.loads(out)["kind"] == "schema"
         assert "(99, 99, 1)" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "hexagon", "--k", "0"),
+    ("--kind", "hexagon", "--k", "-1"),
+    ("--kind", "fractional-vertex", "--k", "0"),
+    ("--kind", "dualgrid", "--n", "0"),
+    ("--kind", "random-concave", "--n", "0"),
+])
+def test_gen_rejects_sizes_below_one(capsys, argv):
+    # a bad flag value, like any other: argparse exits 2
+    with pytest.raises(SystemExit) as ex:
+        main(["gen", *argv])
+    assert ex.value.code == 2
+
+
+def test_json_past_the_parser_limits_is_a_schema_error(tmp_path, capsys):
+    g, c = tmp_path / "g.json", tmp_path / "c.json"
+    assert run(capsys, "gen", "--kind", "hexagon", "--k", "1", "--grid", str(g), "--out", str(c))[0] == 0
+    long_int = tmp_path / "long.json"  # over Python's 4,300-digit int limit
+    long_int.write_text('{"triangles": [{"up": true, "a": ' + "1" * 5001 + ', "b": 0}]}')
+    deep = tmp_path / "deep.json"  # past the recursion limit
+    deep.write_text("[" * 200_000)
+    for argv in (
+        ("validate", "--grid", str(long_int)),
+        ("validate", "--grid", str(deep)),
+        ("integralize", "--grid", str(g), "--in", str(deep)),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 3, argv
+        assert json.loads(out)["kind"] == "schema"
 
 
 def test_gen_random_concave_deterministic(tmp_path, capsys):

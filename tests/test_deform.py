@@ -34,6 +34,7 @@ from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import EpsilonOutOfRange
 from cocirc.grid import random_concave, three_side_grid
 from cocirc.honeycomb import (
+    HEdge,
     HLine,
     canonicalize,
     claw,
@@ -125,7 +126,7 @@ def test_shifted_point_four_cases():
 def test_decompose_single_full_line():
     hc = nonintegral_line_honeycomb()
     p = find_legal_path(hc)
-    pl = decompose(hc, p)
+    pl = decompose(p)
     assert len(pl.lines) == 1 and not pl.bends
     line = pl.lines[0]
     assert line.start is None and line.end is None
@@ -133,7 +134,7 @@ def test_decompose_single_full_line():
 
 def test_decompose_benzene_cycle():
     hc, path = benzene_cycle()
-    pl = decompose(hc, path)
+    pl = decompose(path)
     assert len(pl.lines) == 6
     assert all(l.is_finite and l.length() == hc.scale for l in pl.lines)  # length 1
     assert len(pl.bends) == 6
@@ -142,13 +143,13 @@ def test_decompose_benzene_cycle():
 
 def test_build_at_zero_is_identity():
     hc, p = shifted_claw_path((F(1, 3), F(1, 3)))
-    pl = decompose(hc, p)
+    pl = decompose(p)
     assert canonicalize(build_deformed_system(hc, pl, F(0)).as_system()) == hc
 
 
 def test_build_epsilon_out_of_range():
     hc, path = benzene_cycle()
-    pl = decompose(hc, orient_cycle_rightward(hc, path))
+    pl = orient_cycle_rightward(path)
     assert pl.vanish_bound() == hc.scale  # 1
     with pytest.raises(EpsilonOutOfRange):
         build_deformed_system(hc, pl, F(3, 2))
@@ -160,7 +161,7 @@ def test_right_turn_bend_bookkeeping():
     # one right bend: background loses the two path rays, gains the two
     # moved rays and a +1 stub along the third line
     hc, p = shifted_claw_path((F(1, 3), F(1, 3)))
-    pl = decompose(hc, p)
+    pl = decompose(p)
     assert [b.turn for b in pl.bends] == ["right"]
     sys_eps = build_deformed_system(hc, pl, F(1, 6))
     weights = sorted(w for _, w in sys_eps.lines)
@@ -212,10 +213,10 @@ def test_stop_epsilon_e1_increasing_direction():
     b = at_scale(hc, point_on(1, F(1, 3), F(-3, 2)))
     upward = LegalPath((None, b, a, None), (by_sign["-"], finite, by_sign["+"]), False)
     check_legal_path(hc, upward)
-    ev = stop_epsilon(hc, decompose(hc, upward))
+    ev = stop_epsilon(hc, decompose(upward))
     assert ev.eps == F(2, 3) and ev.kinds == (STOP_BOUNDARY_INTEGRAL,)
     downward = upward.reversed()
-    ev2 = stop_epsilon(hc, decompose(hc, downward))
+    ev2 = stop_epsilon(hc, decompose(downward))
     assert ev2.eps == F(1, 3)
 
 
@@ -234,7 +235,7 @@ def test_length_rule():
     # right turns at both ends shrink a piece by eps; mixed turns keep or
     # grow it
     hc, path, A, B = zigzag_collision_fixture()
-    pl = decompose(hc, path)
+    pl = decompose(path)
     from cocirc.deform import _moved_line_span
 
     eps = F(1, 4)
@@ -252,7 +253,7 @@ def test_length_rule():
 
 def test_zigzag_validity_bound_collision():
     hc, path, A, B = zigzag_collision_fixture()
-    pl = decompose(hc, path)
+    pl = decompose(path)
     turns = [b.turn for b in pl.bends]
     assert turns == ["left", "right", "right", "right", "right", "left"]
     # left bends patch with weight -1 stubs, right bends with +1
@@ -273,9 +274,7 @@ def test_random_epsilon_prehoneycomb():
     rng = random.Random(7)
     for fixture in (zigzag_collision_fixture(), benzene_cycle(scale=F(2))):
         hc, path = fixture[0], fixture[1]
-        if path.is_cycle:
-            path = orient_cycle_rightward(hc, path)
-        pl = decompose(hc, path)
+        pl = orient_cycle_rightward(path) if path.is_cycle else decompose(path)
         ev = stop_epsilon(hc, pl)
         for _ in range(10):
             eps = ev.eps * F(rng.randint(1, 63), 64)
@@ -296,7 +295,7 @@ def test_meet_time_in_half_units():
 
 def test_stop_epsilon_deterministic():
     hc, path, *_ = zigzag_collision_fixture()
-    pl = decompose(hc, path)
+    pl = decompose(path)
     assert stop_epsilon(hc, pl) == stop_epsilon(hc, pl)
 
 
@@ -345,7 +344,7 @@ def racket_fixture():
 def test_double_use_weight_bookkeeping():
     hc, path, handle = racket_fixture()
     assert [path.edges.count(handle)] == [2] and handle.weight == 2
-    pl = decompose(hc, path)
+    pl = decompose(path)
     assert len(pl.lines) == 9 and len(pl.bends) == 8
     eps = F(1, 5)
     sys_eps = build_deformed_system(hc, pl, eps)
@@ -381,9 +380,7 @@ def test_capped_sweep_matches_uncapped_reference(small_corpus):
         hc = grid_to_honeycomb(g, h)
         while not potential(hc).settled:
             path = find_legal_path(hc)
-            if path.is_cycle:
-                path = orient_cycle_rightward(hc, path)
-            pl = decompose(hc, path)
+            pl = orient_cycle_rightward(path) if path.is_cycle else decompose(path)
             ev = stop_epsilon(hc, pl)
             assert ev == reference_stop_epsilon(hc, pl)
             kinds.update(ev.kinds)
@@ -421,15 +418,16 @@ def test_patch_canonicalize_matches_full_at_every_step(small_corpus):
         hc = grid_to_honeycomb(g, h)
         while not potential(hc).settled:
             path = find_legal_path(hc)
-            if path.is_cycle:
-                path = orient_cycle_rightward(hc, path)
-            pl = decompose(hc, path)
+            pl = orient_cycle_rightward(path) if path.is_cycle else decompose(path)
             ev = stop_epsilon(hc, pl)
             assert ev == reference_stop_epsilon(hc, pl)
             ds = build_deformed_system(hc, pl, ev.eps)
             full = canonicalize(ds.lines, ds.scale)
             local = canonicalize_patch(ds)
             assert (local.vertices, local.edges, local.scale) == (full.vertices, full.edges, full.scale)
+            assert local.supports == full.supports and local == full
+            assert all(local.supports.values()) and all(full.supports.values())  # no empty support
+            assert full.edges == tuple(sorted(full.edges, key=HEdge.sort_key))
             assert local.incidence == full.incidence
             assert local.on_line == full.on_line  # lists compare in order
             finer += ds.scale > hc.scale

@@ -165,9 +165,7 @@ def _claw_sums(seed: int, count: int):
 
 def _deformed_systems(hc):
     path = find_legal_path(hc)
-    if path.is_cycle:
-        path = orient_cycle_rightward(hc, path)
-    pl = decompose(hc, path)
+    pl = orient_cycle_rightward(path) if path.is_cycle else decompose(path)
     ev = stop_epsilon(hc, pl)
     return [build_deformed_system(hc, pl, eps).as_system() for eps in (ev.eps / 2, ev.eps)]
 

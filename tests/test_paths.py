@@ -160,8 +160,8 @@ def test_paths_on_corpus_satisfy_invariants():
 def test_cycle_has_two_consecutive_equal_turns():
     from cocirc.deform import decompose
 
-    hc, path = benzene_cycle()
-    pl = decompose(hc, path)
+    _, path = benzene_cycle()
+    pl = decompose(path)
     turns = [b.turn for b in pl.bends]
     assert any(turns[i] == turns[(i + 1) % len(turns)] for i in range(len(turns)))
 
@@ -170,7 +170,7 @@ def test_path_bend_triples_match_decomposition():
     from cocirc.deform import decompose
 
     hc, path = benzene_cycle()
-    pl = decompose(hc, path)
+    pl = decompose(path)
     assert [b.turn for b in pl.bends] == ["left"] * 6
     for b in pl.bends:
         e_in = pl.lines[b.index].edges[-1]
@@ -178,4 +178,4 @@ def test_path_bend_triples_match_decomposition():
         assert b.vertex in e_in.ends() and b.vertex in e_out.ends()
         assert is_legal_pair(hc, b.vertex, e_in, e_out)
     line = nonintegral_line_honeycomb()
-    assert decompose(line, find_legal_path(line)).bends == ()
+    assert decompose(find_legal_path(line)).bends == ()
