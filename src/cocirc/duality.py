@@ -10,6 +10,8 @@ per-class values.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import grid as gr
 from .grid import ConvexGrid, Cocirculation, Point, Triangle
 from .honeycomb import (
@@ -18,6 +20,7 @@ from .honeycomb import (
     Pt,
     canonicalize,
     dval,
+    frac_point,
     t_of,
 )
 
@@ -74,31 +77,33 @@ def honeycomb_to_grid(h: Honeycomb) -> tuple[ConvexGrid, Cocirculation]:
     least = {w6: min(p for t in fill[0] for p in gr.triangle_vertices(t)) for w6, fill in fills.items()}
     a0, b0 = min((oa + least[w6s[v]][0], ob + least[w6s[v]][1]) for v, (oa, ob) in offsets.items())
     tris: set[Triangle] = set()
-    values: Cocirculation = {}
+    # Glued on the honeycomb's own ints, in units of 1/h.scale.
+    scaled: dict[gr.Edge, int] = {}
     for v in h.vertices:
         oa, ob = offsets[v][0] - a0, offsets[v][1] - b0
-        d1, d2 = h.point(v)
-        vals = (d1, d2, -d1 - d2)
+        vals = (v[0], v[1], -v[0] - v[1])
         for up, a, b in local[v][0]:
             t = (up, a + oa, b + ob)
             assert t not in tris, "overlapping local grids"
             tris.add(t)
             for e, val in zip(gr.triangle_edges(t), vals):
-                assert values.get(e, val) == val, "gluing value mismatch"
-                values[e] = val
+                assert scaled.get(e, val) == val, "gluing value mismatch"
+                scaled[e] = val
     g = ConvexGrid(frozenset(tris))
     gr.validate_grid(g)
     # An explicit raise, not an assert: rounding relies on this check of
-    # its output, also under -O.
-    if not gr.is_concave(g, values):
+    # its output, also under -O.  Concavity is the same at any scale.
+    if not gr.is_concave(g, scaled):
         raise AssertionError("glued values are not a concave cocirculation")
-    return g, values
+    frac = {x: Fraction(x, h.scale) for x in set(scaled.values())}
+    return g, {e: frac[x] for e, x in scaled.items()}
 
 
 def tile_points(
     g: ConvexGrid, h: Cocirculation, tiles: gr.Tiling
 ) -> tuple[dict[Triangle, int], list[Pt]]:
-    """Map each face to its tile index and each tile to its dual point."""
+    """Map each face to its tile index and each tile to its dual point,
+    whose coordinates are values of ``h``."""
     tile_of = {t: i for i, ts in enumerate(tiles) for t in ts}
     pts: list[Pt] = []
     for ts in tiles:
@@ -115,8 +120,10 @@ def tile_points(
 def grid_to_honeycomb(g: ConvexGrid, h: Cocirculation) -> Honeycomb:
     """One vertex per flatspace, finite edges across shared tile sides,
     rays for tile sides on the grid boundary."""
-    tiles = gr.tiling_of(g, h)  # raises NotConcave
-    tile_of, pts = tile_points(g, h, tiles)
+    tiles = gr.tiling_of(g, h)  # raises NotACocirculation, then NotConcave
+    # Tile points in units of 1/scale, so the lines go to canonicalize as ints.
+    scale, scaled = gr.scaled_values(h)
+    tile_of, pts = tile_points(g, scaled, tiles)
 
     shared: dict[tuple[int, int], tuple[int, int]] = {}
     for diag, t1, t2, _, _ in g.rhombi:
@@ -148,6 +155,8 @@ def grid_to_honeycomb(g: ConvexGrid, h: Cocirculation) -> Honeycomb:
         span = (t, None) if sign == "+" else (None, t)
         lines.append((HLine(cls, dval(p, cls), *span), n))
 
-    hc = canonicalize(lines)
-    assert set(map(hc.point, hc.incidence)) == set(pts), "tiles and vertices disagree"
+    hc = canonicalize(lines, scale)
+    assert set(map(hc.point, hc.incidence)) == {frac_point(p, scale) for p in pts}, (
+        "tiles and vertices disagree"
+    )
     return hc

@@ -6,12 +6,16 @@ tight rhombus equalities, and the pins) determines it uniquely.  Within a
 flatspace all parallel edges are equal, so the unknowns collapse to one
 value per (tile, direction class); tiles sharing a side share that side's
 class value.  The reduced system is solved by exact elimination over the
-rationals.
+rationals, run on ints: each row is scaled to ints on entry and reduced
+without division (Bareiss-style cross-multiplication, then division by the
+gcd of the row), and only the back-substitution of a unique solution
+computes in Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
 from . import grid as gr
@@ -22,30 +26,46 @@ from .honeycomb import HEdge, HLine, Honeycomb, dval, t_of
 Row = tuple[dict[int, Fraction], Fraction]
 
 
+def _int_row(coeffs: Mapping[int, Fraction], rhs: Fraction) -> tuple[dict[int, int], int]:
+    """A row times the lcm of its denominators, without its zero entries."""
+    coeffs = {k: v for k, v in coeffs.items() if v != 0}
+    m = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
+    scaled = {k: v.numerator * (m // v.denominator) for k, v in coeffs.items()}
+    return scaled, rhs.numerator * (m // rhs.denominator)
+
+
 def eliminate(rows: Iterable[Row], nvars: int) -> tuple[int, Optional[list[Fraction]]]:
     """Exact Gaussian elimination; returns (rank, solution or None).
 
     The solution is returned only when it is unique; an inconsistent
-    system raises ValueError.
+    system raises ValueError.  Rows are reduced on ints without division
+    (each reduced row divided by the gcd of its entries), and only the
+    back-substitution divides.
     """
-    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
-    for coeffs, rhs in rows:
-        coeffs = dict(coeffs)
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
+    for row in rows:
+        coeffs, rhs = _int_row(*row)
         while coeffs:
             var = min(coeffs)
             if var not in pivots:
-                inv = 1 / coeffs[var]
-                coeffs = {k: v * inv for k, v in coeffs.items()}
-                pivots[var] = (coeffs, rhs * inv)
+                pivots[var] = (coeffs, rhs)
                 break
             pc, pr = pivots[var]
-            factor = coeffs.pop(var)
+            a, b = pc[var], coeffs.pop(var)
+            if a != 1:
+                coeffs = {k: a * v for k, v in coeffs.items()}
             for k, v in pc.items():
                 if k != var:
-                    coeffs[k] = coeffs.get(k, Fraction(0)) + (-factor) * v
-                    if coeffs[k] == 0:
+                    x = coeffs.get(k, 0) - b * v
+                    if x:
+                        coeffs[k] = x
+                    else:
                         del coeffs[k]
-            rhs = rhs - factor * pr
+            rhs = a * rhs - b * pr
+            d = gcd(rhs, *coeffs.values())
+            if d > 1:
+                coeffs = {k: v // d for k, v in coeffs.items()}
+                rhs //= d
         else:
             if rhs != 0:
                 raise ValueError("inconsistent linear system")
@@ -55,11 +75,11 @@ def eliminate(rows: Iterable[Row], nvars: int) -> tuple[int, Optional[list[Fract
     sol: list[Optional[Fraction]] = [None] * nvars
     for var in sorted(pivots, reverse=True):
         coeffs, rhs = pivots[var]
-        acc = rhs
+        acc = Fraction(rhs)
         for k, v in coeffs.items():
             if k != var:
                 acc -= v * sol[k]
-        sol[var] = acc
+        sol[var] = acc / coeffs[var]
     return rank, sol  # type: ignore[return-value]
 
 

@@ -1,5 +1,10 @@
 """Convex triangular grids and exact-rational cocirculations.
 
+Values come in and go out as Fractions.  The checks below bring a
+cocirculation to ints once, at ``L``, the lcm of its denominators
+(``scaled_values``), and sum and compare those ints; their messages divide
+back by ``L``, so they name values of the input.
+
 Lattice conventions: a grid point ``(a, b)`` is the plane point
 ``a*xi1 + b*xi2`` for the fixed generators ``xi1 = (1, 0)``,
 ``xi2 = (-1, sqrt(3))/2``, ``xi3 = (-1, -sqrt(3))/2`` (``xi1+xi2+xi3 = 0``).
@@ -22,6 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import NotACocirculation, NotConcave, NotConnected, NotConvex
@@ -297,20 +303,34 @@ def three_side_grid(n: int) -> ConvexGrid:
     return ConvexGrid(fill_convex_polygon([(0, 0), (n, 0), (n, n)]))
 
 
-def check_cocirculation(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> None:
+def scaled_values(h: Mapping[Edge, Fraction]) -> tuple[int, dict[Edge, int]]:
+    """``(L, s)`` with ``L`` the lcm of the denominators of ``h`` and
+    ``s[e] = h[e] * L``, an int for every edge of ``h``."""
+    scale = lcm(*{x.denominator for x in h.values()})
+    return scale, {e: x.numerator * (scale // x.denominator) for e, x in h.items()}
+
+
+def _checked(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> dict[Edge, int]:
+    """The scaled values of ``h`` once every face of ``g`` sums to zero."""
+    scale, s = scaled_values(h)
     for t in g.triangles:
         try:
-            s = sum(h[e] for e in triangle_edges(t))
+            total = sum(s[e] for e in triangle_edges(t))
         except KeyError as missing:
             raise NotACocirculation(f"missing value on edge {missing}") from None
-        if s != 0:
-            raise NotACocirculation(f"circuit sum {s} on face {t}")
+        if total != 0:
+            raise NotACocirculation(f"circuit sum {Fraction(total, scale)} on face {t}")
+    return s
+
+
+def check_cocirculation(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> None:
+    _checked(g, h)
 
 
 def is_concave(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> bool:
     """Whether every little rhombus satisfies the concavity inequality."""
-    check_cocirculation(g, h)
-    return all(h[dom] >= h[other] for _, _, _, dom, other in g.rhombi)
+    s = _checked(g, h)
+    return all(s[dom] >= s[other] for _, _, _, dom, other in g.rhombi)
 
 
 def find(parent, x):
@@ -327,12 +347,12 @@ def tiling_of(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> Tiling:
 
     Raises ``NotACocirculation`` on a nonzero circuit sum, else
     ``NotConcave`` on the first rhombus with ``h[dom] < h[other]``."""
-    check_cocirculation(g, h)
+    s = _checked(g, h)
     parent: dict[Triangle, Triangle] = {t: t for t in g.triangles}
     for _, t1, t2, dom, other in g.rhombi:
-        if h[dom] < h[other]:
+        if s[dom] < s[other]:
             raise NotConcave("tiling requested for a non-concave cocirculation")
-        if h[dom] == h[other]:
+        if s[dom] == s[other]:
             parent[find(parent, t1)] = find(parent, t2)
     groups: dict[Triangle, set[Triangle]] = {}
     for t in g.triangles:

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cocirc
+from cocirc import serialize
 from cocirc.cli import main
+from cocirc.grid import random_concave, three_side_grid
 from cocirc.serialize import loads
 
 
@@ -43,6 +46,23 @@ def test_validate_domain_error(tmp_path, capsys):
         {"up": True, "a": 0, "b": 0}, {"up": True, "a": 5, "b": 5}]}))
     code, out = run(capsys, "validate", "--grid", str(g))
     assert code == 2
+
+
+def test_validate_reports_unscaled_circuit_sum(tmp_path, capsys):
+    g = three_side_grid(4)
+    h = random_concave(g, seed=3, denom_bound=7)
+    h[(0, 0, 1)] += Fraction(1, 3)
+    gp, cp = tmp_path / "g.json", tmp_path / "c.json"
+    gp.write_text(serialize.dumps(serialize.grid_to_json(g)))
+    cp.write_text(serialize.dumps(serialize.cocirc_to_json(h)))
+    code, out = run(capsys, "validate", "--grid", str(gp), "--in", str(cp))
+    assert code == 2
+    assert json.loads(out) == {"error": "circuit sum 1/3 on face (True, 0, 0)", "kind": "NotACocirculation"}
+    del h[(0, 0, 1)]
+    cp.write_text(serialize.dumps(serialize.cocirc_to_json(h)))
+    code, out = run(capsys, "validate", "--grid", str(gp), "--in", str(cp))
+    assert code == 2
+    assert json.loads(out) == {"error": "missing value on edge (0, 0, 1)", "kind": "NotACocirculation"}
 
 
 def test_unknown_subcommand(capsys):

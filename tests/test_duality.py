@@ -1,13 +1,22 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from cocirc.constructions import hexagon_instance, sample_honeycomb
+from cocirc import serialize
+from cocirc.constructions import (
+    counterexample_instance,
+    fractional_vertex_instance,
+    hexagon_instance,
+    sample_honeycomb,
+)
 from cocirc.duality import grid_to_honeycomb, honeycomb_to_grid
 from cocirc.errors import NotConcave
+from cocirc.extremality import vertex_degrees_of_freedom
 from cocirc.grid import (
     cocirculation_from_quadratic,
     is_concave,
+    random_concave,
     three_side_grid,
     validate_grid,
 )
@@ -89,3 +98,38 @@ def test_translation_invariance(small_corpus):
     moved = g.translate(5, -3)
     hm = {(a + 5, b - 3, d): v for (a, b, d), v in h.items()}
     assert grid_to_honeycomb(moved, hm) == grid_to_honeycomb(g, h)
+
+
+def _grid_side_corpus():
+    """The fractional-vertex instances k=1..4 with their pins, the hexagon
+    instances k=1..5, the counterexample and ``random_concave(g, n, 7)``
+    on ``three_side_grid(n)`` for n=3..6; these pin their integer edges."""
+    out = [(f"fractional{k}", *fractional_vertex_instance(k)) for k in range(1, 5)]
+    out += [(f"hexagon{k}", *hexagon_instance(k), None) for k in range(1, 6)]
+    out.append(("counterexample", *counterexample_instance(), None))
+    for n in range(3, 7):
+        g = three_side_grid(n)
+        out.append((f"n{n}", g, random_concave(g, n, 7), None))
+    return out
+
+
+def test_grid_side_outputs_are_pinned():
+    # A change that only makes duality or the vertex test faster must leave
+    # the dual honeycomb, the grid and values glued back from it, and the
+    # degrees of freedom under three pin sets as they are.
+    digest = hashlib.sha256()
+    for name, g, h, fixed in _grid_side_corpus():
+        if fixed is None:
+            fixed = [e for e in sorted(g.edges) if h[e].denominator == 1]
+        hc = grid_to_honeycomb(g, h)
+        g2, h2 = honeycomb_to_grid(hc)
+        dof = [vertex_degrees_of_freedom(g, h, pins) for pins in (fixed, g.boundary_edges, ())]
+        doc = {
+            "name": name,
+            "honeycomb": serialize.honeycomb_to_json(hc),
+            "grid": serialize.grid_to_json(g2),
+            "cocirculation": serialize.cocirc_to_json(h2),
+            "dof": dof,
+        }
+        digest.update(serialize.dumps(doc).encode())
+    assert digest.hexdigest() == "f02ac086b75564046981ab35c1c65a14e739bfe75c5094748f96f696133d9ce9"

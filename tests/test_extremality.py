@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cocirc.constructions import (
     counterexample_instance,
@@ -13,6 +14,7 @@ from cocirc.duality import honeycomb_to_grid
 from cocirc.errors import FNotSubsetOfEdges, NotConcave
 from cocirc.extremality import (
     condition_c_extreme,
+    eliminate,
     is_vertex,
     maximal_lines,
     solve_flat_extension,
@@ -125,3 +127,92 @@ def test_reduced_pin_set_still_rigid_on_grid_side():
     side2 = sorted(g.side(2, "+").edges)
     for e in side2:
         assert is_vertex(g, h, side1 + [e])
+
+def test_eliminate_skips_explicit_zero_coefficients():
+    assert eliminate([({0: F(0), 1: F(1)}, F(1))], 2) == (1, None)
+    assert eliminate([({0: F(0), 1: F(2)}, F(1)), ({0: F(3)}, F(0))], 2) == (2, [F(0), F(1, 2)])
+    with pytest.raises(ValueError):
+        eliminate([({0: F(0)}, F(1))], 1)
+
+
+def reference_eliminate(rows, nvars):
+    """Gaussian elimination in Fractions, each pivot row normalised to a
+    leading 1; rows must hold no zero coefficient."""
+    pivots = {}
+    for coeffs, rhs in rows:
+        coeffs = dict(coeffs)
+        while coeffs:
+            var = min(coeffs)
+            if var not in pivots:
+                inv = 1 / coeffs[var]
+                coeffs = {k: v * inv for k, v in coeffs.items()}
+                pivots[var] = (coeffs, rhs * inv)
+                break
+            pc, pr = pivots[var]
+            factor = coeffs.pop(var)
+            for k, v in pc.items():
+                if k != var:
+                    coeffs[k] = coeffs.get(k, Fraction(0)) + (-factor) * v
+                    if coeffs[k] == 0:
+                        del coeffs[k]
+            rhs = rhs - factor * pr
+        else:
+            if rhs != 0:
+                raise ValueError("inconsistent linear system")
+    rank = len(pivots)
+    if rank < nvars:
+        return rank, None
+    sol = [None] * nvars
+    for var in sorted(pivots, reverse=True):
+        coeffs, rhs = pivots[var]
+        acc = rhs
+        for k, v in coeffs.items():
+            if k != var:
+                acc -= v * sol[k]
+        sol[var] = acc
+    return rank, sol
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+nonzero = rationals.filter(bool)
+
+
+@st.composite
+def linear_systems(draw):
+    """Small sparse systems with nonzero rational coefficients.  Most are
+    consistent by construction (right-hand sides from a drawn point); some
+    right-hand sides are drawn freely."""
+    nvars = draw(st.integers(1, 5))
+    point = [draw(rationals) for _ in range(nvars)]
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        keys = draw(st.sets(st.integers(0, nvars - 1), min_size=1, max_size=3))
+        coeffs = {k: draw(nonzero) for k in keys}
+        rhs = sum(v * point[k] for k, v in coeffs.items())
+        if draw(st.integers(0, 4)) == 0:
+            rhs = draw(rationals)
+        rows.append((coeffs, rhs))
+    return rows, nvars
+
+
+def _solve(fn, rows, nvars):
+    try:
+        return fn(rows, nvars)
+    except ValueError:
+        return "inconsistent"
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems(), st.data())
+def test_eliminate_matches_fraction_reference(system, data):
+    rows, nvars = system
+    expected = _solve(reference_eliminate, rows, nvars)
+    assert _solve(eliminate, rows, nvars) == expected
+    if rows:
+        # scaling a row by a nonzero rational changes neither rank nor solution
+        i = data.draw(st.integers(0, len(rows) - 1))
+        k = data.draw(nonzero)
+        scaled = list(rows)
+        coeffs, rhs = rows[i]
+        scaled[i] = ({j: v * k for j, v in coeffs.items()}, rhs * k)
+        assert _solve(eliminate, scaled, nvars) == expected

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import hexagon_grid, oracle_fill_convex_polygon, oracle_rhombus_pairs
 from cocirc.errors import NotACocirculation, NotConcave, NotConnected, NotConvex
 from cocirc.constructions import counterexample_instance
+from cocirc.duality import grid_to_honeycomb
 from cocirc.grid import (
     ConvexGrid,
+    check_cocirculation,
     cocirculation_from_quadratic,
     edge_head,
     edge_tail,
@@ -21,6 +23,7 @@ from cocirc.grid import (
     triangle_edges,
     validate_grid,
 )
+from cocirc.integralize import integralize
 
 F = Fraction
 
@@ -93,6 +96,24 @@ def test_single_edge_bump_breaks_circuit_sums():
     for check in (is_concave, tiling_of):
         with pytest.raises(NotACocirculation):
             check(g, h)
+
+
+def test_messages_name_values_not_scaled_ints():
+    # The checks sum ints at the lcm of the denominators; their messages
+    # still name the circuit sum and the missing edge of the input.
+    g = three_side_grid(4)
+    h = random_concave(g, seed=3, denom_bound=7)
+    bumped = dict(h)
+    bumped[(0, 0, 1)] += F(1, 3)  # a boundary edge of (True, 0, 0) only
+    dropped = dict(h)
+    del dropped[(0, 0, 1)]
+    for check in (check_cocirculation, is_concave, tiling_of, grid_to_honeycomb, integralize):
+        with pytest.raises(NotACocirculation) as err:
+            check(g, bumped)
+        assert str(err.value) == "circuit sum 1/3 on face (True, 0, 0)"
+        with pytest.raises(NotACocirculation) as err:
+            check(g, dropped)
+        assert str(err.value) == "missing value on edge (0, 0, 1)"
 
 
 def test_potential_bump_breaks_concavity():
