@@ -527,7 +527,8 @@ def nonintegral_sets(h: Honeycomb) -> tuple[frozenset[Pt], frozenset[HEdge]]:
 
 def honeycomb_sum(a: Honeycomb, b: Honeycomb) -> Honeycomb:
     """Canonical form of the union system; always a pre-honeycomb."""
-    return canonicalize(a.as_system() + b.as_system())
+    scale = lcm(a.scale, b.scale)
+    return canonicalize([(e.scaled(scale // h.scale), e.weight) for h in (a, b) for e in h.edges], scale)
 
 
 def claw(center: Pt, weight: int = 1, sign: str = "+") -> Honeycomb:

@@ -3,8 +3,16 @@
 Rationals travel as canonical ``"p/q"`` strings with positive reduced
 denominator; plain integers (``"p"`` or JSON numbers) and unreduced
 ``"p/q"`` are accepted on input, but not decimals, exponents or
-surrounding whitespace.  Emitted documents are sorted so equal objects
-serialize byte for byte equal.
+surrounding whitespace.  A numerator, a denominator or a JSON integer has
+at most ``MAX_DIGITS`` digits, CPython's default limit for int-string
+conversion, whatever limit the interpreter is set to.  Emitted documents
+are sorted so equal objects serialize byte for byte equal.
+
+A honeycomb document is read straight onto one integer scale: each
+rational once into a reduced ``(p, q)``, each row checked on ints at the
+lcm of its own denominators, and the rows handed to ``canonicalize`` as
+ints at the lcm ``L`` of the document's.  Only cocirculations come back
+as Fractions.
 """
 
 from __future__ import annotations
@@ -12,31 +20,43 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any
 
 from .errors import NotPreHoneycomb, SchemaError
 from .grid import Cocirculation, ConvexGrid, Edge
-from .honeycomb import HEdge, HLine, Honeycomb, Pt, canonicalize, dval, frac_point, t_of
+from .honeycomb import HEdge, HLine, Honeycomb, Pt, canonicalize, dval, t_of
+
+MAX_DIGITS = 4300
+
+_DIGITS = f"[0-9]{{1,{MAX_DIGITS}}}"
+_RATIONAL = re.compile(f"(-?{_DIGITS})(?:/({_DIGITS}))?")
 
 
 def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+def _ratio(v: Any) -> tuple[int, int]:
+    """``v``, a JSON integer or a ``"p"`` or ``"p/q"`` string, as ``(p, q)``
+    with ``q > 0``, not yet reduced."""
+    if isinstance(v, str):
+        m = _RATIONAL.fullmatch(v)
+        if m is not None:
+            p, q = m.groups()
+            try:  # int() raises below MAX_DIGITS only where the limit is set lower
+                q = 1 if q is None else int(q)
+                if q:
+                    return int(p), q
+            except ValueError:
+                pass
+    elif isinstance(v, int) and not isinstance(v, bool):
+        return v, 1
+    raise SchemaError(f"not a rational: {v!r}")
 
 
 def frac_from_any(v: Any) -> Fraction:
-    try:
-        if isinstance(v, bool):
-            raise ValueError
-        if isinstance(v, int):
-            return Fraction(v)
-        if isinstance(v, str) and _RATIONAL.fullmatch(v):
-            return Fraction(v)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise SchemaError(f"not a rational: {v!r}")
+    return Fraction(*_ratio(v))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -83,13 +103,18 @@ def _edge_rows(doc: Any, what: str):
     _require(isinstance(doc, dict) and isinstance(doc.get("edges"), list), f"{what}: want {{'edges': [...]}}")
     seen = set()
     for row in doc["edges"]:
-        _require(isinstance(row, dict), f"{what}: edge rows must be objects")
+        if not isinstance(row, dict):
+            raise SchemaError(f"{what}: edge rows must be objects")
         a, b, d = row.get("a"), row.get("b"), row.get("dir")
-        _require(_is_int(a) and _is_int(b), f"{what}: 'a','b' must be integers")
-        _require(d in (1, 2, 3), f"{what}: 'dir' must be 1, 2 or 3")
-        _require((a, b, d) not in seen, f"{what}: duplicate edge {(a, b, d)}")
-        seen.add((a, b, d))
-        yield (a, b, d), row
+        if not (_is_int(a) and _is_int(b)):
+            raise SchemaError(f"{what}: 'a','b' must be integers")
+        if d not in (1, 2, 3):
+            raise SchemaError(f"{what}: 'dir' must be 1, 2 or 3")
+        e = (a, b, d)
+        if e in seen:
+            raise SchemaError(f"{what}: duplicate edge {e}")
+        seen.add(e)
+        yield e, row
 
 
 def cocirc_from_json(doc: Any) -> Cocirculation:
@@ -104,14 +129,25 @@ def edge_list_to_json(edges) -> dict:
     return {"edges": [{"a": a, "b": b, "dir": d} for a, b, d in sorted(edges)]}
 
 
+def _coord_to_str(x: int, scale: int) -> str:
+    """``x / scale`` as a reduced ``"p/q"``."""
+    g = gcd(x, scale)
+    return f"{x // g}/{scale // g}"
+
+
 def _pt_to_json(p: Pt, scale: int) -> dict:
-    d1, d2 = frac_point(p, scale)
-    return {"d1": frac_to_str(d1), "d2": frac_to_str(d2)}
+    return {"d1": _coord_to_str(p[0], scale), "d2": _coord_to_str(p[1], scale)}
 
 
-def _pt_from_json(row: Any) -> Pt:
-    _require(isinstance(row, dict), "point rows must be objects")
-    return (frac_from_any(row.get("d1")), frac_from_any(row.get("d2")))
+def _pt_from_json(row: Any) -> tuple[int, int, int]:
+    """A point row as ``(x1, x2, q)``: ``d1 = x1/q`` and ``d2 = x2/q``, with
+    ``q`` the lcm of their reduced denominators."""
+    if not isinstance(row, dict):
+        raise SchemaError("point rows must be objects")
+    p1, q1 = _ratio(row.get("d1"))
+    p2, q2 = _ratio(row.get("d2"))
+    q = lcm(q1 // gcd(p1, q1), q2 // gcd(p2, q2))
+    return p1 * q // q1, p2 * q // q2, q
 
 
 def hedge_to_json(e: HEdge, scale: int) -> dict:
@@ -136,41 +172,67 @@ def honeycomb_to_json(h: Honeycomb) -> dict:
 
 def honeycomb_from_json(doc: Any) -> Honeycomb:
     _require(isinstance(doc, dict) and isinstance(doc.get("edges"), list), "honeycomb: want {'edges': [...]}")
-    lines = []
+    rows = []
     for row in doc["edges"]:
         _require(isinstance(row, dict), "honeycomb: edge rows must be objects")
         cls = row.get("class")
         _require(cls in (1, 2, 3), "honeycomb: 'class' must be 1, 2 or 3")
         w = row.get("weight")
         _require(_is_int(w) and w > 0, "honeycomb: 'weight' must be a positive integer")
-        ends = [_pt_from_json(p) for p in row.get("ends", [])]
+        ends = row.get("ends", [])
+        _require(isinstance(ends, list), "honeycomb: 'ends' must be a list")
+        ends = [_pt_from_json(p) for p in ends]
         kind = row.get("kind")
         if kind == "finite":
             _require(len(ends) == 2, "honeycomb: finite edge needs two ends")
-            _require(dval(ends[1], cls) == dval(ends[0], cls), "honeycomb: ends not collinear for class")
-            span = sorted((t_of(cls, ends[0]), t_of(cls, ends[1])))
-            _require(span[0] < span[1], "honeycomb: degenerate finite edge")
+            (a1, a2, qa), (b1, b2, qb) = ends
+            r = lcm(qa, qb)  # the row's checks run on ints in units of 1/r
+            a, b = (a1 * (r // qa), a2 * (r // qa)), (b1 * (r // qb), b2 * (r // qb))
+            c = dval(a, cls)
+            _require(dval(b, cls) == c, "honeycomb: ends not collinear for class")
+            lo, hi = sorted((t_of(cls, a), t_of(cls, b)))
+            _require(lo < hi, "honeycomb: degenerate finite edge")
         elif kind == "ray":
             _require(len(ends) == 1, "honeycomb: ray needs one end")
             sign = row.get("sign")
             _require(sign in ("+", "-"), "honeycomb: ray needs sign '+' or '-'")
-            t = t_of(cls, ends[0])
-            span = (t, None) if sign == "+" else (None, t)
+            a1, a2, r = ends[0]
+            c, t = dval((a1, a2), cls), t_of(cls, (a1, a2))
+            lo, hi = (t, None) if sign == "+" else (None, t)
         else:
             raise SchemaError("honeycomb: 'kind' must be 'finite' or 'ray'")
-        lines.append((HLine(cls, dval(ends[0], cls), *span), w))
+        rows.append((cls, c, lo, hi, w, r))
+    scale = lcm(*(r for *_, r in rows))
+    lines = []
+    for cls, c, lo, hi, w, r in rows:
+        k = scale // r
+        lines.append((HLine(cls, c * k, None if lo is None else lo * k, None if hi is None else hi * k), w))
     try:
-        return canonicalize(lines)
+        return canonicalize(lines, scale)
     except (NotPreHoneycomb, AssertionError) as ex:
         raise SchemaError(f"honeycomb: not a valid honeycomb ({ex})") from ex
+
+
+def _json_int(text: str) -> int:
+    if len(text) > MAX_DIGITS and len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"an integer has more than {MAX_DIGITS} digits")
+    return int(text)
 
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True) + "\n"
 
 
+_TO_ZEROS = str.maketrans("123456789", "000000000")
+_LONG_RUN = "0" * (MAX_DIGITS + 1)
+
+
 def loads(text: str) -> Any:
+    # A JSON integer can break the bound only where the text has a run of
+    # more than MAX_DIGITS digits; only then are integers read through
+    # the bounding hook, not json's own int.
+    hook = _json_int if _LONG_RUN in text.translate(_TO_ZEROS) else None
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=hook)
     except (ValueError, RecursionError) as ex:  # JSONDecodeError, too many digits, too deep
         raise SchemaError(f"invalid JSON: {ex}") from ex

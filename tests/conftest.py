@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import copy
 import random
+import re
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import settings, strategies as st
 
-from cocirc.constructions import random_honeycomb
+from cocirc import serialize
+from cocirc.constructions import (
+    counterexample_instance,
+    fractional_vertex_instance,
+    hexagon_instance,
+    random_honeycomb,
+    sample_honeycomb,
+)
 from cocirc.deform import (
     STOP_BOUNDARY_INTEGRAL,
     STOP_INTEGRAL_VERTEX,
@@ -20,7 +30,7 @@ from cocirc.deform import (
     _moved_line_span,
     build_deformed_system,
 )
-from cocirc.duality import honeycomb_to_grid
+from cocirc.duality import grid_to_honeycomb, honeycomb_to_grid
 from cocirc.grid import (
     ConvexGrid,
     cocirculation_from_quadratic,
@@ -364,3 +374,103 @@ def claw_parts(draw):
         center = (Fraction(draw(st.integers(-4 * d, 4 * d)), d), Fraction(draw(st.integers(-4 * d, 4 * d)), d))
         parts.append((center, draw(st.integers(1, 2)), draw(st.sampled_from("+-"))))
     return parts
+
+
+@lru_cache(maxsize=None)
+def _document_bases() -> tuple[tuple[dict, dict, dict], ...]:
+    """``(grid, cocirculation, honeycomb)`` documents of the paper's small
+    instances and of ``random_honeycomb`` for seeds 0..7."""
+    pairs = [fractional_vertex_instance(1)[:2], hexagon_instance(2), counterexample_instance()]
+    pairs.append(honeycomb_to_grid(sample_honeycomb()))
+    pairs += [honeycomb_to_grid(random_honeycomb(seed)) for seed in range(8)]
+    return tuple(
+        (serialize.grid_to_json(g), serialize.cocirc_to_json(h), serialize.honeycomb_to_json(grid_to_honeycomb(g, h)))
+        for g, h in pairs
+    )
+
+
+# Values put in place of a field: bad and good, of every JSON type.
+ODD_VALUES = (0, 1, 2, 3, 4, -1, 2.5, True, False, None, "1", "+", "-", "ray", "finite", [], {})
+
+
+def _odd_rational(draw, text: str):
+    """A rewrite of the ``"p/q"`` string ``text``: as often as not the same
+    value spelled otherwise, else a nearby value or no rational at all.
+    Anything but a short ``"p/q"`` becomes one of ``ODD_VALUES``."""
+    if not re.fullmatch(r"-?[0-9]{1,9}/0*[1-9][0-9]{0,9}", str(text)):
+        return draw(st.sampled_from(ODD_VALUES))
+    p, q = (int(x) for x in text.split("/"))
+    m = draw(st.integers(2, 5))
+    sign = "-" if p < 0 else ""
+    same = [
+        f"{p * m}/{q * m}",  # unreduced
+        f"-0/{m}" if p == 0 else f"{sign}0{abs(p)}/00{q}",  # minus zero, or leading zeros
+        sign + "0" * (4300 - len(str(abs(p)))) + str(abs(p)) + "/" + str(q),  # 4,300 digits
+    ]
+    if p % q == 0:
+        same.append(p // q)  # a JSON integer
+    other = [
+        f"{p}/0",
+        f"{p * 2 + 1}/{q * 2}",  # shifted by 1/(2q)
+        p,
+        "1" * 5000,
+        f"{p}/" + "1" * 5000,
+        f"{p}.0/{q}",
+        f" {text}",
+        None,
+    ]
+    return draw(st.sampled_from(same if draw(st.booleans()) else other))
+
+
+@st.composite
+def mutated_honeycomb_documents(draw):
+    """A honeycomb document of ``_document_bases`` with zero to three
+    mutations: a coordinate respelled (``_odd_rational``), a field set to
+    an odd value, a key or an end dropped, or a row dropped."""
+    doc = copy.deepcopy(draw(st.sampled_from(_document_bases()))[2])
+    rows = doc["edges"]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        what = draw(st.sampled_from(
+            ("coordinate", "coordinate", "coordinate", "end", "field", "drop key", "drop end", "drop row")
+        ))
+        if what == "coordinate" and row.get("ends"):
+            end = draw(st.sampled_from(row["ends"]))
+            key = draw(st.sampled_from(("d1", "d2")))
+            if isinstance(end, dict):
+                end[key] = _odd_rational(draw, end.get(key))
+        elif what == "end" and row.get("ends"):
+            row["ends"][draw(st.integers(0, len(row["ends"]) - 1))] = draw(st.sampled_from(ODD_VALUES))
+        elif what == "field":
+            row[draw(st.sampled_from(("class", "weight", "kind", "sign")))] = draw(st.sampled_from(ODD_VALUES))
+        elif what == "drop key":
+            row.pop(draw(st.sampled_from(("class", "weight", "kind", "sign", "ends"))), None)
+        elif what == "drop end" and row.get("ends"):
+            row["ends"].pop(draw(st.integers(0, len(row["ends"]) - 1)))
+        elif what == "drop row":
+            rows.pop(i)
+    return doc
+
+
+@st.composite
+def mutated_grid_documents(draw):
+    """A grid and a cocirculation document of ``_document_bases``, with a
+    triangle row or an edge row dropped, set odd or respelled."""
+    grid, cocirc, _ = draw(st.sampled_from(_document_bases()))
+    grid, cocirc = copy.deepcopy(grid), copy.deepcopy(cocirc)
+    for _ in range(draw(st.integers(0, 3))):
+        rows = draw(st.sampled_from((grid["triangles"], cocirc["edges"])))
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        what = draw(st.sampled_from(("drop", "field", "value")))
+        if what == "drop":
+            rows.pop(i)
+        elif what == "field":
+            rows[i][draw(st.sampled_from(("up", "a", "b", "dir")))] = draw(st.sampled_from(ODD_VALUES))
+        elif "value" in rows[i]:
+            rows[i]["value"] = _odd_rational(draw, rows[i]["value"])
+    return grid, cocirc

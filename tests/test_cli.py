@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +9,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+
+from conftest import mutated_grid_documents, mutated_honeycomb_documents
 
 import cocirc
 from cocirc import serialize
@@ -188,3 +194,64 @@ def test_selftest_under_optimize():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("PASS") == 3
+
+
+def test_cli_documents_are_pinned(tmp_path, capsys):
+    # A change that only makes reading or writing documents faster must
+    # leave every byte the commands write, and every exit code, as it is.
+    cases = [("fractional-vertex", k) for k in (1, 2, 3)]
+    cases += [("hexagon", k) for k in (1, 2, 3)] + [("counterexample", 1)]
+    digest = hashlib.sha256()
+    for kind, k in cases:
+        d = tmp_path / f"{kind}{k}"
+        d.mkdir()
+        p = {name: str(d / name) for name in (
+            "g.json", "c.json", "f.json", "h.json", "g2.json", "c2.json", "path.json",
+            "left.json", "left.jsonl", "right.json", "right.jsonl")}
+        fixed = ["--fixed", p["f.json"]] if kind == "fractional-vertex" else []
+        steps = [
+            ["gen", "--kind", kind, "--k", str(k), "--grid", p["g.json"], "--out", p["c.json"], *fixed],
+            ["dualize", "--to", "honeycomb", "--grid", p["g.json"], "--in", p["c.json"], "--out", p["h.json"]],
+            ["dualize", "--to", "grid", "--in", p["h.json"], "--grid", p["g2.json"], "--out", p["c2.json"]],
+            ["legal-path", "--in", p["h.json"], "--out", p["path.json"]],
+        ]
+        steps += [
+            ["deform", "--in", p["h.json"], "--direction", side, "--out", p[f"{side}.json"],
+             "--trace", p[f"{side}.jsonl"]]
+            for side in ("left", "right")
+        ]
+        for argv in steps:
+            code, out = run(capsys, *argv)
+            digest.update(f"{kind}{k} {argv[0]} {code}\n{out}".encode())
+        for name, path in p.items():
+            if os.path.exists(path):
+                digest.update(f"{kind}{k} {name}\n".encode() + Path(path).read_bytes())
+    assert digest.hexdigest() == "b46b5504d5d4abcc339216235d1b796cd281aa24d4a9e8ad0dfb4419c7e31ca2"
+
+
+def _exit_code(argv) -> int:
+    """``cli.main(argv)`` with its output swallowed; an exception escapes."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(docs=mutated_grid_documents())
+def test_validate_fuzz_exits_with_a_documented_code(fuzz_dir, docs):
+    g, c = fuzz_dir / "g.json", fuzz_dir / "c.json"
+    g.write_text(json.dumps(docs[0]))
+    c.write_text(json.dumps(docs[1]))
+    assert _exit_code(["validate", "--grid", str(g), "--in", str(c)]) in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_honeycomb_documents())
+def test_legal_path_fuzz_exits_with_a_documented_code(fuzz_dir, doc):
+    h = fuzz_dir / "h.json"
+    h.write_text(json.dumps(doc))
+    assert _exit_code(["legal-path", "--in", str(h)]) in (0, 2, 3)

@@ -1,11 +1,17 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import mutated_honeycomb_documents
 from cocirc.constructions import counterexample_instance, sample_honeycomb
 from cocirc.duality import grid_to_honeycomb
-from cocirc.errors import SchemaError
+from cocirc.errors import NotPreHoneycomb, SchemaError
+from cocirc.honeycomb import HLine, canonicalize, dval, t_of
 from cocirc.serialize import (
+    MAX_DIGITS,
     cocirc_from_json,
     cocirc_to_json,
     dumps,
@@ -81,3 +87,126 @@ def test_schema_violations():
         honeycomb_from_json({"edges": [{"class": 1, "weight": 0, "kind": "ray"}]})
     with pytest.raises(SchemaError):
         loads("{not json")
+    # A non-list 'ends' has one message; the Fraction reader raised a
+    # TypeError for 5 and named the rows or their count for the others.
+    for ends in (5, "xy", "", {}):
+        with pytest.raises(SchemaError, match="'ends' must be a list"):
+            honeycomb_from_json({"edges": [{"class": 1, "weight": 1, "kind": "ray", "sign": "+", "ends": ends}]})
+
+
+# The Fraction-based reader that the integer one replaced, kept as the
+# oracle: each end point parsed into Fractions, checked with Fraction
+# ``dval``/``t_of``, and handed to ``canonicalize`` as a rational system.
+
+_ORACLE_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def oracle_frac_from_any(v):
+    try:
+        if isinstance(v, bool):
+            raise ValueError
+        if isinstance(v, int):
+            return Fraction(v)
+        if isinstance(v, str) and _ORACLE_RATIONAL.fullmatch(v):
+            return Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise SchemaError(f"not a rational: {v!r}")
+
+
+def _require(cond, msg):
+    if not cond:
+        raise SchemaError(msg)
+
+
+def _oracle_pt(row):
+    _require(isinstance(row, dict), "point rows must be objects")
+    return (oracle_frac_from_any(row.get("d1")), oracle_frac_from_any(row.get("d2")))
+
+
+def oracle_honeycomb_from_json(doc):
+    _require(isinstance(doc, dict) and isinstance(doc.get("edges"), list), "honeycomb: want {'edges': [...]}")
+    lines = []
+    for row in doc["edges"]:
+        _require(isinstance(row, dict), "honeycomb: edge rows must be objects")
+        cls = row.get("class")
+        _require(cls in (1, 2, 3), "honeycomb: 'class' must be 1, 2 or 3")
+        w = row.get("weight")
+        _require(isinstance(w, int) and not isinstance(w, bool) and w > 0,
+                 "honeycomb: 'weight' must be a positive integer")
+        ends = [_oracle_pt(p) for p in row.get("ends", [])]
+        kind = row.get("kind")
+        if kind == "finite":
+            _require(len(ends) == 2, "honeycomb: finite edge needs two ends")
+            _require(dval(ends[1], cls) == dval(ends[0], cls), "honeycomb: ends not collinear for class")
+            span = sorted((t_of(cls, ends[0]), t_of(cls, ends[1])))
+            _require(span[0] < span[1], "honeycomb: degenerate finite edge")
+        elif kind == "ray":
+            _require(len(ends) == 1, "honeycomb: ray needs one end")
+            sign = row.get("sign")
+            _require(sign in ("+", "-"), "honeycomb: ray needs sign '+' or '-'")
+            t = t_of(cls, ends[0])
+            span = (t, None) if sign == "+" else (None, t)
+        else:
+            raise SchemaError("honeycomb: 'kind' must be 'finite' or 'ray'")
+        lines.append((HLine(cls, dval(ends[0], cls), *span), w))
+    try:
+        return canonicalize(lines)
+    except (NotPreHoneycomb, AssertionError) as ex:
+        raise SchemaError(f"honeycomb: not a valid honeycomb ({ex})") from ex
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except SchemaError as ex:
+        return f"SchemaError: {ex}"
+
+
+# The oracle reads digits through int(), so it bounds them as the reader
+# does only at CPython's default limit.
+at_default_int_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != MAX_DIGITS,
+    reason="the interpreter's int-string limit is not the default",
+)
+
+
+@at_default_int_limit
+@settings(max_examples=400, deadline=None)
+@given(mutated_honeycomb_documents())
+def test_honeycomb_reader_matches_fraction_oracle(doc):
+    assert _outcome(honeycomb_from_json, doc) == _outcome(oracle_honeycomb_from_json, doc)
+
+
+@at_default_int_limit
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(),
+    st.from_regex(r"-?0*[0-9]{1,6}(/0*[0-9]{1,6})?", fullmatch=True),
+    st.text(alphabet="-/0123456789. +e", max_size=12),
+    st.sampled_from(["1" * 4300, "-" + "9" * 4300, "1/" + "0" * 4299 + "7", "1" * 4301, "1/" + "1" * 4301]),
+    st.none(), st.booleans(), st.floats(allow_nan=False),
+))
+def test_frac_from_any_matches_fraction_oracle(v):
+    assert _outcome(frac_from_any, v) == _outcome(oracle_frac_from_any, v)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit to set")
+def test_digit_bound_does_not_follow_the_interpreter_limit():
+    longest, too_long = "7" * MAX_DIGITS, "7" * (MAX_DIGITS + 1)
+    old = sys.get_int_max_str_digits()
+    try:
+        for limit in (0, MAX_DIGITS, 10 * MAX_DIGITS):
+            sys.set_int_max_str_digits(limit)
+            assert frac_from_any(longest) == int(longest)
+            assert frac_from_any(f"-{longest}/{longest}") == -1
+            assert loads(f"[{longest}]") == [int(longest)]
+            assert loads(f'{{"s": "{too_long}", "n": [12, -3]}}') == {"s": too_long, "n": [12, -3]}
+            for bad in (too_long, f"1/{too_long}", f"-{too_long}/1", "-0" + longest):
+                with pytest.raises(SchemaError):
+                    frac_from_any(bad)
+            for bad in (f"[{too_long}]", f"[-{too_long}]", f'{{"a": {too_long}}}', f'["{too_long}", {too_long}]'):
+                with pytest.raises(SchemaError, match="more than 4300 digits"):
+                    loads(bad)
+    finally:
+        sys.set_int_max_str_digits(old)
