@@ -109,8 +109,8 @@ def tile_points(
     for ts in tiles:
         vals = {}
         for t in ts:
-            for cls in (1, 2, 3):
-                v = h[gr.triangle_edge(t, cls)]
+            for cls, e in enumerate(gr.triangle_edges(t), 1):
+                v = h[e]
                 stored = vals.setdefault(cls, v)
                 assert stored == v, "tile is not flat"
         pts.append((vals[1], vals[2]))
@@ -146,7 +146,7 @@ def grid_to_honeycomb(g: ConvexGrid, h: Cocirculation) -> Honeycomb:
     rays: dict[tuple[int, int, str], int] = {}
     for side in g.sides:
         for e in side.edges:
-            (face,) = g.edge_faces[e]
+            (face,) = (t for t in gr.faces_of(e) if t in g.triangles)
             key = (tile_of[face], side.cls, side.sign)
             rays[key] = rays.get(key, 0) + 1
     for (i, cls, sign), n in sorted(rays.items()):

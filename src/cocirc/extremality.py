@@ -87,7 +87,6 @@ class _TileVars:
     """Union-find over (tile, class) slots with the shared-side merges."""
 
     def __init__(self, g: ConvexGrid, tiles: Tiling):
-        self.g = g
         self.tiles = tiles
         self.tile_of = {t: i for i, ts in enumerate(tiles) for t in ts}
         self._parent = parent = list(range(3 * len(tiles)))
@@ -108,8 +107,8 @@ class _TileVars:
         return self.index[gr.find(self._parent, self._slot(tile, cls))]
 
     def var_of_edge(self, e: Edge) -> int:
-        face = self.g.edge_faces[e][0]
-        return self.var(self.tile_of[face], e[2])
+        down, up = gr.faces_of(e)
+        return self.var(self.tile_of[down if down in self.tile_of else up], e[2])
 
     def sum_rows(self) -> list[Row]:
         rows = []
@@ -136,7 +135,7 @@ def vertex_degrees_of_freedom(
         raise FNotSubsetOfEdges(sorted(fixed - g.edges)[:3])
     tiles = gr.tiling_of(g, h)  # raises NotConcave
     tv = _TileVars(g, tiles)
-    rows = tv.sum_rows() + _pin_rows(tv, {e: h[e] for e in fixed})
+    rows = _pin_rows(tv, {e: h[e] for e in fixed}) + tv.sum_rows()
     rank, _ = eliminate(rows, tv.nvars)
     return tv.nvars - rank
 
@@ -156,7 +155,7 @@ def solve_flat_extension(
     inconsistent.
     """
     tv = _TileVars(g, tiles)
-    rows = tv.sum_rows() + _pin_rows(tv, pins)
+    rows = _pin_rows(tv, pins) + tv.sum_rows()
     rank, sol = eliminate(rows, tv.nvars)
     if sol is None:
         raise ValueError(f"pins leave {tv.nvars - rank} degrees of freedom")

@@ -19,6 +19,26 @@ the tail of the triangle's direction-1 edge:
 
 * ``up(a, b)`` has vertices ``(a,b), (a+1,b), (a+1,b+1)``;
 * ``down(a, b)`` has vertices ``(a,b), (a+1,b), (a,b-1)``.
+
+Every face relation is a fixed lattice offset; a grid only says which
+faces it holds.  ``triangle_edges`` and ``neighbours`` are the first table,
+``faces_of`` reads it backwards (down face first), and ``rhombi_of`` finds
+each rhombus from its up face by the second:
+
+=========  ===============================  =====================================
+face       edges, in class order            faces across them, in class order
+=========  ===============================  =====================================
+up(a,b)    (a,b,1) (a+1,b,2) (a+1,b+1,3)    down(a,b) down(a+1,b+1) down(a,b+1)
+down(a,b)  (a,b,1) (a,b-1,2) (a+1,b,3)      up(a,b) up(a-1,b-1) up(a,b-1)
+=========  ===============================  =====================================
+
+=============  ===========  ===========  ===========
+up(a,b) and    diag         dom          other
+=============  ===========  ===========  ===========
+down(a,b)      (a,b,1)      (a,b-1,2)    (a+1,b,2)
+down(a+1,b+1)  (a+1,b,2)    (a,b,1)      (a+1,b+1,1)
+down(a,b+1)    (a+1,b+1,3)  (a,b+1,1)    (a,b,1)
+=============  ===========  ===========  ===========
 """
 
 from __future__ import annotations
@@ -28,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import NotACocirculation, NotConcave, NotConnected, NotConvex
 
@@ -70,8 +90,40 @@ def triangle_edges(t: Triangle) -> tuple[Edge, Edge, Edge]:
     return ((a, b, 1), (a, b - 1, 2), (a + 1, b, 3))
 
 
-def triangle_edge(t: Triangle, cls: int) -> Edge:
-    return triangle_edges(t)[cls - 1]
+def neighbours(t: Triangle) -> tuple[Triangle, Triangle, Triangle]:
+    """The lattice faces across the edges of ``t``, in class order."""
+    up, a, b = t
+    if up:
+        return ((False, a, b), (False, a + 1, b + 1), (False, a, b + 1))
+    return ((True, a, b), (True, a - 1, b - 1), (True, a, b - 1))
+
+
+def faces_of(e: Edge) -> tuple[Triangle, Triangle]:
+    """The two lattice faces of ``e``, down face first."""
+    a, b, d = e
+    if d == 1:
+        return ((False, a, b), (True, a, b))
+    if d == 2:
+        return ((False, a, b + 1), (True, a - 1, b))
+    return ((False, a - 1, b), (True, a - 1, b - 1))
+
+
+def rhombi_of(triangles: AbstractSet[Triangle]) -> Iterator[Rhombus]:
+    """Each rhombus ``(diag, down, up, dom, other)`` of two faces in
+    ``triangles``.  ``dom``, ``other`` is its parallel pair in the least class
+    that is not ``diag``'s, and ``dom`` enters an end of ``diag``, so
+    concavity asks ``h[dom] >= h[other]``; on a cocirculation the other
+    parallel pair has the same difference."""
+    for t in triangles:
+        if t[0]:
+            _, a, b = t
+            (e1, e2, e3), (d1, d2, d3) = triangle_edges(t), neighbours(t)
+            if d1 in triangles:
+                yield e1, d1, t, (a, b - 1, 2), e2
+            if d2 in triangles:
+                yield e2, d2, t, e1, (a + 1, b + 1, 1)
+            if d3 in triangles:
+                yield e3, d3, t, (a, b + 1, 1), e1
 
 
 def _cross(u: Point, v: Point) -> int:
@@ -111,41 +163,15 @@ class ConvexGrid:
         return frozenset(e for t in self.triangles for e in triangle_edges(t))
 
     @cached_property
-    def edge_faces(self) -> dict[Edge, tuple[Triangle, ...]]:
-        faces: dict[Edge, list[Triangle]] = {}
-        for t in sorted(self.triangles):
-            for e in triangle_edges(t):
-                faces.setdefault(e, []).append(t)
-        return {e: tuple(ts) for e, ts in faces.items()}
-
-    @cached_property
     def rhombi(self) -> tuple[Rhombus, ...]:
-        """Each interior edge ``diag`` in sorted order, its two faces, and the
-        parallel pair ``dom``, ``other`` of their rhombus in the least class
-        that is not ``diag``'s.
-
-        ``dom`` enters an obtuse rhombus vertex (an end of ``diag``), and
-        concavity asks ``h[dom] >= h[other]``; on a cocirculation the other
-        parallel pair has the same difference."""
-        # The table lives as long as the grid: point it at the edge objects
-        # the grid already holds rather than at fresh copies.
-        edge = {e: e for e in self.edge_faces}
-        out = []
-        for diag, ts in sorted(self.edge_faces.items()):
-            if len(ts) != 2:
-                continue
-            t1, t2 = ts
-            cls = 2 if diag[2] == 1 else 1
-            e1, e2 = edge[triangle_edge(t1, cls)], edge[triangle_edge(t2, cls)]
-            if edge_head(e1) in (edge_tail(diag), edge_head(diag)):
-                out.append((diag, t1, t2, e1, e2))
-            else:
-                out.append((diag, t1, t2, e2, e1))
-        return tuple(out)
+        """``rhombi_of`` the grid, kept for the callers that read it more
+        than once."""
+        return tuple(rhombi_of(self.triangles))
 
     @cached_property
     def boundary_edges(self) -> frozenset[Edge]:
-        return frozenset(e for e, ts in self.edge_faces.items() if len(ts) == 1)
+        ts = self.triangles
+        return frozenset(e for t in ts for e, u in zip(triangle_edges(t), neighbours(t)) if u not in ts)
 
     @cached_property
     def vertices(self) -> frozenset[Point]:
@@ -234,18 +260,16 @@ def validate_grid(g: ConvexGrid) -> None:
     failure modes are disconnection, holes/pinches and reflex boundary
     turns.
     """
-    if not g.triangles:
+    tris = g.triangles
+    if not tris:
         raise NotConvex("empty triangle set")
-    tris = sorted(g.triangles)
-    seen = {tris[0]}
-    queue = [tris[0]]
+    queue = [min(tris)]
+    seen = set(queue)
     while queue:
-        t = queue.pop()
-        for e in triangle_edges(t):
-            for t2 in g.edge_faces[e]:
-                if t2 not in seen:
-                    seen.add(t2)
-                    queue.append(t2)
+        for t2 in neighbours(queue.pop()):
+            if t2 in tris and t2 not in seen:
+                seen.add(t2)
+                queue.append(t2)
     if len(seen) != len(tris):
         raise NotConnected(f"{len(tris) - len(seen)} faces unreachable")
     walk = g.boundary_walk  # raises NotConvex on holes/pinches
@@ -303,19 +327,23 @@ def three_side_grid(n: int) -> ConvexGrid:
     return ConvexGrid(fill_convex_polygon([(0, 0), (n, 0), (n, n)]))
 
 
-def scaled_values(h: Mapping[Edge, Fraction]) -> tuple[int, dict[Edge, int]]:
+def scaled_values(h: Mapping[Edge, Fraction]) -> tuple[int, Mapping[Edge, int]]:
     """``(L, s)`` with ``L`` the lcm of the denominators of ``h`` and
-    ``s[e] = h[e] * L``, an int for every edge of ``h``."""
+    ``s[e] = h[e] * L``, an int for every edge of ``h``; ``h`` itself when
+    its values are ints already."""
+    if all(type(x) is int for x in h.values()):
+        return 1, h
     scale = lcm(*{x.denominator for x in h.values()})
     return scale, {e: x.numerator * (scale // x.denominator) for e, x in h.items()}
 
 
-def _checked(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> dict[Edge, int]:
+def _checked(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> Mapping[Edge, int]:
     """The scaled values of ``h`` once every face of ``g`` sums to zero."""
     scale, s = scaled_values(h)
     for t in g.triangles:
+        e1, e2, e3 = triangle_edges(t)
         try:
-            total = sum(s[e] for e in triangle_edges(t))
+            total = s[e1] + s[e2] + s[e3]
         except KeyError as missing:
             raise NotACocirculation(f"missing value on edge {missing}") from None
         if total != 0:
@@ -330,7 +358,8 @@ def check_cocirculation(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> None:
 def is_concave(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> bool:
     """Whether every little rhombus satisfies the concavity inequality."""
     s = _checked(g, h)
-    return all(s[dom] >= s[other] for _, _, _, dom, other in g.rhombi)
+    # One pass, mostly over a fresh grid: stream rather than keep ``g.rhombi``.
+    return all(s[dom] >= s[other] for _, _, _, dom, other in rhombi_of(g.triangles))
 
 
 def find(parent, x):

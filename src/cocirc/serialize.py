@@ -108,7 +108,7 @@ def _edge_rows(doc: Any, what: str):
         a, b, d = row.get("a"), row.get("b"), row.get("dir")
         if not (_is_int(a) and _is_int(b)):
             raise SchemaError(f"{what}: 'a','b' must be integers")
-        if d not in (1, 2, 3):
+        if not (_is_int(d) and d in (1, 2, 3)):
             raise SchemaError(f"{what}: 'dir' must be 1, 2 or 3")
         e = (a, b, d)
         if e in seen:
@@ -176,7 +176,7 @@ def honeycomb_from_json(doc: Any) -> Honeycomb:
     for row in doc["edges"]:
         _require(isinstance(row, dict), "honeycomb: edge rows must be objects")
         cls = row.get("class")
-        _require(cls in (1, 2, 3), "honeycomb: 'class' must be 1, 2 or 3")
+        _require(_is_int(cls) and cls in (1, 2, 3), "honeycomb: 'class' must be 1, 2 or 3")
         w = row.get("weight")
         _require(_is_int(w) and w > 0, "honeycomb: 'weight' must be a positive integer")
         ends = row.get("ends", [])

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import assume, settings, strategies as st
 
 from cocirc import serialize
 from cocirc.constructions import (
@@ -38,7 +38,7 @@ from cocirc.grid import (
     edge_tail,
     fill_convex_polygon,
     three_side_grid,
-    triangle_edge,
+    triangle_edges,
     triangle_vertices,
 )
 from cocirc.honeycomb import (
@@ -128,11 +128,60 @@ def oracle_rhombus_pairs(diag, t1, t2):
     for cls in (1, 2, 3):
         if cls == diag[2]:
             continue
-        e1, e2 = triangle_edge(t1, cls), triangle_edge(t2, cls)
+        e1, e2 = triangle_edges(t1)[cls - 1], triangle_edges(t2)[cls - 1]
         in1, in2 = edge_head(e1) in obtuse, edge_head(e2) in obtuse
         assert in1 != in2, (diag, e1, e2)
         pairs.append((e1, e2) if in1 else (e2, e1))
     return pairs
+
+
+def oracle_edge_faces(triangles):
+    """Each edge's faces in sorted order, listed face by face: the per-grid
+    table that the lattice rules of ``cocirc.grid`` replaced."""
+    faces = {}
+    for t in sorted(triangles):
+        for e in triangle_edges(t):
+            faces.setdefault(e, []).append(t)
+    return {e: tuple(ts) for e, ts in faces.items()}
+
+
+def oracle_rhombi(triangles):
+    """The rhombus table built on ``oracle_edge_faces``: each interior edge
+    in sorted order, its two faces, and ``(dom, other)`` in the least class
+    that is not the edge's."""
+    out = []
+    for diag, ts in sorted(oracle_edge_faces(triangles).items()):
+        if len(ts) != 2:
+            continue
+        t1, t2 = ts
+        cls = 2 if diag[2] == 1 else 1
+        e1, e2 = triangle_edges(t1)[cls - 1], triangle_edges(t2)[cls - 1]
+        if edge_head(e1) in (edge_tail(diag), edge_head(diag)):
+            out.append((diag, t1, t2, e1, e2))
+        else:
+            out.append((diag, t1, t2, e2, e1))
+    return out
+
+
+# Anticlockwise boundary steps of a lattice hexagon, one per side.
+HEXAGON_STEPS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+
+
+@st.composite
+def convex_hexagons(draw):
+    """The triangles of a convex lattice hexagon with side lengths 0..5, at
+    least three of them nonzero, filled by ``fill_convex_polygon``.  The
+    walk along ``HEXAGON_STEPS`` closes when ``w1 - w4 = w5 - w2 = w3 - w6``."""
+    w1, w2, w3 = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    d = draw(st.integers(max(w1 - 5, w3 - 5, -w2), min(w1, w3, 5 - w2)))
+    sides = (w1, w2, w3, w1 - d, w2 + d, w3 - d)
+    assume(sum(n > 0 for n in sides) >= 3)
+    corner, corners = (0, 0), []
+    for n, (da, db) in zip(sides, HEXAGON_STEPS):
+        corners.append(corner)
+        corner = (corner[0] + n * da, corner[1] + n * db)
+    assert corner == (0, 0)
+    return fill_convex_polygon(corners)
 
 
 def oracle_ray_weights(lines, v: Pt):
@@ -389,8 +438,10 @@ def _document_bases() -> tuple[tuple[dict, dict, dict], ...]:
     )
 
 
-# Values put in place of a field: bad and good, of every JSON type.
-ODD_VALUES = (0, 1, 2, 3, 4, -1, 2.5, True, False, None, "1", "+", "-", "ray", "finite", [], {})
+# Values put in place of a field: bad and good, of every JSON type.  Drawn
+# as copies: a later mutation may write into a drawn list or object.
+ODD_VALUES = (0, 1, 2, 3, 4, -1, 2.0, 2.5, True, False, None, "1", "+", "-", "ray", "finite", [], {})
+odd_values = st.sampled_from(ODD_VALUES).map(copy.deepcopy)
 
 
 def _odd_rational(draw, text: str):
@@ -398,7 +449,7 @@ def _odd_rational(draw, text: str):
     value spelled otherwise, else a nearby value or no rational at all.
     Anything but a short ``"p/q"`` becomes one of ``ODD_VALUES``."""
     if not re.fullmatch(r"-?[0-9]{1,9}/0*[1-9][0-9]{0,9}", str(text)):
-        return draw(st.sampled_from(ODD_VALUES))
+        return draw(odd_values)
     p, q = (int(x) for x in text.split("/"))
     m = draw(st.integers(2, 5))
     sign = "-" if p < 0 else ""
@@ -443,9 +494,9 @@ def mutated_honeycomb_documents(draw):
             if isinstance(end, dict):
                 end[key] = _odd_rational(draw, end.get(key))
         elif what == "end" and row.get("ends"):
-            row["ends"][draw(st.integers(0, len(row["ends"]) - 1))] = draw(st.sampled_from(ODD_VALUES))
+            row["ends"][draw(st.integers(0, len(row["ends"]) - 1))] = draw(odd_values)
         elif what == "field":
-            row[draw(st.sampled_from(("class", "weight", "kind", "sign")))] = draw(st.sampled_from(ODD_VALUES))
+            row[draw(st.sampled_from(("class", "weight", "kind", "sign")))] = draw(odd_values)
         elif what == "drop key":
             row.pop(draw(st.sampled_from(("class", "weight", "kind", "sign", "ends"))), None)
         elif what == "drop end" and row.get("ends"):
@@ -470,7 +521,7 @@ def mutated_grid_documents(draw):
         if what == "drop":
             rows.pop(i)
         elif what == "field":
-            rows[i][draw(st.sampled_from(("up", "a", "b", "dir")))] = draw(st.sampled_from(ODD_VALUES))
+            rows[i][draw(st.sampled_from(("up", "a", "b", "dir")))] = draw(odd_values)
         elif "value" in rows[i]:
             rows[i]["value"] = _odd_rational(draw, rows[i]["value"])
     return grid, cocirc

@@ -8,9 +8,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import claw_parts, hexagon_grid, mixed_concave
+from conftest import claw_parts, convex_hexagons, hexagon_grid, mixed_concave
 from cocirc.constructions import (
     claw_sum,
     counterexample_instance,
@@ -22,7 +22,7 @@ from cocirc.constructions import (
 from cocirc.deform import build_deformed_system, decompose, orient_cycle_rightward, stop_epsilon
 from cocirc.duality import grid_to_honeycomb, honeycomb_to_grid
 from cocirc.extremality import is_vertex
-from cocirc.grid import integer_edge_sets, is_concave, three_side_grid, tiling_of
+from cocirc.grid import ConvexGrid, integer_edge_sets, is_concave, random_concave, three_side_grid, tiling_of
 from cocirc.honeycomb import canonicalize, divergency, is_prehoneycomb, nonintegral_sets
 from cocirc.integralize import integralize, iteration_bound_check, potential
 from cocirc.paths import find_legal_path
@@ -244,3 +244,12 @@ def test_criterion_9_random_honeycombs_round():
 @settings(max_examples=40, deadline=None)
 def test_claw_sums_round(parts):
     _round_beyond_quadratics(claw_sum(parts))
+
+
+@given(convex_hexagons(), st.sampled_from((2, 3, 5, 7, 12)), st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_convex_hexagons_round(triangles, denom, seed):
+    # Any convex lattice hexagon, not only the 3-side triangles and the
+    # centrally symmetric hexagons of the corpora.
+    g = ConvexGrid(triangles)
+    _round_beyond_quadratics(grid_to_honeycomb(g, random_concave(g, seed, denom)))

@@ -137,6 +137,30 @@ def test_cocirculation_edge_outside_grid(tmp_path, capsys):
         assert "(99, 99, 1)" in json.loads(out)["error"]
 
 
+def test_boolean_and_float_classes_are_schema_errors(tmp_path, capsys):
+    # JSON true and 2.0 equal 1 and 2 in Python, but are not integers
+    g, c, f, h = (tmp_path / name for name in ("g.json", "c.json", "f.json", "h.json"))
+    assert run(capsys, "gen", "--kind", "fractional-vertex", "--k", "1", "--grid", str(g),
+               "--out", str(c), "--fixed", str(f))[0] == 0
+    assert run(capsys, "dualize", "--to", "honeycomb", "--grid", str(g), "--in", str(c), "--out", str(h))[0] == 0
+    cases = (
+        (c, "dir", ("validate", "--grid", str(g), "--in", str(c))),
+        (f, "dir", ("vertex-check", "--grid", str(g), "--in", str(c), "--fixed", str(f))),
+        (h, "class", ("legal-path", "--in", str(h))),
+    )
+    for odd in (True, 2.0):
+        for path, key, argv in cases:
+            text = path.read_text()
+            doc = json.loads(text)
+            doc["edges"][0][key] = odd
+            path.write_text(json.dumps(doc))
+            code, out = run(capsys, *argv)
+            assert code == 3, (argv, odd)
+            assert json.loads(out)["kind"] == "schema"
+            assert f"'{key}' must be 1, 2 or 3" in json.loads(out)["error"]
+            path.write_text(text)
+
+
 @pytest.mark.parametrize("argv", [
     ("--kind", "hexagon", "--k", "0"),
     ("--kind", "hexagon", "--k", "-1"),

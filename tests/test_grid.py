@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import hexagon_grid, oracle_fill_convex_polygon, oracle_rhombus_pairs
+from conftest import (
+    convex_hexagons,
+    hexagon_grid,
+    oracle_edge_faces,
+    oracle_fill_convex_polygon,
+    oracle_rhombi,
+    oracle_rhombus_pairs,
+)
 from cocirc.errors import NotACocirculation, NotConcave, NotConnected, NotConvex
 from cocirc.constructions import counterexample_instance
 from cocirc.duality import grid_to_honeycomb
@@ -14,10 +21,13 @@ from cocirc.grid import (
     cocirculation_from_quadratic,
     edge_head,
     edge_tail,
+    faces_of,
     fill_convex_polygon,
     integer_edge_sets,
     is_concave,
+    neighbours,
     random_concave,
+    rhombi_of,
     three_side_grid,
     tiling_of,
     triangle_edges,
@@ -152,15 +162,42 @@ def test_rhombus_equalities_come_in_pairs():
             assert (h[p1[0]] - h[p1[1]]) == (h[p2[0]] - h[p2[1]])
 
 
+def _lattice_rules_match_oracle(g):
+    """``faces_of``, ``neighbours``, ``rhombi_of`` and ``boundary_edges``
+    agree with the face table listed face by face."""
+    tris = g.triangles
+    faces = oracle_edge_faces(tris)
+    assert g.edges == frozenset(faces)
+    for e, ts in faces.items():
+        assert tuple(t for t in faces_of(e) if t in tris) == ts
+    for t in tris:
+        across = [tuple(u for u in faces[e] if u != t) for e in triangle_edges(t)]
+        assert [(u,) if u in tris else () for u in neighbours(t)] == across
+    assert sorted(rhombi_of(tris)) == oracle_rhombi(tris)
+    assert g.boundary_edges == frozenset(e for e, ts in faces.items() if len(ts) == 1)
+
+
 def test_rhombus_table_matches_oracle():
     grids = [three_side_grid(n) for n in range(1, 7)]
     grids += [hexagon_grid(2, 2, 2), counterexample_instance()[0]]
     for g in grids:
-        interior = sorted(e for e, ts in g.edge_faces.items() if len(ts) == 2)
-        assert [r[0] for r in g.rhombi] == interior
-        for diag, t1, t2, dom, other in g.rhombi:
-            assert g.edge_faces[diag] == (t1, t2)
+        faces = oracle_edge_faces(g.triangles)
+        rhombi = sorted(rhombi_of(g.triangles))
+        assert sorted(g.rhombi) == rhombi
+        interior = sorted(e for e, ts in faces.items() if len(ts) == 2)
+        assert [r[0] for r in rhombi] == interior
+        for diag, t1, t2, dom, other in rhombi:
+            assert faces[diag] == (t1, t2) == faces_of(diag)
             assert (dom, other) == oracle_rhombus_pairs(diag, t1, t2)[0]
+        _lattice_rules_match_oracle(g)
+
+
+@given(convex_hexagons())
+@settings(max_examples=150, deadline=None)
+def test_lattice_rules_on_convex_hexagons(triangles):
+    g = ConvexGrid(triangles)
+    validate_grid(g)
+    _lattice_rules_match_oracle(g)
 
 
 def test_tiling_strict_quadratic_all_singletons():

@@ -71,6 +71,15 @@ def test_schema_violations():
         grid_from_json({"triangles": []})
     with pytest.raises(SchemaError):
         cocirc_from_json({"edges": [{"a": 0, "b": 0, "dir": 4, "value": "1/2"}]})
+    # JSON true and 2.0 equal 1 and 2 in Python, but are not integers
+    for d in (True, 2.0):
+        with pytest.raises(SchemaError, match="'dir' must be 1, 2 or 3"):
+            cocirc_from_json({"edges": [{"a": 0, "b": 0, "dir": d, "value": "1/2"}]})
+        with pytest.raises(SchemaError, match="'dir' must be 1, 2 or 3"):
+            edge_list_from_json({"edges": [{"a": 0, "b": 0, "dir": d}]})
+        ray = {"class": d, "weight": 1, "kind": "ray", "sign": "+", "ends": [{"d1": "0", "d2": "0"}]}
+        with pytest.raises(SchemaError, match="'class' must be 1, 2 or 3"):
+            honeycomb_from_json({"edges": [ray]})
     for a, b in ((True, 0), (0, False)):
         with pytest.raises(SchemaError):
             cocirc_from_json({"edges": [{"a": a, "b": b, "dir": 1, "value": "1/2"}]})
@@ -130,7 +139,8 @@ def oracle_honeycomb_from_json(doc):
     for row in doc["edges"]:
         _require(isinstance(row, dict), "honeycomb: edge rows must be objects")
         cls = row.get("class")
-        _require(cls in (1, 2, 3), "honeycomb: 'class' must be 1, 2 or 3")
+        _require(isinstance(cls, int) and not isinstance(cls, bool) and cls in (1, 2, 3),
+                 "honeycomb: 'class' must be 1, 2 or 3")
         w = row.get("weight")
         _require(isinstance(w, int) and not isinstance(w, bool) and w > 0,
                  "honeycomb: 'weight' must be a positive integer")
