@@ -3,6 +3,8 @@
 A unit-weight copy of each maximal straight piece of the path splits off
 and translates sideways; bend points slide along the third line at their
 vertex, patched by weight +1/-1 stubs depending on the turn direction.
+A bend turns right exactly when the outgoing line's class is the next
+after the incoming one's, ``cls_out == nxt(cls_in)``.
 Every moving coordinate is affine in the parameter, so all stopping
 events (end line reaching an integer coordinate, opposite-sign vertices
 merging, a moving line capturing an integral vertex, a piece shrinking to
@@ -26,9 +28,9 @@ from math import gcd
 from typing import Optional
 
 from .errors import EpsilonOutOfRange
-from .honeycomb import HEdge, HLine, Honeycomb, Pt, dval, is_integral_point, t_of
+from .honeycomb import HEdge, HLine, Honeycomb, Pt, dval, is_integral_point, nxt, t_of
 from .patch import Patch, canonicalize_patch
-from .paths import LegalPath, TURN_LEFT, TURN_RIGHT, edge_travels, travel_angle, turn_of
+from .paths import LegalPath, TURN_LEFT, TURN_RIGHT
 
 STOP_BOUNDARY_INTEGRAL = "boundary_integral"
 STOP_OPPOSITE_MERGE = "opposite_sign_merge"
@@ -120,7 +122,12 @@ class PathLines:
 
 
 def decompose(p: LegalPath) -> PathLines:
-    """Split a legal path at its bends into maximal straight lines."""
+    """Split a legal path at its bends into maximal straight lines.
+
+    A bend turns right exactly when ``cls_out == nxt(cls_in)``, whatever
+    its dominating sign: the ``+`` ray of class c points at 270 + 120(c-1)
+    degrees, so the heading turns by 120 times the class step, plus 180.
+    """
     if p.is_cycle:
         positions = p.bend_positions
         assert positions, "a legal cycle must bend"
@@ -129,7 +136,6 @@ def decompose(p: LegalPath) -> PathLines:
         interior = [i for i in p.bend_positions if i != 0]
     else:
         interior = list(p.bend_positions)
-    travs = edge_travels(p)
     k = len(p.edges)
     starts = [0] + interior
     stops = interior + [k]
@@ -139,22 +145,27 @@ def decompose(p: LegalPath) -> PathLines:
         run = p.edges[lo:hi]
         cls, c = run[0].cls, run[0].c
         assert all(e.cls == cls and e.c == c for e in run), "run is not straight"
-        assert len({travs[i] for i in range(lo, hi)}) == 1
-        lines.append(
-            PathLine(cls, c, travs[lo], p.verts[lo], p.verts[hi], tuple(run))
-        )
+        # Consecutive edges of a run are opposite at their shared vertex,
+        # so the run travels one way: read it off its ends.
+        a, b = p.verts[lo], p.verts[hi]
+        if a is None:
+            trav = -1 if run[0].ray_sign == "+" else 1
+        elif b is None:
+            trav = 1 if run[-1].ray_sign == "+" else -1
+        else:
+            trav = 1 if t_of(cls, b) > t_of(cls, a) else -1
+        lines.append(PathLine(cls, c, trav, a, b, tuple(run)))
 
     bends = []
     junctions = interior + ([0] if p.is_cycle else [])
     for idx, pos in enumerate(junctions):
         li, lo_ = lines[idx], lines[(idx + 1) % len(lines)]
-        v = p.verts[pos]
-        a_in = travel_angle(li.cls, li.trav)
-        a_out = travel_angle(lo_.cls, lo_.trav)
         sign_in = "+" if li.trav == -1 else "-"
         sign_out = "+" if lo_.trav == 1 else "-"
         assert sign_in == sign_out, "bend lines disagree on the dominating sign"
-        bends.append(Bend(idx, v, turn_of(a_in, a_out), sign_in, li.cls, lo_.cls))
+        assert li.cls != lo_.cls, "not a 60-degree bend"
+        turn = TURN_RIGHT if lo_.cls == nxt(li.cls) else TURN_LEFT
+        bends.append(Bend(idx, p.verts[pos], turn, sign_in, li.cls, lo_.cls))
     return PathLines(tuple(lines), tuple(bends), p.is_cycle)
 
 
@@ -174,18 +185,9 @@ def _moved_line_span(
     ba, bb = pl.bend_before(i), pl.bend_after(i)
     t_a = t_of(line.cls, ba.shifted(eps, f)) if ba else None
     t_b = t_of(line.cls, bb.shifted(eps, f)) if bb else None
-    if t_a is not None and t_b is not None:
-        lo, hi = min(t_a, t_b), max(t_a, t_b)
-    elif t_a is None and t_b is None:
-        lo = hi = None
-    else:
-        known = t_a if t_a is not None else t_b
-        # The missing end keeps the original infinite direction: traversal
-        # enters from -infinity when trav=+1 at the start, etc.
-        if t_a is None:
-            lo, hi = (None, known) if line.trav == 1 else (known, None)
-        else:
-            lo, hi = (known, None) if line.trav == 1 else (None, known)
+    # The traversal runs from t_a to t_b; an open end keeps its infinite
+    # direction.  No eps up to the vanish bound reverses the two ends.
+    lo, hi = (t_a, t_b) if line.trav == 1 else (t_b, t_a)
     return line.cls, c2, lo, hi
 
 

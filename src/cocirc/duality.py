@@ -30,14 +30,14 @@ HEX_ORDER: list[tuple[tuple[int, str], Point]] = [
 ]
 
 
-def _local_grid(w6: dict[tuple[int, str], int]):
+def _local_grid(ws: tuple[int, ...]):
     """Triangles and per-side corner spans of one vertex's local grid: the
-    hexagonal grid whose boundary runs have the six given ray weights."""
+    hexagonal grid whose boundary runs have the six ray weights ``ws``,
+    given in ``HEX_ORDER``."""
     corner = (0, 0)
     corners = [corner]
     spans = {}
-    for slot, (da, db) in HEX_ORDER:
-        n = w6[slot]
+    for (slot, (da, db)), n in zip(HEX_ORDER, ws):
         end = (corner[0] + n * da, corner[1] + n * db)
         spans[slot] = (corner, end)
         corner = end
@@ -48,8 +48,9 @@ def _local_grid(w6: dict[tuple[int, str], int]):
 
 def honeycomb_to_grid(h: Honeycomb) -> tuple[ConvexGrid, Cocirculation]:
     """Glue the local grids of all vertices; anchor at the least vertex."""
-    w6s = {v: tuple(h.weights_at(v).items()) for v in h.vertices}
-    fills = {w6: _local_grid(dict(w6)) for w6 in set(w6s.values())}  # one per distinct hexagon
+    # Each vertex's six ray weights in HEX_ORDER; an empty slot weighs 0.
+    w6s = {v: tuple(s[k].weight if k in s else 0 for k, _ in HEX_ORDER) for v, s in h.incidence.items()}
+    fills = {w6: _local_grid(w6) for w6 in set(w6s.values())}  # one per distinct hexagon
     local = {v: fills[w6] for v, w6 in w6s.items()}
     offsets: dict[Pt, Point] = {h.vertices[0]: (0, 0)}
     queue = [h.vertices[0]]

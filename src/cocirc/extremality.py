@@ -164,12 +164,8 @@ def solve_flat_extension(
 
 def maximal_lines(h: Honeycomb) -> list[tuple[HEdge, ...]]:
     """Maximal stretches of collinear edges with no coverage gap."""
-    per: dict[tuple[int, Fraction], list[HEdge]] = {}
-    for e in h.edges:
-        per.setdefault((e.cls, e.c), []).append(e)
     out = []
-    for key in sorted(per):
-        es = sorted(per[key], key=lambda e: (e.lo is not None, e.lo))
+    for _, es in sorted(h.supports.items()):  # each in increasing t
         run = [es[0]]
         for e in es[1:]:
             if run[-1].hi is not None and e.lo == run[-1].hi:

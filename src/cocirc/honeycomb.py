@@ -28,6 +28,7 @@ from .errors import NotPreHoneycomb
 Pt = tuple[Fraction, Fraction]
 
 SIGNS = ("+", "-")
+OPPOSITE = {"+": "-", "-": "+"}
 
 
 def nxt(cls: int) -> int:
@@ -423,12 +424,6 @@ class Honeycomb:
         """The vertices, sorted: exactly the edge ends, as each has three edges."""
         return tuple(sorted(self.incidence))
 
-    def weights_at(self, v: Pt) -> dict[tuple[int, str], int]:
-        w6 = {(cls, s): 0 for cls in (1, 2, 3) for s in SIGNS}
-        for (cls, s), e in self.incidence[v].items():
-            w6[(cls, s)] = e.weight
-        return w6
-
     @cached_property
     def boundary(self) -> tuple[HEdge, ...]:
         return tuple(e for e in self.edges if e.is_ray)
@@ -448,10 +443,13 @@ class Honeycomb:
 
 
 def divergency(h: Honeycomb, v: Pt) -> int:
-    w6 = h.weights_at(v)
-    divs = {w6[(cls, "+")] - w6[(cls, "-")] for cls in (1, 2, 3)}
-    assert len(divs) == 1, f"tension violated at {v}"
-    return divs.pop()
+    """w_i^+ - w_i^- at ``v``, the same for every class i; an empty slot
+    weighs 0."""
+    divs = [0, 0, 0]
+    for (cls, s), e in h.incidence[v].items():
+        divs[cls - 1] += e.weight if s == "+" else -e.weight
+    assert divs[0] == divs[1] == divs[2], f"tension violated at {v}"
+    return divs[0]
 
 
 def excess(h: Honeycomb, v: Pt) -> int:

@@ -15,56 +15,22 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import NoNonintegralEdge
-from .honeycomb import HEdge, Honeycomb, Pt, divergency, t_of
+from .honeycomb import OPPOSITE, HEdge, Honeycomb, Pt, divergency
 
 TURN_RIGHT = "right"
 TURN_LEFT = "left"
 
-# Plane direction of the (class, sign) ray, in degrees.
-RAY_ANGLE = {
-    (1, "+"): 270,
-    (2, "+"): 30,
-    (3, "+"): 150,
-    (1, "-"): 90,
-    (2, "-"): 210,
-    (3, "-"): 330,
-}
-
-
-def travel_angle(cls: int, trav: int) -> int:
-    """Heading when moving along a class line; trav=+1 means t increasing."""
-    return RAY_ANGLE[(cls, "+" if trav == 1 else "-")]
-
-
-def turn_of(angle_in: int, angle_out: int) -> str:
-    delta = (angle_out - angle_in) % 360
-    assert delta in (60, 300), f"not a 60-degree bend: {angle_in}->{angle_out}"
-    return TURN_LEFT if delta == 60 else TURN_RIGHT
-
-
-def edge_travels(p: "LegalPath") -> list[int]:
-    """Per-edge traversal direction: +1 where t increases along the walk."""
-    travs = []
-    for i, e in enumerate(p.edges):
-        a, b = p.verts[i], p.verts[i + 1]
-        if a is not None and b is not None:
-            travs.append(1 if t_of(e.cls, b) > t_of(e.cls, a) else -1)
-        elif a is None:
-            travs.append(-1 if e.ray_sign == "+" else 1)
-        else:
-            travs.append(1 if e.ray_sign == "+" else -1)
-    return travs
-
 
 def dominating_edges(h: Honeycomb, v: Pt) -> frozenset[HEdge]:
-    """Edges e_i^s(v) with w_i^s > w_i^{-s}; there are none or three."""
-    w6 = h.weights_at(v)
-    out = set()
-    for (cls, s), e in h.incidence[v].items():
-        if w6[(cls, s)] > w6[(cls, "-" if s == "+" else "+")]:
-            out.add(e)
-    assert len(out) in (0, 3), (v, sorted(w6.items()))
-    return frozenset(out)
+    """Edges e_i^s(v) with w_i^s > w_i^{-s}; there are none or three.  An
+    empty slot weighs 0."""
+    slots = h.incidence[v]
+    out = frozenset(
+        e for (cls, s), e in slots.items()
+        if (o := slots.get((cls, OPPOSITE[s]))) is None or e.weight > o.weight
+    )
+    assert len(out) in (0, 3), (v, sorted(slots.items()))
+    return out
 
 
 def is_legal_pair(h: Honeycomb, v: Pt, e1: HEdge, e2: HEdge) -> bool:
@@ -116,10 +82,6 @@ class LegalPath:
         return LegalPath(verts, self.edges[k:] + self.edges[:k], True)
 
 
-def _slot_key(h: Honeycomb, v: Pt, e: HEdge):
-    return (e.cls, 0 if e.sign_at(v) == "+" else 1, e.c)
-
-
 def find_legal_path(h: Honeycomb) -> LegalPath:
     """Grow and return an open legal path or legal cycle.
 
@@ -146,22 +108,21 @@ def find_legal_path(h: Honeycomb) -> LegalPath:
         e = edges[-1]
         dom = dominating_edges(h, v)
         if e not in dom:
-            opp = h.incidence[v].get((e.cls, "-" if e.sign_at(v) == "+" else "+"))
-            assert opp is not None, "non-dominating edge lacks an opposite"
-            e2 = opp
+            e2 = h.incidence[v].get((e.cls, OPPOSITE[e.sign_at(v)]))
+            assert e2 is not None, "non-dominating edge lacks an opposite"
         else:
             spare = [b for b in bends.get(v, []) if e not in (b[1], b[2])]
             if spare:
                 e2 = spare[0][2]
             elif len(bends.get(v, [])) < abs(divergency(h, v)):
-                cands = sorted(
-                    (d for d in dom if d != e and d.c % h.scale),
-                    key=lambda d: _slot_key(h, v, d),
+                # the first free one in slot order
+                e2 = next(
+                    (d for _, d in sorted(h.incidence[v].items()) if d in dom and d != e and d.c % h.scale),
+                    None,
                 )
-                assert cands, "no free dominating partner"
-                e2 = cands[0]
+                assert e2 is not None, "no free dominating partner"
             else:
-                e2 = h.incidence[v][(e.cls, "-" if e.sign_at(v) == "+" else "+")]
+                e2 = h.incidence[v][(e.cls, OPPOSITE[e.sign_at(v)])]
                 assert e2.c % h.scale
         assert is_legal_pair(h, v, e, e2)
 

@@ -78,13 +78,16 @@ def grid_to_json(g: ConvexGrid) -> dict:
 
 def grid_from_json(doc: Any) -> ConvexGrid:
     _require(isinstance(doc, dict) and isinstance(doc.get("triangles"), list), "grid: want {'triangles': [...]}")
-    tris = []
+    tris = set()
     for row in doc["triangles"]:
         _require(isinstance(row, dict), "grid: triangle rows must be objects")
         up, a, b = row.get("up"), row.get("a"), row.get("b")
         _require(isinstance(up, bool), "grid: 'up' must be boolean")
         _require(_is_int(a) and _is_int(b), "grid: 'a','b' must be integers")
-        tris.append((up, a, b))
+        t = (up, a, b)
+        if t in tris:
+            raise SchemaError(f"grid: duplicate triangle {t}")
+        tris.add(t)
     _require(len(tris) > 0, "grid: empty triangle list")
     return ConvexGrid.of(tris)
 

@@ -51,7 +51,7 @@ from cocirc.honeycomb import (
     t_of,
     vertices_by_line,
 )
-from cocirc.paths import TURN_LEFT
+from cocirc.paths import TURN_LEFT, TURN_RIGHT
 
 # A fixed example order and no deadline, so a failure in CI repeats
 # anywhere: select with --hypothesis-profile=ci.
@@ -256,6 +256,35 @@ def oracle_incidence(hc):
                 assert slot not in inc[v], "two edges share a ray slot"
                 inc[v][slot] = e
     return inc
+
+
+# The plane-angle turn rule that ``decompose`` replaced by the class rule,
+# kept as the oracle: the plane direction of each (class, sign) ray, in
+# degrees, and the turn between two headings.
+RAY_ANGLE = {
+    (1, "+"): 270,
+    (2, "+"): 30,
+    (3, "+"): 150,
+    (1, "-"): 90,
+    (2, "-"): 210,
+    (3, "-"): 330,
+}
+
+
+def turn_of(angle_in: int, angle_out: int) -> str:
+    delta = (angle_out - angle_in) % 360
+    assert delta in (60, 300), f"not a 60-degree bend: {angle_in}->{angle_out}"
+    return TURN_LEFT if delta == 60 else TURN_RIGHT
+
+
+def oracle_turn(pl, b) -> str:
+    """The turn of the bend ``b`` of the path lines ``pl``, from the plane
+    headings of the two edges that meet at it: the walk arrives against
+    the ray of the incoming edge and leaves along that of the outgoing."""
+    e_in = pl.lines[b.index].edges[-1]
+    e_out = pl.lines[(b.index + 1) % len(pl.lines)].edges[0]
+    a_in = (RAY_ANGLE[(e_in.cls, e_in.sign_at(b.vertex))] + 180) % 360
+    return turn_of(a_in, RAY_ANGLE[(e_out.cls, e_out.sign_at(b.vertex))])
 
 
 def at_scale(hc, p: Pt) -> Pt:

@@ -16,6 +16,7 @@ from conftest import mutated_grid_documents, mutated_honeycomb_documents
 import cocirc
 from cocirc import serialize
 from cocirc.cli import main
+from cocirc.constructions import dual_grid_honeycomb
 from cocirc.grid import random_concave, three_side_grid
 from cocirc.serialize import loads
 
@@ -36,6 +37,10 @@ def test_gen_vertex_check_pipeline(tmp_path, capsys):
     code, out = run(capsys, "vertex-check", "--grid", str(g), "--in", str(c), "--fixed", str(f))
     assert code == 0
     assert json.loads(out) == {"vertex": True, "degrees_of_freedom": 0}
+    # Without --in, validate checks the grid alone.
+    code, out = run(capsys, "validate", "--grid", str(g))
+    assert code == 0
+    assert json.loads(out).keys() == {"ok", "size", "triangles"}
 
 
 def test_validate_malformed_grid(tmp_path, capsys):
@@ -44,6 +49,9 @@ def test_validate_malformed_grid(tmp_path, capsys):
     code, out = run(capsys, "validate", "--grid", str(bad))
     assert code == 3
     assert json.loads(out)["kind"] == "schema"
+    code, out = run(capsys, "validate", "--grid", str(tmp_path / "missing.json"))
+    assert code == 3
+    assert json.loads(out)["kind"] == "io"
 
 
 def test_validate_domain_error(tmp_path, capsys):
@@ -100,6 +108,9 @@ def test_dualize_round_trip(tmp_path, capsys):
     assert run(capsys, "dualize", "--to", "grid", "--in", str(h), "--grid", str(g2), "--out", str(c2))[0] == 0
     assert run(capsys, "dualize", "--to", "honeycomb", "--grid", str(g2), "--in", str(c2), "--out", str(h2))[0] == 0
     assert h.read_text() == h2.read_text()
+    dg = tmp_path / "dg.json"
+    assert run(capsys, "gen", "--kind", "dualgrid", "--n", "3", "--out", str(dg))[0] == 0
+    assert serialize.honeycomb_from_json(loads(dg.read_text())) == dual_grid_honeycomb(3)
 
 
 def test_legal_path_and_deform(tmp_path, capsys):

@@ -9,6 +9,7 @@ from conftest import (
     frac_span,
     fuzz_corpus,
     oracle_meet_time,
+    oracle_turn,
     reference_candidates,
     reference_stop_epsilon,
 )
@@ -192,16 +193,27 @@ def test_deform_left_is_right_of_reversed_path(small_corpus):
     instances = list(small_corpus) + [hexagon_instance(k) for k in (1, 2, 3)]
     instances.append(counterexample_instance())
     instances += fuzz_corpus()
-    steps = cycles = 0
+    steps = cycles = rotations = 0
     for g, h in instances:
         hc = grid_to_honeycomb(g, h)
         while not potential(hc).settled:
             path = find_legal_path(hc)
             assert deform(hc, path, "left") == deform(hc, path.reversed())
+            # The class rule for turns agrees with the plane angles.
+            for pl in (decompose(path), decompose(path.reversed())):
+                for b in pl.bends:
+                    assert b.turn == oracle_turn(pl, b)
             steps += 1
             cycles += path.is_cycle
-            hc, _ = deform(hc, path)
-    assert steps > 200 and cycles > 0
+            moved = deform(hc, path)
+            if path.is_cycle:
+                # A cycle's deformation does not depend on where it starts.
+                for k in range(1, len(path.edges)):
+                    if k not in path.bend_positions:
+                        assert deform(hc, path.rotated(k)) == moved
+                        rotations += 1
+            hc, _ = moved
+    assert steps > 200 and cycles > 0 and rotations > 0
 
 
 def test_stop_epsilon_e1_increasing_direction():

@@ -9,6 +9,7 @@ from conftest import mutated_honeycomb_documents
 from cocirc.constructions import counterexample_instance, sample_honeycomb
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NotPreHoneycomb, SchemaError
+from cocirc.grid import three_side_grid
 from cocirc.honeycomb import HLine, canonicalize, dval, t_of
 from cocirc.serialize import (
     MAX_DIGITS,
@@ -69,6 +70,11 @@ def test_schema_violations():
         grid_from_json({"triangles": [{"up": 1, "a": 0, "b": 0}]})
     with pytest.raises(SchemaError):
         grid_from_json({"triangles": []})
+    # A repeated triangle row, like a repeated edge row, names the row.
+    rows = grid_to_json(three_side_grid(2))["triangles"]
+    first = (rows[0]["up"], rows[0]["a"], rows[0]["b"])
+    with pytest.raises(SchemaError, match=re.escape(f"grid: duplicate triangle {first}")):
+        grid_from_json({"triangles": [rows[0], *rows]})
     with pytest.raises(SchemaError):
         cocirc_from_json({"edges": [{"a": 0, "b": 0, "dir": 4, "value": "1/2"}]})
     # JSON true and 2.0 equal 1 and 2 in Python, but are not integers
