@@ -5,23 +5,35 @@ six ray weights of v, walked anticlockwise in the order
 (1,+), (3,-), (2,+), (1,-), (3,+), (2,-); local grids glue along the sides
 dual to finite edges.  Conversely each flatspace of a concave
 cocirculation contributes the vertex whose dual coordinates are its three
-per-class values.
+per-class values, each pair of flatspaces sharing n unit sides an edge of
+weight n, and each flatspace on a boundary side a ray.
+
+``grid_to_honeycomb`` reads the canonical form straight off the tiling,
+without ``canonicalize``: the dual of the flatspace tiling of a concave
+function is an embedded honeycomb.  A tile is where the function agrees
+with one affine piece, so distinct tiles have distinct points, and dual
+edges meet only at tile points.  ``_honeycomb_of_tiles`` checks this,
+also under ``-O``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd
 
 from . import grid as gr
+from .errors import NotACocirculation
 from .grid import ConvexGrid, Cocirculation, Point, Triangle
 from .honeycomb import (
-    HLine,
+    OPPOSITE,
+    HEdge,
     Honeycomb,
     Pt,
-    canonicalize,
-    dval,
-    frac_point,
-    t_of,
+    nxt,
+    point_from_two,
+    point_on,
+    vertices_by_line,
 )
 
 # Anticlockwise hexagon walk: ray slot -> lattice step of that boundary run.
@@ -57,13 +69,14 @@ def honeycomb_to_grid(h: Honeycomb) -> tuple[ConvexGrid, Cocirculation]:
     while queue:
         v = queue.pop()
         ov = offsets[v]
-        for e in h.incidence[v].values():
-            u = e.other_end(v)
-            if u is None:
+        for (cls, sign), e in h.incidence[v].items():
+            # The edge leaves v up its line in t on a '+' slot, down on '-'.
+            t = e.hi if sign == "+" else e.lo
+            if t is None:
                 continue
-            sv, su = e.sign_at(v), e.sign_at(u)
-            start_v, end_v = local[v][1][(e.cls, sv)]
-            start_u, _ = local[u][1][(e.cls, su)]
+            u = point_on(cls, e.c, t)
+            start_v, end_v = local[v][1][(cls, sign)]
+            start_u, _ = local[u][1][(cls, OPPOSITE[sign])]
             off = (ov[0] + end_v[0] - start_u[0], ov[1] + end_v[1] - start_u[1])
             if u in offsets:
                 assert offsets[u] == off, "inconsistent gluing"
@@ -74,22 +87,30 @@ def honeycomb_to_grid(h: Honeycomb) -> tuple[ConvexGrid, Cocirculation]:
 
     # Anchor the least grid point at the origin.  A translation keeps the
     # lexicographic order, so that point is the least over the vertices of
-    # the least point of each local grid, moved by its offset.
-    least = {w6: min(p for t in fill[0] for p in gr.triangle_vertices(t)) for w6, fill in fills.items()}
+    # the least point of each local grid, moved by its offset.  A local
+    # grid fills a convex hexagon, so its least point is a corner: the
+    # least start of its six spans.
+    least = {w6: min(start for start, _ in fill[1].values()) for w6, fill in fills.items()}
     a0, b0 = min((oa + least[w6s[v]][0], ob + least[w6s[v]][1]) for v, (oa, ob) in offsets.items())
+    # Each distinct local grid's edges, in the order its faces meet them;
+    # a class-d edge of vertex v's grid carries d_d(v).
+    fill_edges = {
+        w6: dict.fromkeys(e for t in fill[0] for e in gr.triangle_edges(t)) for w6, fill in fills.items()
+    }
     tris: set[Triangle] = set()
     # Glued on the honeycomb's own ints, in units of 1/h.scale.
     scaled: dict[gr.Edge, int] = {}
     for v in h.vertices:
         oa, ob = offsets[v][0] - a0, offsets[v][1] - b0
-        vals = (v[0], v[1], -v[0] - v[1])
         for up, a, b in local[v][0]:
             t = (up, a + oa, b + ob)
             assert t not in tris, "overlapping local grids"
             tris.add(t)
-            for e, val in zip(gr.triangle_edges(t), vals):
-                assert scaled.get(e, val) == val, "gluing value mismatch"
-                scaled[e] = val
+        vals = (v[0], v[1], -v[0] - v[1])
+        for a, b, d in fill_edges[w6s[v]]:
+            e, val = (a + oa, b + ob, d), vals[d - 1]
+            assert scaled.get(e, val) == val, "gluing value mismatch"
+            scaled[e] = val
     g = ConvexGrid(frozenset(tris))
     gr.validate_grid(g)
     # An explicit raise, not an assert: rounding relies on this check of
@@ -100,64 +121,165 @@ def honeycomb_to_grid(h: Honeycomb) -> tuple[ConvexGrid, Cocirculation]:
     return g, {e: frac[x] for e, x in scaled.items()}
 
 
-def tile_points(
-    g: ConvexGrid, h: Cocirculation, tiles: gr.Tiling
-) -> tuple[dict[Triangle, int], list[Pt]]:
-    """Map each face to its tile index and each tile to its dual point,
-    whose coordinates are values of ``h``."""
-    tile_of = {t: i for i, ts in enumerate(tiles) for t in ts}
-    pts: list[Pt] = []
-    for ts in tiles:
-        vals = {}
-        for t in ts:
-            for cls, e in enumerate(gr.triangle_edges(t), 1):
-                v = h[e]
-                stored = vals.setdefault(cls, v)
-                assert stored == v, "tile is not flat"
-        pts.append((vals[1], vals[2]))
-    return tile_of, pts
+def _show(p: Pt, unit: int) -> str:
+    """A point with int coordinates in units of ``1/unit``, as rationals."""
+    return f"({Fraction(p[0], unit)}, {Fraction(p[1], unit)})"
+
+
+def _honeycomb_of_tiles(
+    pts: list[Pt],
+    shared: dict[tuple[int, int, int], int],
+    rays: dict[tuple[int, int, str], int],
+    scale: int,
+) -> Honeycomb:
+    """The honeycomb with a vertex at each tile point ``pts[i]`` (ints in
+    units of ``1/scale``), an edge of weight n for each ``shared[(i, j,
+    cls)] = n`` and a ray of weight n for each ``rays[(i, cls, sign)] = n``,
+    exactly as ``canonicalize`` gives it from these lines.
+
+    Raises AssertionError, also under -O, when two tiles share a point, a
+    tile point lies strictly inside an edge, two edges cross away from a
+    tile point, or a vertex has fewer than three slots or unequal tension.
+    Then no slot is filled twice and no support overlaps itself, as either
+    would put an end of one edge strictly inside another (``shared`` and
+    ``rays`` hold one edge per key).  And ``canonicalize`` finds the same:
+    its candidate points, the line ends and the covered crossings, are all
+    tile points; each has its slot weights as ray weights, three or more
+    of them nonzero; and a line's covered stretches between its vertices
+    are these edges.
+    """
+    g = gcd(scale, *(x for p in pts for x in p))
+    if g > 1:
+        pts = [(a // g, b // g) for a, b in pts]
+    unit = scale // g
+    verts = sorted(pts)
+    if len(set(verts)) < len(verts):
+        raise AssertionError("two tiles at one point")
+    on_line = vertices_by_line(verts)
+
+    # Each support's edges as (lo, hi, weight), None for an open end.  On
+    # a class-cls line, d_cls is ds[cls - 1] and t = d_nxt(cls) is ds[cls % 3].
+    ds = [(a, b, -a - b) for a, b in pts]
+    lines: dict[tuple[int, int], list] = {}
+    for (i, j, cls), n in shared.items():
+        p, q = ds[i], ds[j]
+        c = p[cls - 1]
+        assert c == q[cls - 1], "shared side off the tiles' line"
+        tp, tq = p[cls % 3], q[cls % 3]
+        lines.setdefault((cls, c), []).append((tp, tq, n) if tp < tq else (tq, tp, n))
+    for (i, cls, sign), n in rays.items():
+        p = ds[i]
+        t = p[cls % 3]
+        lines.setdefault((cls, p[cls - 1]), []).append((t, None, n) if sign == "+" else (None, t, n))
+
+    slots: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for v in verts}
+    supports: dict[tuple[int, int], tuple[HEdge, ...]] = {}
+    # Per support, its tile points' t and the edge over each gap: gap k
+    # runs from the (k-1)-th to the k-th, gaps 0 and -1 open.
+    cuts: dict[tuple[int, int], tuple[list, list]] = {}
+    for key in sorted(lines):
+        cls, c = key
+        # on_line lists sorted vertices: t = d2 rises on class 1, t = d1 on
+        # class 3, and t = d3 falls on class 2.
+        vs = on_line[key]
+        if cls == 1:
+            ts = [v[1] for v in vs]
+        elif cls == 3:
+            ts = [v[0] for v in vs]
+        else:
+            vs = vs[::-1]
+            ts = [-a - b for a, b in vs]
+        m = len(ts)
+        pos = {t: k for k, t in enumerate(ts)}
+        gaps: list = [None] * (m + 1)
+        for lo, hi, n in lines[key]:
+            k = 0 if lo is None else pos[lo] + 1
+            if (m if hi is None else pos[hi]) != k:
+                raise AssertionError(f"a tile point lies inside an edge on d{cls} = {Fraction(c, unit)}")
+            gaps[k] = HEdge(cls, c, lo, hi, n)
+        plus, minus = (cls, "+"), (cls, "-")
+        edges = []
+        for k, e in enumerate(gaps):
+            if e is not None:
+                edges.append(e)
+                if k:
+                    slots[vs[k - 1]][plus] = e
+                if k < m:
+                    slots[vs[k]][minus] = e
+        supports[key] = tuple(edges)
+        cuts[key] = (ts, gaps)
+    _check_crossings(cuts, unit)
+
+    for v, vslots in slots.items():
+        if len(vslots) < 3:
+            raise AssertionError(f"tile point {_show(v, unit)} has {len(vslots)} edges")
+        divs = [0, 0, 0]
+        for (cls, sign), e in vslots.items():
+            divs[cls - 1] += e.weight if sign == "+" else -e.weight
+        if not divs[0] == divs[1] == divs[2]:
+            raise AssertionError(f"unequal tension {divs} at {_show(v, unit)}")
+    return Honeycomb(supports, unit, slots, on_line)
+
+
+def _check_crossings(cuts, unit: int) -> None:
+    """Raise AssertionError where two edges of different classes cross
+    away from a tile point.
+
+    ``cuts[(cls, c)]`` holds the sorted ``t`` of the tile points on that
+    support and the edge over each gap between them.  With no tile point
+    inside an edge, such a crossing lies strictly inside an edge of each
+    support.  A class-``cls`` edge on ``d_cls = c1`` meets the
+    class-``nxt(cls)`` support ``d = c2`` at ``t = c2`` on itself and at
+    ``t = -c1 - c2`` on the other, so the loop visits every crossing of
+    each unordered pair of classes ``(cls, nxt(cls))``.
+    """
+    cs: dict[int, list[int]] = {1: [], 2: [], 3: []}
+    for cls, c in cuts:  # sorted
+        cs[cls].append(c)
+    for (cls1, c1), (_, gaps) in cuts.items():
+        cls2 = nxt(cls1)
+        others = cs[cls2]
+        for e in gaps:
+            if e is None:
+                continue
+            lo = 0 if e.lo is None else bisect_right(others, e.lo)
+            hi = len(others) if e.hi is None else bisect_left(others, e.hi)
+            for c2 in others[lo:hi]:
+                ts2, gaps2 = cuts[(cls2, c2)]
+                if gaps2[bisect_left(ts2, -c1 - c2)] is not None:
+                    p = point_from_two(cls1, c1, cls2, c2)
+                    raise AssertionError(f"edges cross at {_show(p, unit)}, away from every tile point")
 
 
 def grid_to_honeycomb(g: ConvexGrid, h: Cocirculation) -> Honeycomb:
-    """One vertex per flatspace, finite edges across shared tile sides,
-    rays for tile sides on the grid boundary."""
-    tiles = gr.tiling_of(g, h)  # raises NotACocirculation, then NotConcave
-    # Tile points in units of 1/scale, so the lines go to canonicalize as ints.
+    """One vertex per flatspace, an edge of weight n per pair of tiles
+    sharing n unit sides, a ray per tile and boundary side, read straight
+    off the tiling in canonical form."""
     scale, scaled = gr.scaled_values(h)
-    tile_of, pts = tile_points(g, scaled, tiles)
+    try:
+        tiles = gr.tiling_of(g, scaled)  # raises NotACocirculation, then NotConcave
+    except NotACocirculation:
+        gr.tiling_of(g, h)  # the same failure, with a message naming values of h
+        raise
+    tile_of = {t: i for i, ts in enumerate(tiles) for t in ts}
+    # A tile is flat: tiling_of joins two faces only across a tight
+    # rhombus, where both face sums round the common side are zero, so
+    # the faces agree class by class.  Any face gives the tile's point.
+    pts: list[Pt] = []
+    for ts in tiles:
+        e1, e2, _ = gr.triangle_edges(next(iter(ts)))
+        pts.append((scaled[e1], scaled[e2]))
 
-    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    shared: dict[tuple[int, int, int], int] = {}
     for diag, t1, t2, _, _ in g.rhombi:
         i, j = tile_of[t1], tile_of[t2]
-        if i == j:
-            continue
-        key = (min(i, j), max(i, j))
-        cls, n = shared.get(key, (diag[2], 0))
-        assert cls == diag[2], "tile pair shares sides of two classes"
-        shared[key] = (cls, n + 1)
-
-    lines: list[tuple[HLine, int]] = []
-    for (i, j), (cls, n) in sorted(shared.items()):
-        pi, pj = pts[i], pts[j]
-        c = dval(pi, cls)
-        assert c == dval(pj, cls)
-        ti, tj = sorted((t_of(cls, pi), t_of(cls, pj)))
-        lines.append((HLine(cls, c, ti, tj), n))
-
+        if i != j:
+            key = (i, j, diag[2]) if i < j else (j, i, diag[2])
+            shared[key] = shared.get(key, 0) + 1
     rays: dict[tuple[int, int, str], int] = {}
     for side in g.sides:
         for e in side.edges:
-            (face,) = (t for t in gr.faces_of(e) if t in g.triangles)
-            key = (tile_of[face], side.cls, side.sign)
+            down, up = gr.faces_of(e)
+            key = (tile_of[down] if down in tile_of else tile_of[up], side.cls, side.sign)
             rays[key] = rays.get(key, 0) + 1
-    for (i, cls, sign), n in sorted(rays.items()):
-        p = pts[i]
-        t = t_of(cls, p)
-        span = (t, None) if sign == "+" else (None, t)
-        lines.append((HLine(cls, dval(p, cls), *span), n))
-
-    hc = canonicalize(lines, scale)
-    assert set(map(hc.point, hc.incidence)) == {frac_point(p, scale) for p in pts}, (
-        "tiles and vertices disagree"
-    )
-    return hc
+    return _honeycomb_of_tiles(pts, shared, rays, scale)

@@ -258,21 +258,35 @@ def validate_grid(g: ConvexGrid) -> None:
 
     The face encoding makes dangling edges impossible; the remaining
     failure modes are disconnection, holes/pinches and reflex boundary
-    turns.
+    turns.  A disconnected grid raises ``NotConnected``, anything else
+    ``NotConvex``.  The face walk runs only once the boundary has failed:
+    each component's boundary edges give every point an even degree, so
+    two components cannot share one simple boundary cycle.
     """
     tris = g.triangles
     if not tris:
         raise NotConvex("empty triangle set")
-    queue = [min(tris)]
-    seen = set(queue)
-    while queue:
-        for t2 in neighbours(queue.pop()):
-            if t2 in tris and t2 not in seen:
-                seen.add(t2)
-                queue.append(t2)
-    if len(seen) != len(tris):
-        raise NotConnected(f"{len(tris) - len(seen)} faces unreachable")
-    walk = g.boundary_walk  # raises NotConvex on holes/pinches
+    try:
+        _check_boundary(g.boundary_walk)  # raises NotConvex on holes/pinches
+    except NotConvex:
+        queue = [min(tris)]
+        seen = set(queue)
+        while queue:
+            for t2 in neighbours(queue.pop()):
+                if t2 in tris and t2 not in seen:
+                    seen.add(t2)
+                    queue.append(t2)
+        if len(seen) != len(tris):
+            raise NotConnected(f"{len(tris) - len(seen)} faces unreachable") from None
+        raise
+
+
+def _check_boundary(walk: tuple[Point, ...]) -> None:
+    """Raise NotConvex on the first reflex or reversing turn of ``walk``.
+
+    A convex region's triangle count equals the polygon's lattice area,
+    so any missing interior face has already surfaced as a hole in the
+    walk."""
     n = len(walk)
     for i in range(n):
         u = _sub(walk[(i + 1) % n], walk[i])
@@ -282,8 +296,6 @@ def validate_grid(g: ConvexGrid) -> None:
             raise NotConvex(f"reflex turn at {walk[(i + 1) % n]}")
         if c == 0 and (u[0] * v[0] + u[1] * v[1]) < 0:
             raise NotConvex(f"boundary reverses at {walk[(i + 1) % n]}")
-    # A convex region's triangle count equals the polygon's lattice area,
-    # so any missing interior face has already surfaced as a hole above.
 
 
 def fill_convex_polygon(corners: list[Point]) -> frozenset[Triangle]:
@@ -379,10 +391,16 @@ def tiling_of(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> Tiling:
     s = _checked(g, h)
     parent: dict[Triangle, Triangle] = {t: t for t in g.triangles}
     for _, t1, t2, dom, other in g.rhombi:
-        if s[dom] < s[other]:
+        x, y = s[dom], s[other]
+        if x < y:
             raise NotConcave("tiling requested for a non-concave cocirculation")
-        if s[dom] == s[other]:
-            parent[find(parent, t1)] = find(parent, t2)
+        if x == y:
+            # ``find`` inlined on both faces: halve each path to its root.
+            while (p := parent[t1]) != t1:
+                parent[t1] = t1 = parent[p]
+            while (p := parent[t2]) != t2:
+                parent[t2] = t2 = parent[p]
+            parent[t1] = t2
     groups: dict[Triangle, set[Triangle]] = {}
     for t in g.triangles:
         groups.setdefault(find(parent, t), set()).add(t)

@@ -33,12 +33,20 @@ def dominating_edges(h: Honeycomb, v: Pt) -> frozenset[HEdge]:
     return out
 
 
-def is_legal_pair(h: Honeycomb, v: Pt, e1: HEdge, e2: HEdge) -> bool:
+def is_legal_pair(
+    h: Honeycomb, v: Pt, e1: HEdge, e2: HEdge, doms: Optional[dict[Pt, frozenset[HEdge]]] = None
+) -> bool:
+    """Whether ``e1``, ``e2`` is a legal pair at ``v``.  ``doms``, when
+    given, keeps ``dominating_edges`` by vertex: read when there, filled
+    in when worked out."""
     if e1 == e2 or not (e1.c % h.scale and e2.c % h.scale):
         return False
     if LegalPath._opposite(e1, e2, v):
         return True
-    dom = dominating_edges(h, v)
+    if doms is None:
+        dom = dominating_edges(h, v)
+    elif (dom := doms.get(v)) is None:
+        dom = doms[v] = dominating_edges(h, v)
     return e1 in dom and e2 in dom
 
 
@@ -102,11 +110,13 @@ def find_legal_path(h: Honeycomb) -> LegalPath:
         left_from[(e0, verts[0])] = 0
     # vertex -> bend triples (position i, incoming, outgoing)
     bends: dict[Pt, list[tuple[int, HEdge, HEdge]]] = {}
+    doms: dict[Pt, frozenset[HEdge]] = {}  # dominating_edges by vertex
 
     for _ in range(2 * sum(map(len, h.supports.values())) + 2):
         v = verts[-1]
         e = edges[-1]
-        dom = dominating_edges(h, v)
+        if (dom := doms.get(v)) is None:
+            dom = doms[v] = dominating_edges(h, v)
         if e not in dom:
             e2 = h.incidence[v].get((e.cls, OPPOSITE[e.sign_at(v)]))
             assert e2 is not None, "non-dominating edge lacks an opposite"
@@ -124,7 +134,7 @@ def find_legal_path(h: Honeycomb) -> LegalPath:
             else:
                 e2 = h.incidence[v][(e.cls, OPPOSITE[e.sign_at(v)])]
                 assert e2.c % h.scale
-        assert is_legal_pair(h, v, e, e2)
+        assert is_legal_pair(h, v, e, e2, doms)
 
         j = left_from.get((e2, v))
         if j is not None:
@@ -159,8 +169,9 @@ def check_legal_path(h: Honeycomb, p: LegalPath) -> None:
     pairs = [(p.edges[i - 1], p.edges[i], p.verts[i]) for i in range(1, k)]
     if p.is_cycle:
         pairs.append((p.edges[-1], p.edges[0], p.verts[0]))
+    doms: dict[Pt, frozenset[HEdge]] = {}
     for e1, e2, v in pairs:
-        assert is_legal_pair(h, v, e1, e2)
+        assert is_legal_pair(h, v, e1, e2, doms)
 
     count: dict[HEdge, int] = {}
     direction: dict[HEdge, set] = {}

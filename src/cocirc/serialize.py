@@ -121,7 +121,19 @@ def _edge_rows(doc: Any, what: str):
 
 
 def cocirc_from_json(doc: Any) -> Cocirculation:
-    return {e: frac_from_any(row.get("value")) for e, row in _edge_rows(doc, "cocirc")}
+    # Each distinct value string is read once.  Only strings are kept:
+    # True == 1, so a JSON boolean must not meet the entry of an integer.
+    read: dict[str, Fraction] = {}
+    out: Cocirculation = {}
+    for e, row in _edge_rows(doc, "cocirc"):
+        v = row.get("value")
+        if type(v) is not str:
+            out[e] = frac_from_any(v)
+        elif (x := read.get(v)) is not None:
+            out[e] = x
+        else:
+            out[e] = read[v] = frac_from_any(v)
+    return out
 
 
 def edge_list_from_json(doc: Any) -> frozenset[Edge]:

@@ -66,22 +66,73 @@ def test_vertex_touching_triangles_rejected():
             for p in (edge_tail(e), edge_head(e)):
                 pts[p] = pts.get(p, 0) + 1
     assert pts[(1, 1)] == 4 and len(pts) == 5  # oracle: pinch at the joint
-    with pytest.raises((NotConnected, NotConvex)):
+    # Disconnection is reported ahead of the pinch it causes.
+    with pytest.raises(NotConnected, match=r"^1 faces unreachable$"):
         validate_grid(g)
+
+
+def test_disconnected_grid_rejected():
+    with pytest.raises(NotConnected, match=r"^1 faces unreachable$"):
+        validate_grid(ConvexGrid.of([(True, 0, 0), (True, 3, 1)]))
 
 
 def test_hole_rejected():
     g = three_side_grid(4)
     holed = ConvexGrid(g.triangles - {(False, 2, 1)})
-    with pytest.raises(NotConvex):
+    with pytest.raises(NotConvex, match=r"^boundary pinches at \(2, 0\)$"):
         validate_grid(holed)
+
+
+def test_pinched_connected_grid_rejected():
+    # Ten faces joined by sides, whose boundary meets itself at (2, 2).
+    tris = [(False, 1, 1), (False, 2, 1), (False, 3, 2), (False, 3, 3), (True, 1, 0),
+            (True, 1, 1), (True, 2, 1), (True, 2, 2), (True, 3, 2), (True, 3, 3)]
+    with pytest.raises(NotConvex, match=r"^boundary pinches at \(2, 2\)$"):
+        validate_grid(ConvexGrid.of(tris))
 
 
 def test_reflex_region_rejected():
     # size-2 triangle with a flap glued to its right side: reflex at (2,1)
     tris = set(three_side_grid(2).triangles) | {(False, 2, 1)}
-    with pytest.raises(NotConvex):
+    with pytest.raises(NotConvex, match=r"^reflex turn at \(2, 1\)$"):
         validate_grid(ConvexGrid.of(tris))
+
+
+def _face_components(tris) -> int:
+    """The number of side-connected components of ``tris``, by flood fill
+    over ``oracle_edge_faces``."""
+    faces_of_edge = oracle_edge_faces(tris)
+    seen, count = set(), 0
+    for t0 in tris:
+        if t0 in seen:
+            continue
+        count += 1
+        stack = [t0]
+        seen.add(t0)
+        while stack:
+            t = stack.pop()
+            for e in triangle_edges(t):
+                for u in faces_of_edge[e]:
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+    return count
+
+
+@given(st.sets(st.sampled_from(sorted(three_side_grid(4).triangles)), min_size=1))
+@settings(max_examples=200, deadline=None)
+def test_disconnected_is_reported_first(tris):
+    # The face walk now runs only after a boundary check has failed; a
+    # disconnected grid must still raise NotConnected, a connected one never.
+    comps = _face_components(tris)
+    try:
+        validate_grid(ConvexGrid.of(tris))
+    except NotConnected:
+        assert comps > 1
+    except NotConvex:
+        assert comps == 1
+    else:
+        assert comps == 1
 
 
 def test_empty_grid_rejected():

@@ -226,3 +226,19 @@ def test_digit_bound_does_not_follow_the_interpreter_limit():
                     loads(bad)
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def test_cocirc_values_read_once_per_string():
+    # Each distinct value string is read once; a repeated string gives the
+    # same value, and JSON integers and booleans do not share its entry:
+    # True == 1, yet a boolean value is still a schema error.
+    rows = [{"a": i, "b": 0, "dir": 1, "value": v} for i, v in enumerate(["1", 1, "2/4", "1/2", "1"])]
+    h = cocirc_from_json({"edges": rows})
+    assert list(h.values()) == [F(1), F(1), F(1, 2), F(1, 2), F(1)]
+    for bad in (True, False):
+        with pytest.raises(SchemaError, match=re.escape(f"not a rational: {bad!r}")):
+            cocirc_from_json({"edges": [*rows, {"a": 9, "b": 0, "dir": 1, "value": bad}]})
+    # The first bad row raises, whether or not its string repeats.
+    rows += [{"a": 10 + i, "b": 0, "dir": 1, "value": v} for i, v in enumerate(["x/2", "x/2", "1/0"])]
+    with pytest.raises(SchemaError, match=re.escape("not a rational: 'x/2'")):
+        cocirc_from_json({"edges": rows})
