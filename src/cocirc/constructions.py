@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .duality import grid_to_honeycomb, honeycomb_to_grid
 from .errors import NonIntegerTruncationPoint
@@ -24,7 +25,7 @@ from .honeycomb import (
     HLine,
     Honeycomb,
     canonicalize,
-    claw,
+    claw_lines,
     dval,
     honeycomb_sum,
     nxt,
@@ -234,8 +235,10 @@ def counterexample_instance() -> tuple[ConvexGrid, Cocirculation]:
 
 def claw_sum(parts) -> Honeycomb:
     """The sum of the claws ``claw(center, weight, sign)`` for the given
-    ``(center, weight, sign)``; a ``-`` claw is an anticlaw."""
-    return canonicalize([line for part in parts for line in claw(*part).as_system()])
+    ``(center, weight, sign)``; a ``-`` claw is an anticlaw.  Its rays are
+    canonicalized at once at the lcm of the centres' denominators."""
+    scale = lcm(*(x.denominator for center, _, _ in parts for x in center))
+    return canonicalize([line for part in parts for line in claw_lines(*part, scale)], scale)
 
 
 def random_honeycomb(seed: int) -> Honeycomb:
@@ -255,12 +258,11 @@ def random_honeycomb(seed: int) -> Honeycomb:
 def sample_honeycomb() -> Honeycomb:
     """Small regression honeycomb: three vertices, ten edges of which
     seven are semiinfinite, with mixed weights."""
-    f = Fraction
-    u, z, v = (f(0), f(0)), (f(0), f(-1)), (f(-1), f(0))
+    u, z, v = (0, 0), (0, -1), (-1, 0)
     lines = [
-        (HLine(1, f(0), f(-1), f(0)), 1),  # u-z
-        (HLine(3, f(1), f(-1), f(0)), 3),  # v-z
-        (HLine(2, f(0), f(0), f(1)), 1),  # u-v
+        (HLine(1, 0, -1, 0), 1),  # u-z
+        (HLine(3, 1, -1, 0), 3),  # v-z
+        (HLine(2, 0, 0, 1), 1),  # u-v
         (HLine(1, dval(u, 1), t_of(1, u), None), 1),
         (HLine(2, dval(u, 2), None, t_of(2, u)), 1),
         (HLine(1, dval(z, 1), None, t_of(1, z)), 1),
@@ -269,4 +271,4 @@ def sample_honeycomb() -> Honeycomb:
         (HLine(2, dval(v, 2), t_of(2, v), None), 3),
         (HLine(3, dval(v, 3), None, t_of(3, v)), 1),
     ]
-    return canonicalize(lines)
+    return canonicalize(lines, 1)

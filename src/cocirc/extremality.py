@@ -6,16 +6,17 @@ tight rhombus equalities, and the pins) determines it uniquely.  Within a
 flatspace all parallel edges are equal, so the unknowns collapse to one
 value per (tile, direction class); tiles sharing a side share that side's
 class value.  The reduced system is solved by exact elimination over the
-rationals, run on ints: each row is scaled to ints on entry and reduced
-without division (Bareiss-style cross-multiplication, then division by the
-gcd of the row), and only the back-substitution of a unique solution
-computes in Fractions.
+rationals, run on ints: a pin to the value ``p/q`` is the int row
+``q x = p``, a tile's sum is ``x1 + x2 + x3 = 0``, rows are reduced without
+division (Bareiss-style cross-multiplication, then division by the gcd of
+the row), and only the back-substitution of a unique solution computes in
+Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, Optional
 
 from . import grid as gr
@@ -23,28 +24,21 @@ from .errors import FNotSubsetOfEdges
 from .grid import Cocirculation, ConvexGrid, Edge, Tiling
 from .honeycomb import HEdge, HLine, Honeycomb, dval, t_of
 
-Row = tuple[dict[int, Fraction], Fraction]
-
-
-def _int_row(coeffs: Mapping[int, Fraction], rhs: Fraction) -> tuple[dict[int, int], int]:
-    """A row times the lcm of its denominators, without its zero entries."""
-    coeffs = {k: v for k, v in coeffs.items() if v != 0}
-    m = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
-    scaled = {k: v.numerator * (m // v.denominator) for k, v in coeffs.items()}
-    return scaled, rhs.numerator * (m // rhs.denominator)
+Row = tuple[dict[int, int], int]
 
 
 def eliminate(rows: Iterable[Row], nvars: int) -> tuple[int, Optional[list[Fraction]]]:
     """Exact Gaussian elimination; returns (rank, solution or None).
 
-    The solution is returned only when it is unique; an inconsistent
-    system raises ValueError.  Rows are reduced on ints without division
-    (each reduced row divided by the gcd of its entries), and only the
-    back-substitution divides.
+    The rows are ints.  The solution is returned only when it is unique;
+    an inconsistent system raises ValueError.  Rows are reduced without
+    division (each reduced row divided by the gcd of its entries), and only
+    the back-substitution divides.  Zero entries are skipped, and the
+    caller's rows are left as they are.
     """
-    pivots: dict[int, tuple[dict[int, int], int]] = {}
-    for row in rows:
-        coeffs, rhs = _int_row(*row)
+    pivots: dict[int, Row] = {}
+    for coeffs, rhs in rows:
+        coeffs = {k: v for k, v in coeffs.items() if v}
         while coeffs:
             var = min(coeffs)
             if var not in pivots:
@@ -113,17 +107,16 @@ class _TileVars:
     def sum_rows(self) -> list[Row]:
         rows = []
         seen = set()
-        one = Fraction(1)
         for i in range(len(self.tiles)):
             key = (self.var(i, 1), self.var(i, 2), self.var(i, 3))
             if key not in seen:
                 seen.add(key)
-                rows.append(({key[0]: one, key[1]: one, key[2]: one}, Fraction(0)))
+                rows.append(({key[0]: 1, key[1]: 1, key[2]: 1}, 0))
         return rows
 
 
 def _pin_rows(tv: _TileVars, pins: Mapping[Edge, Fraction]) -> list[Row]:
-    return [({tv.var_of_edge(e): Fraction(1)}, Fraction(v)) for e, v in sorted(pins.items())]
+    return [({tv.var_of_edge(e): v.denominator}, v.numerator) for e, v in sorted(pins.items())]
 
 
 def vertex_degrees_of_freedom(

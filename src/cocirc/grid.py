@@ -282,20 +282,19 @@ def validate_grid(g: ConvexGrid) -> None:
 
 
 def _check_boundary(walk: tuple[Point, ...]) -> None:
-    """Raise NotConvex on the first reflex or reversing turn of ``walk``.
+    """Raise NotConvex on the first reflex turn of ``walk``.
 
-    A convex region's triangle count equals the polygon's lattice area,
-    so any missing interior face has already surfaced as a hole in the
-    walk."""
+    ``boundary_walk`` returns a simple cycle of three or more distinct
+    points, so no step is followed by its reverse and a straight turn is
+    never a reversal.  A convex region's triangle count equals the
+    polygon's lattice area, so any missing interior face has already
+    surfaced as a hole in the walk."""
     n = len(walk)
     for i in range(n):
         u = _sub(walk[(i + 1) % n], walk[i])
         v = _sub(walk[(i + 2) % n], walk[(i + 1) % n])
-        c = _cross(u, v)
-        if c < 0:
+        if _cross(u, v) < 0:
             raise NotConvex(f"reflex turn at {walk[(i + 1) % n]}")
-        if c == 0 and (u[0] * v[0] + u[1] * v[1]) < 0:
-            raise NotConvex(f"boundary reverses at {walk[(i + 1) % n]}")
 
 
 def fill_convex_polygon(corners: list[Point]) -> frozenset[Triangle]:

@@ -10,8 +10,11 @@ stay rational.
 
 A ``Honeycomb`` stores each coordinate as an int ``x`` standing for
 ``x / scale``, with ``scale`` the least common denominator of its vertex
-coordinates, so a coordinate is integral when ``x % scale == 0``.  The
-point and line helpers work on ints and Fractions alike.
+coordinates, so a coordinate is integral when ``x % scale == 0``, and
+``canonicalize`` takes a system on ints at a given scale.  Rationals are
+made only at the package's edges: ``claw`` brings its centre to ints at
+the lcm of its denominators, and messages and ``Honeycomb.point`` divide
+by the scale.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Optional
 
 from .errors import NotPreHoneycomb
 
-Pt = tuple[Fraction, Fraction]
+Pt = tuple[int, int]
 
 SIGNS = ("+", "-")
 OPPOSITE = {"+": "-", "-": "+"}
@@ -39,7 +42,7 @@ def prv(cls: int) -> int:
     return (cls + 1) % 3 + 1
 
 
-def dval(p: Pt, cls: int) -> Fraction:
+def dval(p: Pt, cls: int) -> int:
     if cls == 1:
         return p[0]
     if cls == 2:
@@ -47,7 +50,7 @@ def dval(p: Pt, cls: int) -> Fraction:
     return -p[0] - p[1]
 
 
-def point_from_two(cls1: int, c1: Fraction, cls2: int, c2: Fraction) -> Pt:
+def point_from_two(cls1: int, c1: int, cls2: int, c2: int) -> Pt:
     if cls1 > cls2:
         cls1, c1, cls2, c2 = cls2, c2, cls1, c1
     if cls1 == 2:
@@ -55,7 +58,7 @@ def point_from_two(cls1: int, c1: Fraction, cls2: int, c2: Fraction) -> Pt:
     return (c1, c2) if cls2 == 2 else (c1, -c1 - c2)
 
 
-def point_on(cls: int, c: Fraction, t: Fraction) -> Pt:
+def point_on(cls: int, c: int, t: int) -> Pt:
     """The point on the class-``cls`` line ``d_cls = c`` with ``d_nxt = t``."""
     if cls == 1:
         return (c, t)
@@ -64,7 +67,7 @@ def point_on(cls: int, c: Fraction, t: Fraction) -> Pt:
     return (t, -c - t)
 
 
-def t_of(cls: int, p: Pt) -> Fraction:
+def t_of(cls: int, p: Pt) -> int:
     """``d_nxt(cls)`` of ``p``."""
     if cls == 1:
         return p[1]
@@ -77,7 +80,7 @@ def is_integral_point(p: Pt, scale: int) -> bool:
     return p[0] % scale == 0 and p[1] % scale == 0
 
 
-def frac_point(p: Pt, scale: int) -> Pt:
+def frac_point(p: Pt, scale: int) -> tuple[Fraction, Fraction]:
     """The point with int coordinates ``p`` in units of ``1/scale``, in Fractions."""
     return (Fraction(p[0], scale), Fraction(p[1], scale))
 
@@ -91,9 +94,9 @@ class HLine:
     """
 
     cls: int
-    c: Fraction
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
+    c: int
+    lo: Optional[int]
+    hi: Optional[int]
 
     @property
     def is_finite(self) -> bool:
@@ -116,11 +119,11 @@ class HLine:
             out.append(point_on(self.cls, self.c, self.hi))
         return tuple(out)
 
-    def length(self) -> Fraction:
+    def length(self) -> int:
         assert self.is_finite
         return self.hi - self.lo
 
-    def contains_t(self, t: Fraction) -> bool:
+    def contains_t(self, t: int) -> bool:
         return (self.lo is None or self.lo <= t) and (self.hi is None or t <= self.hi)
 
     def sort_key(self):
@@ -165,9 +168,9 @@ XiSystem = list[tuple[HLine, int]]
 class _Coverage:
     """Piecewise-constant total weight along one supporting line."""
 
-    def __init__(self, intervals: list[tuple[Optional[Fraction], Optional[Fraction], int]]):
+    def __init__(self, intervals: list[tuple[Optional[int], Optional[int], int]]):
         self.base = sum(w for lo, _, w in intervals if lo is None)
-        deltas: dict[Fraction, int] = {}
+        deltas: dict[int, int] = {}
         for lo, hi, w in intervals:
             if lo is not None:
                 deltas[lo] = deltas.get(lo, 0) + w
@@ -180,17 +183,17 @@ class _Coverage:
             running += deltas[t]
             self.vals.append(running)
 
-    def plus(self, t: Fraction) -> int:
+    def plus(self, t: int) -> int:
         """Coverage just right of t."""
         i = bisect_right(self.ts, t) - 1
         return self.base if i < 0 else self.vals[i]
 
-    def minus(self, t: Fraction) -> int:
+    def minus(self, t: int) -> int:
         """Coverage just left of t."""
         i = bisect_left(self.ts, t) - 1
         return self.base if i < 0 else self.vals[i]
 
-    def constant_on(self, a: Optional[Fraction], b: Optional[Fraction]) -> bool:
+    def constant_on(self, a: Optional[int], b: Optional[int]) -> bool:
         """No coverage change at breakpoints strictly inside (a, b)."""
         i = 0 if a is None else bisect_right(self.ts, a)
         j = len(self.ts) if b is None else bisect_left(self.ts, b)
@@ -199,7 +202,7 @@ class _Coverage:
         before = self.base if i == 0 else self.vals[i - 1]
         return all(self.vals[k] == before for k in range(i, j))
 
-    def covers(self, t: Fraction) -> bool:
+    def covers(self, t: int) -> bool:
         """Nonzero coverage on at least one side of t."""
         i = bisect_right(self.ts, t) - 1
         if (self.base if i < 0 else self.vals[i]) != 0:
@@ -207,9 +210,9 @@ class _Coverage:
         i = bisect_left(self.ts, t) - 1
         return (self.base if i < 0 else self.vals[i]) != 0
 
-    def spans(self) -> list[tuple[Optional[Fraction], Optional[Fraction]]]:
+    def spans(self) -> list[tuple[Optional[int], Optional[int]]]:
         """Maximal closed spans of the t at which ``covers`` holds."""
-        out: list[tuple[Optional[Fraction], Optional[Fraction]]] = []
+        out: list[tuple[Optional[int], Optional[int]]] = []
         bounds = [None, *self.ts, None]
         for lo, hi, w in zip(bounds, bounds[1:], [self.base, *self.vals]):
             if w == 0:
@@ -221,13 +224,13 @@ class _Coverage:
         return out
 
 
-def _live(lo: Optional[Fraction], hi: Optional[Fraction], w: int) -> bool:
+def _live(lo: Optional[int], hi: Optional[int], w: int) -> bool:
     """Whether a line of weight ``w`` over ``[lo, hi]`` covers anything."""
     return w != 0 and (lo is None or hi is None or lo < hi)
 
 
-def _supports(system: XiSystem) -> dict[tuple[int, Fraction], _Coverage]:
-    per: dict[tuple[int, Fraction], list] = {}
+def _supports(system: XiSystem) -> dict[tuple[int, int], _Coverage]:
+    per: dict[tuple[int, int], list] = {}
     for line, w in system:
         if _live(line.lo, line.hi, w):
             per.setdefault((line.cls, line.c), []).append((line.lo, line.hi, w))
@@ -294,24 +297,6 @@ def six_weights(covs, p: Pt) -> dict[tuple[int, str], int]:
             out[(cls, "+")] = cov.plus(t)
             out[(cls, "-")] = cov.minus(t)
     return out
-
-
-def _integer_system(system: XiSystem) -> tuple[int, XiSystem]:
-    """A system given in rationals, as ints in units of ``1/L``, where
-    ``L`` is the lcm of its denominators.
-
-    Multiplying by ``L > 0`` is a linear bijection that keeps
-    ``d3 = -d1-d2``, so it keeps every crossing, every coverage and the
-    order of points and lines.
-    """
-    scale = lcm(
-        *{x.denominator for line, _ in system for x in (line.c, line.lo, line.hi) if x is not None}
-    )
-
-    def up(x):
-        return None if x is None else x.numerator * (scale // x.denominator)
-
-    return scale, [(HLine(ln.cls, up(ln.c), up(ln.lo), up(ln.hi)), w) for ln, w in system]
 
 
 def _check_full_lines(covs, scale: int) -> None:
@@ -432,14 +417,9 @@ class Honeycomb:
     def nonintegral(self) -> tuple[frozenset[Pt], frozenset[HEdge]]:
         return nonintegral_sets(self)
 
-    def point(self, v: Pt) -> Pt:
+    def point(self, v: Pt) -> tuple[Fraction, Fraction]:
         """A vertex in Fractions."""
         return frac_point(v, self.scale)
-
-    def as_system(self) -> XiSystem:
-        """The edges as a system in Fractions."""
-        unit = Fraction(1, self.scale)
-        return [(e.scaled(unit), e.weight) for e in self.edges]
 
 
 def divergency(h: Honeycomb, v: Pt) -> int:
@@ -456,16 +436,16 @@ def excess(h: Honeycomb, v: Pt) -> int:
     return abs(divergency(h, v))
 
 
-def vertices_by_line(verts) -> dict[tuple[int, Fraction], list[Pt]]:
+def vertices_by_line(verts) -> dict[tuple[int, int], list[Pt]]:
     """The given vertices grouped by the line ``d_cls = c`` of each class."""
-    on_line: dict[tuple[int, Fraction], list[Pt]] = {}
+    on_line: dict[tuple[int, int], list[Pt]] = {}
     for v in verts:
         for cls in (1, 2, 3):
             on_line.setdefault((cls, dval(v, cls)), []).append(v)
     return on_line
 
 
-def canonicalize(system: XiSystem, scale: Optional[int] = None) -> Honeycomb:
+def canonicalize(system: XiSystem, scale: int) -> Honeycomb:
     """The unique honeycomb with the same ray weights everywhere.
 
     Vertices are the points with at least three nonzero ray weights; edges
@@ -473,12 +453,10 @@ def canonicalize(system: XiSystem, scale: Optional[int] = None) -> Honeycomb:
     NotPreHoneycomb when the system violates nonnegativity or tension, and
     when the covered set has a fully infinite line or no vertex at all.
 
-    With ``scale`` given, the coordinates of ``system`` are ints in units of
-    ``1/scale``; without it, rationals.  The result has the least scale
-    that holds its vertices, and so all of its edges.
+    The coordinates of ``system`` are ints in units of ``1/scale``.  The
+    result has the least scale that holds its vertices, and so all of its
+    edges.
     """
-    if scale is None:
-        scale, system = _integer_system(system)
     covs = _supports(system)
     verts = _vertices(system, covs, scale)
     if not verts:
@@ -529,13 +507,15 @@ def honeycomb_sum(a: Honeycomb, b: Honeycomb) -> Honeycomb:
     return canonicalize([(e.scaled(scale // h.scale), e.weight) for h in (a, b) for e in h.edges], scale)
 
 
-def claw(center: Pt, weight: int = 1, sign: str = "+") -> Honeycomb:
+def claw_lines(center: tuple[Fraction, Fraction], weight: int, sign: str, scale: int) -> XiSystem:
+    """The three rays of ``claw(center, weight, sign)`` in ints in units of
+    ``1/scale``, a multiple of the denominators of ``center``."""
+    p = tuple(x.numerator * (scale // x.denominator) for x in center)
+    ends = (lambda t: (t, None)) if sign == "+" else (lambda t: (None, t))
+    return [(HLine(cls, dval(p, cls), *ends(t_of(cls, p))), weight) for cls in (1, 2, 3)]
+
+
+def claw(center: tuple[Fraction, Fraction], weight: int = 1, sign: str = "+") -> Honeycomb:
     """Three equal rays of one sign from a single point."""
-    lines = []
-    for cls in (1, 2, 3):
-        t = t_of(cls, center)
-        line = HLine(cls, dval(center, cls), t, None) if sign == "+" else HLine(
-            cls, dval(center, cls), None, t
-        )
-        lines.append((line, weight))
-    return canonicalize(lines)
+    scale = lcm(center[0].denominator, center[1].denominator)
+    return canonicalize(claw_lines(center, weight, sign, scale), scale)

@@ -98,7 +98,7 @@ def integralize(
         if pot2.value >= pot.value:
             raise AssertionError("potential failed to decrease")
         if not _monotone(pot, pot2):
-            raise AssertionError()
+            raise AssertionError("a potential part moved the wrong way")
         trace.append(TraceStep(ev.eps, ev.kinds, path.is_cycle, pot, pot2))
         hc, pot = hc2, pot2
         if len(trace) > budget:
@@ -109,7 +109,7 @@ def integralize(
         raise AssertionError("grid changed during rounding")
     out = {(a, b, d): vals[(a + da, b + db, d)] for (a, b, d) in g.edges}
     if any(v.denominator != 1 for v in out.values()):
-        raise AssertionError()
+        raise AssertionError("a rounded value is not an integer")
     for e in o_set | i_set:
         if out[e] != h[e]:
             raise AssertionError(f"preserved edge {e} changed")

@@ -11,7 +11,6 @@ other support its edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
@@ -23,7 +22,6 @@ from .honeycomb import (
     HLine,
     Honeycomb,
     Pt,
-    XiSystem,
     _check_full_lines,
     _Coverage,
     _crossings,
@@ -73,11 +71,6 @@ class Patch:
             if w > 0:
                 out.append((e if self.f == 1 else e.scaled(self.f), w))
         return (*out, *self.added)
-
-    def as_system(self) -> XiSystem:
-        """The lines as a system in Fractions."""
-        unit = Fraction(1, self.scale)
-        return [(line.scaled(unit), w) for line, w in self.lines]
 
     @cached_property
     def covs(self) -> _Coverages:

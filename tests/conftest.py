@@ -7,6 +7,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import assume, settings, strategies as st
@@ -51,6 +52,7 @@ from cocirc.honeycomb import (
     t_of,
     vertices_by_line,
 )
+from cocirc.patch import Patch
 from cocirc.paths import TURN_LEFT, TURN_RIGHT
 
 # A fixed example order and no deadline, so a failure in CI repeats
@@ -300,6 +302,24 @@ def frac_span(hc, e):
     return (line.cls, line.c, line.lo, line.hi)
 
 
+def frac_lines(h):
+    """The system of a honeycomb (its edges) or of a patch, in Fractions."""
+    lines = h.lines if isinstance(h, Patch) else [(e, e.weight) for e in h.edges]
+    unit = Fraction(1, h.scale)
+    return [(line.scaled(unit), w) for line, w in lines]
+
+
+def canonicalize_rational(system):
+    """``canonicalize`` of a system given in rationals, brought to ints in
+    units of ``1/L``, ``L`` the lcm of its denominators."""
+    scale = lcm(*(x.denominator for line, _ in system for x in (line.c, line.lo, line.hi) if x is not None))
+
+    def up(x):
+        return None if x is None else x.numerator * (scale // x.denominator)
+
+    return canonicalize([(HLine(ln.cls, up(ln.c), up(ln.lo), up(ln.hi)), w) for ln, w in system], scale)
+
+
 def oracle_meet_time(u, mu, v, mv):
     """Positive solution of u + t*mu == v + t*mv, if any, in Fractions."""
     t = None
@@ -395,7 +415,8 @@ def reference_stop_epsilon(h, pl):
         def mid_honeycomb():
             nonlocal mid_h
             if mid_h is None:
-                hm = canonicalize(build_deformed_system(h, pl, (prev + eps_c) / 2).as_system())
+                ds = build_deformed_system(h, pl, (prev + eps_c) / 2)
+                hm = canonicalize(ds.lines, ds.scale)
                 mid_h = hm, {hm.point(v): v for v in hm.vertices}
             return mid_h
 

@@ -210,9 +210,10 @@ def test_criterion_8_deformed_systems_stay_valid():
             ev = stop_epsilon(hc, pl)
             for _ in range(10):
                 eps = ev.eps * F(rng.randint(1, 127), 128)
-                assert is_prehoneycomb(build_deformed_system(hc, pl, eps).as_system())
+                assert is_prehoneycomb(build_deformed_system(hc, pl, eps).lines)
                 checked += 1
-            hc = canonicalize(build_deformed_system(hc, pl, ev.eps).as_system())
+            ds = build_deformed_system(hc, pl, ev.eps)
+            hc = canonicalize(ds.lines, ds.scale)
     print(f"\nPASS criterion 8: {checked} intermediate deformed systems "
           "verified as pre-honeycombs at random exact parameters")
 

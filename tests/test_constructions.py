@@ -2,8 +2,11 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import canonicalize_rational, claw_parts, frac_lines
 from cocirc.constructions import (
+    claw_sum,
     counterexample_instance,
     dual_grid_honeycomb,
     fix_boundary,
@@ -151,6 +154,16 @@ def test_hexagon_boundary_matches_pins():
             assert e in g.boundary_edges and h[e] == v
 
 
+@given(claw_parts())
+@settings(max_examples=60, deadline=None)
+def test_claw_sum_is_the_two_step_sum(parts):
+    # One canonicalize of all rays at the lcm of the centres' denominators
+    # gives what canonicalizing each claw, then their sum in Fractions, did.
+    two_step = canonicalize_rational([line for part in parts for line in frac_lines(claw(*part))])
+    one_step = claw_sum(parts)
+    assert one_step == two_step and one_step.incidence == two_step.incidence
+
+
 def test_fix_boundary_noop_without_minus_rays():
     hc = claw((F(0), F(0)))
     assert fix_boundary(hc) == hc
@@ -160,7 +173,7 @@ def test_fix_boundary_truncates_minus_rays():
     anti = claw((F(0), F(0)), sign="-")
     fixed = fix_boundary(anti)
     assert all(e.ray_sign == "+" for e in fixed.edges if e.is_ray)
-    assert is_prehoneycomb(fixed.as_system())
+    assert is_prehoneycomb(frac_lines(fixed))
     finite = [e for e in fixed.edges if e.is_finite]
     assert len(finite) == 3 and all(e.length() == 1 for e in finite)
     divs = sorted(divergency(fixed, v) for v in fixed.vertices)
@@ -179,8 +192,8 @@ def test_fix_boundary_on_hexagon_honeycomb():
     for k in (1, 2, 3):
         hc = grid_to_honeycomb(*hexagon_instance(k))
         fixed = fix_boundary(hc)
-        assert any(e.is_ray for e, _ in fixed.as_system())
-        for e, _ in fixed.as_system():
+        assert any(e.is_ray for e, _ in frac_lines(fixed))
+        for e, _ in frac_lines(fixed):
             if not e.is_ray:
                 continue
             assert e.ray_sign == "+"

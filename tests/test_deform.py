@@ -6,6 +6,8 @@ import pytest
 
 from conftest import (
     at_scale,
+    canonicalize_rational,
+    frac_lines,
     frac_span,
     fuzz_corpus,
     oracle_meet_time,
@@ -100,7 +102,7 @@ def zigzag_collision_fixture(T=F(3), S=F(3), m=F(1)):
         ray(1, "-", x3),
         ray(2, "+", x4),
     ]
-    hc = canonicalize([(l, 1) for l in path_lines + extras])
+    hc = canonicalize_rational([(l, 1) for l in path_lines + extras])
     by_line = {frac_span(hc, e): e for e in hc.edges}
     edges = tuple(by_line[(l.cls, l.c, l.lo, l.hi)] for l in path_lines)
     verts = tuple(at_scale(hc, v) for v in (A, x1, x2, x3, x4, B))
@@ -145,7 +147,8 @@ def test_decompose_benzene_cycle():
 def test_build_at_zero_is_identity():
     hc, p = shifted_claw_path((F(1, 3), F(1, 3)))
     pl = decompose(p)
-    assert canonicalize(build_deformed_system(hc, pl, F(0)).as_system()) == hc
+    ds = build_deformed_system(hc, pl, F(0))
+    assert canonicalize(ds.lines, ds.scale) == hc
 
 
 def test_build_epsilon_out_of_range():
@@ -169,7 +172,7 @@ def test_right_turn_bend_bookkeeping():
     assert weights == [1, 1, 1, 1]  # third ray, stub, two moved rays
     stub = [l for l, w in sys_eps.lines if l.is_finite]
     assert len(stub) == 1 and stub[0].cls == 3
-    assert is_prehoneycomb(sys_eps.as_system())
+    assert is_prehoneycomb(sys_eps.lines)
 
 
 def test_deform_translates_claw():
@@ -290,7 +293,7 @@ def test_random_epsilon_prehoneycomb():
         ev = stop_epsilon(hc, pl)
         for _ in range(10):
             eps = ev.eps * F(rng.randint(1, 63), 64)
-            assert is_prehoneycomb(build_deformed_system(hc, pl, eps).as_system())
+            assert is_prehoneycomb(build_deformed_system(hc, pl, eps).lines)
 
 
 def test_meet_time_in_half_units():
@@ -319,7 +322,7 @@ def racket_fixture():
     base = (F(1, 3), F(1, 3))
     hc0, cyc = benzene_cycle(base=base)
     lines = []
-    for e, _ in hc0.as_system():
+    for e, _ in frac_lines(hc0):
         if e.is_finite:
             lines.append((e, 2))  # hexagon sides
         elif e.ends()[0] == base:
@@ -332,7 +335,7 @@ def racket_fixture():
     lines.append((HLine(3, dval(w, 3), t_of(3, w), None), 1))  # exit ray
     lines.append((HLine(1, dval(w, 1), None, t_of(1, w)), 1))
     lines.append((HLine(2, dval(w, 2), None, t_of(2, w)), 1))
-    hc = canonicalize(lines)
+    hc = canonicalize_rational(lines)
 
     def edge_at(cls, c, lo, hi):
         (e,) = [x for x in hc.edges if frac_span(hc, x) == (cls, c, lo, hi)]
@@ -362,8 +365,8 @@ def test_double_use_weight_bookkeeping():
     sys_eps = build_deformed_system(hc, pl, eps)
     # the handle is fully consumed; every hexagon side keeps one copy
     span = frac_span(hc, handle)
-    assert all((l.cls, l.c, l.lo, l.hi) != span for l, _ in sys_eps.as_system())
-    assert is_prehoneycomb(sys_eps.as_system())
+    assert all((l.cls, l.c, l.lo, l.hi) != span for l, _ in frac_lines(sys_eps))
+    assert is_prehoneycomb(sys_eps.lines)
     h2, ev = deform(hc, path)
     assert ev.eps > 0
 
@@ -406,8 +409,8 @@ def test_capped_sweep_matches_uncapped_reference(small_corpus):
             ]
             meets += sum(1 for r in got if r[1] == "meet")
             ds = build_deformed_system(hc, pl, ev.eps)
-            hc = canonicalize(ds.as_system())
-            assert canonicalize(ds.lines, ds.scale) == hc  # the loop's int path
+            hc = canonicalize(ds.lines, ds.scale)
+            assert canonicalize_rational(frac_lines(ds)) == hc  # at the lcm of its denominators
     assert STOP_INTEGRAL_VERTEX in kinds and meets > 0
 
 

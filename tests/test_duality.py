@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import convex_hexagons, mixed_concave
+from conftest import convex_hexagons, frac_lines, mixed_concave
 from cocirc import serialize
 from cocirc.constructions import (
     counterexample_instance,
@@ -81,7 +81,7 @@ def test_dualize_rejects_nonconcave():
 
 def test_hexagon_instance_k2_has_half_integer_edge():
     hc = grid_to_honeycomb(*hexagon_instance(2))
-    assert any(line.c.denominator == 2 for line, _ in hc.as_system())
+    assert any(line.c.denominator == 2 for line, _ in frac_lines(hc))
 
 
 def test_round_trips_and_conservation(small_corpus):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from cocirc.constructions import (
     dual_grid_honeycomb,
     fractional_vertex_instance,
     hexagon_instance,
+    random_honeycomb,
 )
 from cocirc.duality import honeycomb_to_grid
 from cocirc.errors import FNotSubsetOfEdges, NotConcave
@@ -95,6 +97,24 @@ def test_condition_c_claw_single_ray():
     assert len(maximal_lines(c)) == 3
 
 
+def test_maximal_lines_split_at_a_coverage_gap():
+    # random_honeycomb(6) has one support with two edges and a gap between them
+    h = random_honeycomb(6)
+    gapped = [es for es in h.supports.values() if any(a.hi != b.lo for a, b in zip(es, es[1:]))]
+    assert len(gapped) == 1 and len(gapped[0]) == 2
+    first, second = gapped[0]
+    runs = maximal_lines(h)
+    assert (first,) in runs and (second,) in runs
+    assert len(runs) == len(h.supports) + 1
+    # condition_c sees two lines there: with its class-1 line unmarked, the
+    # vertex where the second edge starts needs that edge's run marked, and
+    # marking the first edge does not do
+    v = second.ends()[0]
+    marked = [e for e in h.edges if e != second and (e.cls, e.c) != (1, v[0])]
+    assert not condition_c_extreme(h, marked)
+    assert condition_c_extreme(h, marked + [second])
+
+
 def test_condition_c_dual_grid():
     hp = dual_grid_honeycomb(3)
     part, _ = boundary_partition(hp)
@@ -129,10 +149,12 @@ def test_reduced_pin_set_still_rigid_on_grid_side():
         assert is_vertex(g, h, side1 + [e])
 
 def test_eliminate_skips_explicit_zero_coefficients():
-    assert eliminate([({0: F(0), 1: F(1)}, F(1))], 2) == (1, None)
-    assert eliminate([({0: F(0), 1: F(2)}, F(1)), ({0: F(3)}, F(0))], 2) == (2, [F(0), F(1, 2)])
+    assert eliminate([({0: 0, 1: 1}, 1)], 2) == (1, None)
+    rows = [({0: 0, 1: 2}, 1), ({0: 3}, 0)]
+    assert eliminate(rows, 2) == (2, [F(0), F(1, 2)])
+    assert rows == [({0: 0, 1: 2}, 1), ({0: 3}, 0)]  # the caller's rows are left as they are
     with pytest.raises(ValueError):
-        eliminate([({0: F(0)}, F(1))], 1)
+        eliminate([({0: 0}, 1)], 1)
 
 
 def reference_eliminate(rows, nvars):
@@ -195,6 +217,15 @@ def linear_systems(draw):
     return rows, nvars
 
 
+def int_eliminate(rows, nvars):
+    """``eliminate`` of rational rows, each times the lcm of its denominators."""
+    scaled = []
+    for coeffs, rhs in rows:
+        m = lcm(F(rhs).denominator, *(v.denominator for v in coeffs.values()))
+        scaled.append(({k: int(v * m) for k, v in coeffs.items()}, int(rhs * m)))
+    return eliminate(scaled, nvars)
+
+
 def _solve(fn, rows, nvars):
     try:
         return fn(rows, nvars)
@@ -207,7 +238,7 @@ def _solve(fn, rows, nvars):
 def test_eliminate_matches_fraction_reference(system, data):
     rows, nvars = system
     expected = _solve(reference_eliminate, rows, nvars)
-    assert _solve(eliminate, rows, nvars) == expected
+    assert _solve(int_eliminate, rows, nvars) == expected
     if rows:
         # scaling a row by a nonzero rational changes neither rank nor solution
         i = data.draw(st.integers(0, len(rows) - 1))
@@ -215,6 +246,6 @@ def test_eliminate_matches_fraction_reference(system, data):
         scaled = list(rows)
         coeffs, rhs = rows[i]
         scaled[i] = ({j: v * k for j, v in coeffs.items()}, rhs * k)
-        assert _solve(eliminate, scaled, nvars) == expected
+        assert _solve(int_eliminate, scaled, nvars) == expected
     # nor does the order of the rows: the vertex tests pass the pins first
-    assert _solve(eliminate, data.draw(st.permutations(rows)), nvars) == expected
+    assert _solve(int_eliminate, data.draw(st.permutations(rows)), nvars) == expected

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_candidate_points, oracle_incidence, oracle_ray_weights
+from conftest import (
+    canonicalize_rational,
+    frac_lines,
+    oracle_candidate_points,
+    oracle_incidence,
+    oracle_ray_weights,
+)
 from cocirc import honeycomb
 from cocirc.constructions import (
     counterexample_instance,
@@ -77,7 +83,7 @@ def test_ray_weights_interior_point():
 def test_prehoneycomb_claw_and_single_line():
     system = [plus_ray(cls, ORIGIN) for cls in (1, 2, 3)]
     assert is_prehoneycomb(system)
-    assert divergency(canonicalize(system), ORIGIN) == 1
+    assert divergency(canonicalize_rational(system), ORIGIN) == 1
     assert not is_prehoneycomb([(HLine(1, F(0), F(0), F(2)), 1)])
     # negative everywhere on a line that has no end to show it
     assert not is_prehoneycomb([(HLine(1, F(0), None, None), -1)])
@@ -85,7 +91,7 @@ def test_prehoneycomb_claw_and_single_line():
 
 def test_sample_honeycomb_shape():
     hc = sample_honeycomb()
-    assert is_prehoneycomb(hc.as_system())
+    assert is_prehoneycomb(frac_lines(hc))
     assert len(hc.vertices) == 3
     assert len(hc.edges) == 10
     assert len(hc.boundary) == 7
@@ -102,8 +108,8 @@ def test_canonicalize_claw():
 
 
 def test_degree_six_vertex_divergency_zero():
-    both = claw(ORIGIN).as_system() + claw(ORIGIN, sign="-").as_system()
-    hc = canonicalize(both)
+    both = frac_lines(claw(ORIGIN)) + frac_lines(claw(ORIGIN, sign="-"))
+    hc = canonicalize_rational(both)
     assert len(hc.vertices) == 1 and len(hc.edges) == 6
     assert divergency(hc, ORIGIN) == 0
 
@@ -124,22 +130,22 @@ def test_canonicalize_merges_overlapping_segments():
         minus_ray(2, d, 2),
         minus_ray(3, d, 2),
     ]
-    hc = canonicalize(system)
+    hc = canonicalize_rational(system)
     spans = sorted((e.lo, e.hi, e.weight) for e in hc.edges if e.cls == 1)
     assert spans == [(F(0), F(1), 2), (F(1), F(2), 1), (F(2), F(3), 2)]
     # oracle: the canonical form preserves all six ray weights everywhere
     probes = [point_on(1, F(0), F(t, 2)) for t in range(-1, 8)]
     for p in probes + [a, b, c, d]:
-        assert oracle_ray_weights(system, p) == oracle_ray_weights(hc.as_system(), p)
+        assert oracle_ray_weights(system, p) == oracle_ray_weights(frac_lines(hc), p)
 
 
 def test_canonicalize_rejects_bad_systems():
     with pytest.raises(NotPreHoneycomb):
-        canonicalize([(HLine(1, F(0), F(0), F(2)), 1)])
+        canonicalize_rational([(HLine(1, F(0), F(0), F(2)), 1)])
     with pytest.raises(NotPreHoneycomb):
-        canonicalize([(HLine(1, F(0), None, None), 1)])  # full covered line
+        canonicalize_rational([(HLine(1, F(0), None, None), 1)])  # full covered line
     with pytest.raises(NotPreHoneycomb):
-        canonicalize([plus_ray(1, ORIGIN, -1), plus_ray(2, ORIGIN, -1), plus_ray(3, ORIGIN, -1)])
+        canonicalize_rational([plus_ray(1, ORIGIN, -1), plus_ray(2, ORIGIN, -1), plus_ray(3, ORIGIN, -1)])
 
 
 def test_candidates_of_a_honeycomb_are_its_vertices(small_corpus):
@@ -159,7 +165,7 @@ def _claw_sums(seed: int, count: int):
         system = []
         for _ in range(rng.randint(2, 4)):
             center = tuple(F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(2))
-            system += claw(center, rng.randint(1, 2), rng.choice("+-")).as_system()
+            system += frac_lines(claw(center, rng.randint(1, 2), rng.choice("+-")))
         yield system
 
 
@@ -167,12 +173,12 @@ def _deformed_systems(hc):
     path = find_legal_path(hc)
     pl = orient_cycle_rightward(path) if path.is_cycle else decompose(path)
     ev = stop_epsilon(hc, pl)
-    return [build_deformed_system(hc, pl, eps).as_system() for eps in (ev.eps / 2, ev.eps)]
+    return [frac_lines(build_deformed_system(hc, pl, eps)) for eps in (ev.eps / 2, ev.eps)]
 
 
 def _outcome(system):
     try:
-        result = canonicalize(system)
+        result = canonicalize_rational(system)
     except Exception as exc:
         result = type(exc)
     return result, is_prehoneycomb(system)
@@ -182,7 +188,7 @@ def test_sweep_matches_all_pairs_oracle(small_corpus, monkeypatch):
     systems = []
     for g, h in small_corpus:
         hc = grid_to_honeycomb(g, h)
-        systems.append(hc.as_system())
+        systems.append(frac_lines(hc))
         if not potential(hc).settled:
             systems += _deformed_systems(hc)
     systems += _claw_sums(seed=4, count=40)
@@ -191,7 +197,7 @@ def test_sweep_matches_all_pairs_oracle(small_corpus, monkeypatch):
         [(HLine(1, F(0), F(0), F(2)), 1)],
         [(HLine(1, F(0), None, None), 1)],
         [plus_ray(1, ORIGIN, -1), plus_ray(2, ORIGIN, -1), plus_ray(3, ORIGIN, -1)],
-        claw(ORIGIN).as_system() + [(HLine(1, F(1), None, None), -1)],
+        frac_lines(claw(ORIGIN)) + [(HLine(1, F(1), None, None), -1)],
         # the negative line crosses the only other support where it cancels
         [segment, (segment[0], -1), (HLine(1, F(5), None, None), -1)],
     ]
@@ -205,7 +211,7 @@ def test_canonicalize_idempotent_and_weight_preserving(small_corpus):
     rng = random.Random(1)
     for g, h in small_corpus[:6]:
         hc = grid_to_honeycomb(g, h)
-        again = canonicalize(hc.as_system())
+        again = canonicalize_rational(frac_lines(hc))
         assert again == hc
         # random rational probes plus all endpoints
         pts = [v for e in hc.edges for v in e.ends()]
@@ -215,8 +221,8 @@ def test_canonicalize_idempotent_and_weight_preserving(small_corpus):
             t1 = e.hi if e.hi is not None else e.lo + 3
             lam = F(rng.randint(0, 16), 16)
             pts.append(point_on(e.cls, e.c, t0 + lam * (t1 - t0)))
-        original = [(l, w) for l, w in hc.as_system()]
-        covs, covs_again = _supports(original), _supports(again.as_system())
+        original = frac_lines(hc)
+        covs, covs_again = _supports(original), _supports(frac_lines(again))
         for p in pts:
             w6 = oracle_ray_weights(original, p)
             assert six_weights(covs, p) == w6 == six_weights(covs_again, p)
@@ -293,7 +299,7 @@ def test_incidence_matches_edge_ends(small_corpus):
     # canonicalize fills the incidence while it cuts the edges; the oracle
     # derives it afterwards from each edge's ends
     honeycombs = _instance_honeycombs(small_corpus)
-    honeycombs += [canonicalize(s) for s in _claw_sums(seed=7, count=20)]
+    honeycombs += [canonicalize_rational(s) for s in _claw_sums(seed=7, count=20)]
     for hc in honeycombs:
         oracle = oracle_incidence(hc)
         assert hc.incidence == oracle
@@ -310,10 +316,10 @@ def _times(x, k):
 
 
 def test_canonicalize_commutes_with_scaling(small_corpus):
-    systems = [hc.as_system() for hc in _instance_honeycombs(small_corpus)[::4]]
+    systems = [frac_lines(hc) for hc in _instance_honeycombs(small_corpus)[::4]]
     systems += list(_claw_sums(seed=8, count=6))
     for system in systems:
-        hc = canonicalize(system)
+        hc = canonicalize_rational(system)
         for k in (2, 3, 7):
             # the same coordinates at a finer scale come back at the least one
             finer = [(e.scaled(k), e.weight) for e in hc.edges]
@@ -322,30 +328,29 @@ def test_canonicalize_commutes_with_scaling(small_corpus):
             scaled = [
                 (HLine(ln.cls, ln.c * k, _times(ln.lo, k), _times(ln.hi, k)), w) for ln, w in system
             ]
-            big = canonicalize(scaled)
+            big = canonicalize_rational(scaled)
             assert tuple(map(big.point, big.vertices)) == tuple(
                 (x * k, y * k) for x, y in map(hc.point, hc.vertices)
             )
-            assert big.as_system() == [(line.scaled(k), w) for line, w in hc.as_system()]
+            assert frac_lines(big) == [(line.scaled(k), w) for line, w in frac_lines(hc)]
 
 
 def test_output_coordinates_are_fractions():
     # a honeycomb stores ints in units of 1/scale, the least common
-    # denominator; its accessors give Fractions, also for an int input
+    # denominator; its point accessor gives Fractions, also for an int input
     ints = [(HLine(cls, 0, 0, None), 1) for cls in (1, 2, 3)]
     fractional = [plus_ray(cls, (F(1, 2), F(-1, 3))) for cls in (1, 2, 3)]
     for system, scale in ((ints, 1), (fractional, 6)):
-        hc = canonicalize(system)
+        hc = canonicalize_rational(system)
         assert hc.scale == scale
         stored = [x for v in hc.vertices for x in v]
         stored += [x for e in hc.edges for x in (e.c, e.lo, e.hi) if x is not None]
         stored += [x for v in hc.incidence for x in v]
         assert stored and all(type(x) is int for x in stored)
         coords = [x for v in hc.vertices for x in hc.point(v)]
-        coords += [x for line, _ in hc.as_system() for x in (line.c, line.lo, line.hi) if x is not None]
         assert coords and all(type(x) is Fraction for x in coords)
-    assert canonicalize(ints).vertices == (ORIGIN,)
-    assert canonicalize(fractional).point(canonicalize(fractional).vertices[0]) == (F(1, 2), F(-1, 3))
+    assert canonicalize_rational(ints).vertices == (ORIGIN,)
+    assert canonicalize_rational(fractional).point(canonicalize_rational(fractional).vertices[0]) == (F(1, 2), F(-1, 3))
 
 
 # Every NotPreHoneycomb that canonicalize raises on these systems names
@@ -379,5 +384,5 @@ MESSAGES = [
 @pytest.mark.parametrize("system, message", MESSAGES)
 def test_error_messages_use_input_coordinates(system, message):
     with pytest.raises(NotPreHoneycomb) as exc:
-        canonicalize(system)
+        canonicalize_rational(system)
     assert str(exc.value) == message

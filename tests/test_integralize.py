@@ -10,7 +10,7 @@ import pytest
 
 import cocirc
 
-from conftest import corpus
+from conftest import corpus, frac_lines
 from cocirc import serialize
 from cocirc.constructions import counterexample_instance, fractional_vertex_instance, hexagon_instance
 from cocirc.deform import deform
@@ -57,7 +57,7 @@ def test_potential_hexagon_regression():
     # pinned by a definition scan of the k=2 honeycomb
     beta = sum(
         w
-        for e, w in grid_to_honeycomb(*hexagon_instance(2)).as_system()
+        for e, w in frac_lines(grid_to_honeycomb(*hexagon_instance(2)))
         if e.is_ray and e.c.denominator != 1
     )
     assert pot.nonintegral_boundary == beta

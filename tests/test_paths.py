@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import at_scale, corpus, frac_span
+from conftest import at_scale, canonicalize_rational, corpus, frac_lines, frac_span
 from cocirc.constructions import hexagon_instance, sample_honeycomb
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NoNonintegralEdge
 from cocirc.honeycomb import (
     HLine,
-    canonicalize,
     claw,
     divergency,
     dval,
@@ -40,7 +39,7 @@ def nonintegral_line_honeycomb(c=F(1, 2)):
         (HLine(3, dval(b, 3), t_of(3, b), None), 1),
         (HLine(3, dval(b, 3), None, t_of(3, b)), 1),
     ]
-    return canonicalize(lines)
+    return canonicalize_rational(lines)
 
 
 def benzene_cycle(base=(F(1, 3), F(1, 3)), scale=F(1)):
@@ -63,7 +62,7 @@ def benzene_cycle(base=(F(1, 3), F(1, 3)), scale=F(1)):
         t = t_of(cls, v)
         span = (t, None) if sign == "+" else (None, t)
         lines.append((HLine(cls, dval(v, cls), span[0], span[1]), 1))
-    hc = canonicalize(lines)
+    hc = canonicalize_rational(lines)
     cyc_edges = []
     for i in range(6):
         u, w = verts[i], verts[(i + 1) % 6]
@@ -77,9 +76,7 @@ def benzene_cycle(base=(F(1, 3), F(1, 3)), scale=F(1)):
 
 
 def test_dominating_edges_balanced_vertex():
-    both = canonicalize(
-        claw((F(0), F(0))).as_system() + claw((F(0), F(0)), sign="-").as_system()
-    )
+    both = canonicalize_rational(frac_lines(claw((F(0), F(0)))) + frac_lines(claw((F(0), F(0)), sign="-")))
     assert dominating_edges(both, (F(0), F(0))) == frozenset()
 
 

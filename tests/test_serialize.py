@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mutated_honeycomb_documents
+from conftest import canonicalize_rational, mutated_honeycomb_documents
 from cocirc.constructions import counterexample_instance, sample_honeycomb
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NotPreHoneycomb, SchemaError
 from cocirc.grid import three_side_grid
-from cocirc.honeycomb import HLine, canonicalize, dval, t_of
+from cocirc.honeycomb import HLine, dval, t_of
 from cocirc.serialize import (
     MAX_DIGITS,
     cocirc_from_json,
@@ -111,7 +111,8 @@ def test_schema_violations():
 
 # The Fraction-based reader that the integer one replaced, kept as the
 # oracle: each end point parsed into Fractions, checked with Fraction
-# ``dval``/``t_of``, and handed to ``canonicalize`` as a rational system.
+# ``dval``/``t_of``, and canonicalized as a rational system at the lcm of
+# its denominators (``canonicalize_rational``).
 
 _ORACLE_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -167,7 +168,7 @@ def oracle_honeycomb_from_json(doc):
             raise SchemaError("honeycomb: 'kind' must be 'finite' or 'ray'")
         lines.append((HLine(cls, dval(ends[0], cls), *span), w))
     try:
-        return canonicalize(lines)
+        return canonicalize_rational(lines)
     except (NotPreHoneycomb, AssertionError) as ex:
         raise SchemaError(f"honeycomb: not a valid honeycomb ({ex})") from ex
 
