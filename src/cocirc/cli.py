@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import constructions, serialize
 from .deform import deform
@@ -224,7 +225,10 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` fills a fresh
+    namespace on every call."""
     ap = argparse.ArgumentParser(prog="cocirc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -10,10 +10,11 @@ weight n, and each flatspace on a boundary side a ray.
 
 ``grid_to_honeycomb`` reads the canonical form straight off the tiling,
 without ``canonicalize``: the dual of the flatspace tiling of a concave
-function is an embedded honeycomb.  A tile is where the function agrees
-with one affine piece, so distinct tiles have distinct points, and dual
-edges meet only at tile points.  ``_honeycomb_of_tiles`` checks this,
-also under ``-O``.
+function is an embedded honeycomb.  ``tiling_of`` groups the faces by
+their dual point, so distinct tiles have distinct points by
+construction; that dual edges meet only at tile points is checked by
+``_honeycomb_of_tiles``, also under ``-O``.  ``honeycomb_to_grid`` fills
+each distinct local hexagon from its six runs.
 """
 
 from __future__ import annotations
@@ -45,17 +46,30 @@ HEX_ORDER: list[tuple[tuple[int, str], Point]] = [
 def _local_grid(ws: tuple[int, ...]):
     """Triangles and per-side corner spans of one vertex's local grid: the
     hexagonal grid whose boundary runs have the six ray weights ``ws``,
-    given in ``HEX_ORDER``."""
+    given in ``HEX_ORDER``.
+
+    The walk starts at ``(0, 0)``, so row ``b`` of lattice points runs from
+    ``a = max(0, b - w5)`` (up the last run, then the fifth) to ``a = w0 +
+    min(b, w1)`` (along the first two).  From row to row both ends rise
+    by zero or one, so up(a, b), above row ``b``, and down(a, b), below
+    it, are inside for exactly the ``a`` of the row but its last."""
     corner = (0, 0)
-    corners = [corner]
     spans = {}
     for (slot, (da, db)), n in zip(HEX_ORDER, ws):
         end = (corner[0] + n * da, corner[1] + n * db)
         spans[slot] = (corner, end)
         corner = end
-        corners.append(corner)
     assert corner == (0, 0), "ray weights do not close up"
-    return gr.fill_convex_polygon(corners[:-1]), spans
+    w0, w1, w2, _, _, w5 = ws
+    height = w1 + w2
+    out = set()
+    for b in range(height + 1):
+        run = range(max(0, b - w5), w0 + min(b, w1))
+        if b < height:
+            out.update((True, a, b) for a in run)
+        if b:
+            out.update((False, a, b) for a in run)
+    return frozenset(out), spans
 
 
 def honeycomb_to_grid(h: Honeycomb) -> tuple[ConvexGrid, Cocirculation]:
@@ -112,13 +126,16 @@ def honeycomb_to_grid(h: Honeycomb) -> tuple[ConvexGrid, Cocirculation]:
             assert scaled.get(e, val) == val, "gluing value mismatch"
             scaled[e] = val
     g = ConvexGrid(frozenset(tris))
+    del tris  # the grid holds the faces now
     gr.validate_grid(g)
     # An explicit raise, not an assert: rounding relies on this check of
     # its output, also under -O.  Concavity is the same at any scale.
     if not gr.is_concave(g, scaled):
         raise AssertionError("glued values are not a concave cocirculation")
     frac = {x: Fraction(x, h.scale) for x in set(scaled.values())}
-    return g, {e: frac[x] for e, x in scaled.items()}
+    for e, x in scaled.items():  # in place: one table of all edges, not two
+        scaled[e] = frac[x]
+    return g, scaled
 
 
 def _show(p: Pt, unit: int) -> str:
@@ -137,9 +154,10 @@ def _honeycomb_of_tiles(
     cls)] = n`` and a ray of weight n for each ``rays[(i, cls, sign)] = n``,
     exactly as ``canonicalize`` gives it from these lines.
 
-    Raises AssertionError, also under -O, when two tiles share a point, a
-    tile point lies strictly inside an edge, two edges cross away from a
-    tile point, or a vertex has fewer than three slots or unequal tension.
+    The tiles of ``tiling_of`` have distinct points by construction.
+    Raises AssertionError, also under -O, when a tile point lies strictly
+    inside an edge, two edges cross away from a tile point, or a vertex
+    has fewer than three slots or unequal tension.
     Then no slot is filled twice and no support overlaps itself, as either
     would put an end of one edge strictly inside another (``shared`` and
     ``rays`` hold one edge per key).  And ``canonicalize`` finds the same:
@@ -153,8 +171,6 @@ def _honeycomb_of_tiles(
         pts = [(a // g, b // g) for a, b in pts]
     unit = scale // g
     verts = sorted(pts)
-    if len(set(verts)) < len(verts):
-        raise AssertionError("two tiles at one point")
     on_line = vertices_by_line(verts)
 
     # Each support's edges as (lo, hi, weight), None for an open end.  On
@@ -262,9 +278,8 @@ def grid_to_honeycomb(g: ConvexGrid, h: Cocirculation) -> Honeycomb:
         gr.tiling_of(g, h)  # the same failure, with a message naming values of h
         raise
     tile_of = {t: i for i, ts in enumerate(tiles) for t in ts}
-    # A tile is flat: tiling_of joins two faces only across a tight
-    # rhombus, where both face sums round the common side are zero, so
-    # the faces agree class by class.  Any face gives the tile's point.
+    # tiling_of groups the faces by their dual point, so any face gives
+    # the tile's point.
     pts: list[Pt] = []
     for ts in tiles:
         e1, e2, _ = gr.triangle_edges(next(iter(ts)))

@@ -39,6 +39,13 @@ down(a,b)      (a,b,1)      (a,b-1,2)    (a+1,b,2)
 down(a+1,b+1)  (a+1,b,2)    (a,b,1)      (a+1,b+1,1)
 down(a,b+1)    (a+1,b+1,3)  (a,b+1,1)    (a,b,1)
 =============  ===========  ===========  ===========
+
+The hot readers use the tables in place rather than through these
+helpers: ``ConvexGrid.boundary_edges`` tests the face across each edge,
+and ``is_concave`` compares each rhombus from its up face, both without
+building the rhombus, neighbour or ``zip`` tuples.  ``tiling_of`` groups
+the faces by their dual point, read in the face loop that checks the
+circuit sums, and compares ``g.rhombi``, kept for its other readers.
 """
 
 from __future__ import annotations
@@ -170,8 +177,26 @@ class ConvexGrid:
 
     @cached_property
     def boundary_edges(self) -> frozenset[Edge]:
+        """The edges with one face in the grid, read off the face table."""
         ts = self.triangles
-        return frozenset(e for t in ts for e, u in zip(triangle_edges(t), neighbours(t)) if u not in ts)
+        out = []
+        for t in ts:
+            up, a, b = t
+            if up:
+                if (False, a, b) not in ts:
+                    out.append((a, b, 1))
+                if (False, a + 1, b + 1) not in ts:
+                    out.append((a + 1, b, 2))
+                if (False, a, b + 1) not in ts:
+                    out.append((a + 1, b + 1, 3))
+            else:
+                if (True, a, b) not in ts:
+                    out.append((a, b, 1))
+                if (True, a - 1, b - 1) not in ts:
+                    out.append((a, b - 1, 2))
+                if (True, a, b - 1) not in ts:
+                    out.append((a + 1, b, 3))
+        return frozenset(out)
 
     @cached_property
     def vertices(self) -> frozenset[Point]:
@@ -348,17 +373,25 @@ def scaled_values(h: Mapping[Edge, Fraction]) -> tuple[int, Mapping[Edge, int]]:
     return scale, {e: x.numerator * (scale // x.denominator) for e, x in h.items()}
 
 
-def _checked(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> Mapping[Edge, int]:
-    """The scaled values of ``h`` once every face of ``g`` sums to zero."""
+def _checked(
+    g: ConvexGrid, h: Mapping[Edge, Fraction], points: dict[Point, list[Triangle]] | None = None
+) -> Mapping[Edge, int]:
+    """The scaled values of ``h`` once every face of ``g`` sums to zero.
+
+    With ``points`` given, each face also goes into the list under its
+    dual point: the scaled values on its class-1 and class-2 edges."""
     scale, s = scaled_values(h)
     for t in g.triangles:
         e1, e2, e3 = triangle_edges(t)
         try:
-            total = s[e1] + s[e2] + s[e3]
+            x, y = s[e1], s[e2]
+            total = x + y + s[e3]
         except KeyError as missing:
             raise NotACocirculation(f"missing value on edge {missing}") from None
         if total != 0:
             raise NotACocirculation(f"circuit sum {Fraction(total, scale)} on face {t}")
+        if points is not None:
+            points.setdefault((x, y), []).append(t)
     return s
 
 
@@ -367,10 +400,21 @@ def check_cocirculation(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> None:
 
 
 def is_concave(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> bool:
-    """Whether every little rhombus satisfies the concavity inequality."""
+    """Whether every little rhombus satisfies the concavity inequality.
+
+    Mostly called on a fresh grid, so each rhombus is read off the face
+    table in place from its up face, with the ``dom`` and ``other`` of
+    ``rhombi_of``, rather than kept as ``g.rhombi``."""
     s = _checked(g, h)
-    # One pass, mostly over a fresh grid: stream rather than keep ``g.rhombi``.
-    return all(s[dom] >= s[other] for _, _, _, dom, other in rhombi_of(g.triangles))
+    ts = g.triangles
+    for up, a, b in ts:
+        if up and (
+            (False, a, b) in ts and s[(a, b - 1, 2)] < s[(a + 1, b, 2)]
+            or (False, a + 1, b + 1) in ts and s[(a, b, 1)] < s[(a + 1, b + 1, 1)]
+            or (False, a, b + 1) in ts and s[(a, b + 1, 1)] < s[(a, b, 1)]
+        ):
+            return False
+    return True
 
 
 def find(parent, x):
@@ -383,27 +427,38 @@ def find(parent, x):
 
 
 def tiling_of(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> Tiling:
-    """Flatspace decomposition: faces joined across tight rhombi.
+    """Flatspace decomposition: the faces grouped by their dual point.
 
-    Raises ``NotACocirculation`` on a nonzero circuit sum, else
-    ``NotConcave`` on the first rhombus with ``h[dom] < h[other]``."""
-    s = _checked(g, h)
-    parent: dict[Triangle, Triangle] = {t: t for t in g.triangles}
-    for _, t1, t2, dom, other in g.rhombi:
-        x, y = s[dom], s[other]
-        if x < y:
+    A flatspace is a maximal set of faces joined across tight rhombi
+    (``h[dom] == h[other]``), and a face's dual point is its pair of
+    values on its class-1 and class-2 edges, the third being minus their
+    sum.  On a concave ``h`` over a convex region the faces with one dual
+    point form exactly one flatspace:
+
+    * a tight rhombus joins two adjacent faces that agree class by class
+      (both circuit sums round the common side are zero, and the parallel
+      pairs are equal), so the faces of a flatspace share one dual point;
+    * the piecewise-linear potential of ``h`` is concave, so the affine
+      piece of each face lies on or above it everywhere.  Two faces with
+      one dual point have pieces of one slope, each on or above the
+      other, so one piece; and the faces where the potential meets that
+      piece fill a convex set, where the concave potential minus the
+      piece is at least zero.  Any two of them are joined by a chain of
+      faces in that set, each two adjacent ones across a tight rhombus.
+
+    The second step needs a convex region: two components of a grid, or
+    the arms of a bent one, can take the same affine piece apart.  So the
+    grid is validated first, as ``validate_grid`` does it (cheap once its
+    boundary walk is cached).  Then raises ``NotACocirculation`` on a
+    missing value or a nonzero circuit sum, else ``NotConcave`` on a
+    rhombus with ``h[dom] < h[other]``."""
+    validate_grid(g)
+    points: dict[Point, list[Triangle]] = {}
+    s = _checked(g, h, points)
+    for _, _, _, dom, other in g.rhombi:
+        if s[dom] < s[other]:
             raise NotConcave("tiling requested for a non-concave cocirculation")
-        if x == y:
-            # ``find`` inlined on both faces: halve each path to its root.
-            while (p := parent[t1]) != t1:
-                parent[t1] = t1 = parent[p]
-            while (p := parent[t2]) != t2:
-                parent[t2] = t2 = parent[p]
-            parent[t1] = t2
-    groups: dict[Triangle, set[Triangle]] = {}
-    for t in g.triangles:
-        groups.setdefault(find(parent, t), set()).add(t)
-    return tuple(sorted((frozenset(s) for s in groups.values()), key=min))
+    return tuple(sorted((frozenset(ts) for ts in points.values()), key=min))
 
 
 def integer_edge_sets(
@@ -412,14 +467,14 @@ def integer_edge_sets(
     """Boundary edges with integer value; edges of all-integer faces.
 
     ``h`` is a cocirculation on ``g``: the caller has checked it."""
-    o = frozenset(e for e in g.boundary_edges if h[e].denominator == 1)
-    i = frozenset(
-        e
-        for t in g.triangles
-        if all(h[x].denominator == 1 for x in triangle_edges(t))
-        for e in triangle_edges(t)
-    )
-    return o, i
+    ints = {e for e, x in h.items() if x.denominator == 1}
+    o = frozenset(e for e in g.boundary_edges if e in ints)
+    i = []
+    for t in g.triangles:
+        es = triangle_edges(t)
+        if es[0] in ints and es[1] in ints and es[2] in ints:
+            i += es
+    return o, frozenset(i)
 
 
 def cocirculation_from_quadratic(

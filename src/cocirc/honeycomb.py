@@ -15,11 +15,17 @@ coordinates, so a coordinate is integral when ``x % scale == 0``, and
 made only at the package's edges: ``claw`` brings its centre to ints at
 the lcm of its denominators, and messages and ``Honeycomb.point`` divide
 by the scale.
+
+A line span is an ``HLine`` ``(cls, c, lo, hi)``, and an edge an
+``HEdge``, the same with a weight: slotted tuples that share the methods
+of ``_Span``, so they compare and hash by value, carry no instance dict,
+and a span never equals an edge, being one field shorter.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -85,18 +91,15 @@ def frac_point(p: Pt, scale: int) -> tuple[Fraction, Fraction]:
     return (Fraction(p[0], scale), Fraction(p[1], scale))
 
 
-@dataclass(frozen=True)
-class HLine:
-    """A class-``cls`` line with span ``[lo, hi]`` in the ``t`` parameter.
+class _Span:
+    """The methods an ``HLine`` and an ``HEdge`` share: a class-``cls`` line
+    ``d_cls = c`` with span ``[lo, hi]`` in the ``t`` parameter.
 
     ``lo=None`` / ``hi=None`` mean infinite in that direction; a ray with
     ``hi=None`` is the ``+`` ray of its finite end.
     """
 
-    cls: int
-    c: int
-    lo: Optional[int]
-    hi: Optional[int]
+    __slots__ = ()
 
     @property
     def is_finite(self) -> bool:
@@ -127,25 +130,19 @@ class HLine:
         return (self.lo is None or self.lo <= t) and (self.hi is None or t <= self.hi)
 
     def sort_key(self):
+        """``(cls, c, lo, hi)`` with open ends outermost, then an edge's weight."""
         lo = (0, 0) if self.lo is None else (1, self.lo)
         hi = (1, 0) if self.hi is None else (0, self.hi)
-        return (self.cls, self.c, lo, hi)
+        return (self.cls, self.c, lo, hi, *self[4:])
 
     def scaled(self, k) -> HLine:
-        """This line with every coordinate multiplied by ``k``."""
+        """The line under this span with every coordinate multiplied by ``k``."""
         lo = None if self.lo is None else self.lo * k
         hi = None if self.hi is None else self.hi * k
         return HLine(self.cls, self.c * k, lo, hi)
 
-
-@dataclass(frozen=True)
-class HEdge(HLine):
-    """A honeycomb edge: an ``HLine`` carrying a positive weight."""
-
-    weight: int
-
     def sign_at(self, v: Pt) -> str:
-        """The sign s with this edge inside ``Xi_cls^s(v)``, for an end v."""
+        """The sign s with this span inside ``Xi_cls^s(v)``, for an end v."""
         t = t_of(self.cls, v)
         if self.lo == t:
             return "+"
@@ -158,8 +155,18 @@ class HEdge(HLine):
             return ends[1] if ends[0] == v else ends[0]
         return None
 
-    def sort_key(self):
-        return (*super().sort_key(), self.weight)
+
+class HLine(_Span, namedtuple("HLine", "cls c lo hi")):
+    """A line span: an immutable tuple, equal and hashed by value."""
+
+    __slots__ = ()
+
+
+class HEdge(_Span, namedtuple("HEdge", "cls c lo hi weight")):
+    """A honeycomb edge: a span carrying a positive weight.  It is one
+    field longer than an ``HLine``, so never equal to one."""
+
+    __slots__ = ()
 
 
 XiSystem = list[tuple[HLine, int]]

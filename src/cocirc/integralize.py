@@ -105,9 +105,12 @@ def integralize(
             raise AssertionError("iteration budget exceeded")
     g2, vals = honeycomb_to_grid(hc)
     da, db = g.anchor_offset()
-    if g.translate(da, db) != g2:
+    # Compared face by face and keyed by g's own edges: no translated copy
+    # of the grid or of its edges is built.
+    ts2 = g2.triangles
+    if len(ts2) != len(g.triangles) or any((up, a + da, b + db) not in ts2 for up, a, b in g.triangles):
         raise AssertionError("grid changed during rounding")
-    out = {(a, b, d): vals[(a + da, b + db, d)] for (a, b, d) in g.edges}
+    out = {e: vals[(e[0] + da, e[1] + db, e[2])] for e in g.edges}
     if any(v.denominator != 1 for v in out.values()):
         raise AssertionError("a rounded value is not an integer")
     for e in o_set | i_set:

@@ -165,6 +165,27 @@ def oracle_rhombi(triangles):
     return out
 
 
+def oracle_tiling(g, h):
+    """The union-find tiling that grouping by dual point replaced: faces
+    joined across each tight rhombus of ``oracle_rhombi``, the tiles
+    sorted by their least face.  ``h`` is concave on ``g``."""
+    parent = {t: t for t in g.triangles}
+
+    def root(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    for _, t1, t2, dom, other in oracle_rhombi(g.triangles):
+        assert h[dom] >= h[other]
+        if h[dom] == h[other]:
+            parent[root(t1)] = root(t2)
+    tiles = {}
+    for t in g.triangles:
+        tiles.setdefault(root(t), set()).add(t)
+    return tuple(sorted((frozenset(ts) for ts in tiles.values()), key=min))
+
+
 # Anticlockwise boundary steps of a lattice hexagon, one per side.
 HEXAGON_STEPS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 

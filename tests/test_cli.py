@@ -290,3 +290,21 @@ def test_legal_path_fuzz_exits_with_a_documented_code(fuzz_dir, doc):
     h = fuzz_dir / "h.json"
     h.write_text(json.dumps(doc))
     assert _exit_code(["legal-path", "--in", str(h)]) in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_honeycomb_documents())
+def test_dualize_to_grid_fuzz_exits_with_a_documented_code(fuzz_dir, doc):
+    h = fuzz_dir / "h.json"
+    h.write_text(json.dumps(doc))
+    argv = ["dualize", "--to", "grid", "--in", str(h), "--grid", str(fuzz_dir / "dual_g.json"), "--out", "-"]
+    assert _exit_code(argv) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("direction", ["left", "right"])
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_honeycomb_documents())
+def test_deform_fuzz_exits_with_a_documented_code(fuzz_dir, direction, doc):
+    h = fuzz_dir / "h.json"
+    h.write_text(json.dumps(doc))
+    assert _exit_code(["deform", "--in", str(h), "--direction", direction]) in (0, 2, 3)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,13 +13,14 @@ from cocirc.constructions import (
     hexagon_instance,
     sample_honeycomb,
 )
-from cocirc.duality import _honeycomb_of_tiles, grid_to_honeycomb, honeycomb_to_grid
+from cocirc.duality import HEX_ORDER, _honeycomb_of_tiles, _local_grid, grid_to_honeycomb, honeycomb_to_grid
 from cocirc.errors import NotACocirculation, NotConcave
 from cocirc.extremality import vertex_degrees_of_freedom
 from cocirc.grid import (
     ConvexGrid,
     cocirculation_from_quadratic,
     faces_of,
+    fill_convex_polygon,
     is_concave,
     random_concave,
     scaled_values,
@@ -223,12 +225,11 @@ def test_build_of_one_tile_is_the_claw():
 
 
 # One hand-built case per guard of the build.  Each input is no tiling's
-# dual, and the build must refuse it, also under -O.
+# dual, and the build must refuse it, also under -O.  Two tiles at one
+# point need no guard: tiling_of groups the faces by their point.
 @pytest.mark.parametrize(
     "pts, shared, rays, message",
     [
-        # two tiles at the origin
-        ([(0, 0), (0, 0)], {}, {**CLAW_RAYS, (1, 1, "-"): 1}, r"^two tiles at one point$"),
         # tile 1 on the edge from tile 0 to tile 2 along d1 = 0
         ([(0, 0), (0, 1), (0, 2)], {(0, 2, 1): 1}, {}, r"^a tile point lies inside an edge on d1 = 0$"),
         # slot (1, +) of tile 0 holds both the edge to tile 1 and a ray
@@ -245,9 +246,27 @@ def test_build_of_one_tile_is_the_claw():
         ([(0, 0)], {}, {**CLAW_RAYS, (0, 3, "+"): 2}, r"^unequal tension \[1, 1, 2\] at \(0, 0\)$"),
     ],
     ids=[
-        "shared-point", "point-inside-edge", "slot-filled-twice", "overlap", "crossing", "two-slots", "tension",
+        "point-inside-edge", "slot-filled-twice", "overlap", "crossing", "two-slots", "tension",
     ],
 )
 def test_build_guards_raise(pts, shared, rays, message):
     with pytest.raises(AssertionError, match=message):
         _honeycomb_of_tiles(pts, shared, rays, 1)
+
+
+def test_local_grid_fills_its_hexagon():
+    # Every sextuple of runs up to 3 that closes up: the rows read off the
+    # runs give the faces of the general polygon fill of the corners.
+    closing = 0
+    for ws in itertools.product(range(4), repeat=6):
+        corner, corners = (0, 0), []
+        for (_, (da, db)), n in zip(HEX_ORDER, ws):
+            corners.append(corner)
+            corner = (corner[0] + n * da, corner[1] + n * db)
+        if corner != (0, 0):
+            continue
+        closing += 1
+        triangles, spans = _local_grid(ws)
+        assert triangles == fill_convex_polygon(corners), ws
+        assert [spans[slot][0] for slot, _ in HEX_ORDER] == corners
+    assert closing == 136

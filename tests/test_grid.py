@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     convex_hexagons,
     hexagon_grid,
+    mixed_concave,
     oracle_edge_faces,
     oracle_fill_convex_polygon,
     oracle_rhombi,
     oracle_rhombus_pairs,
+    oracle_tiling,
 )
 from cocirc.errors import NotACocirculation, NotConcave, NotConnected, NotConvex
 from cocirc.constructions import counterexample_instance
@@ -292,6 +294,98 @@ def test_tiling_is_maximal():
         if i != j:
             adjacent.add((min(i, j), max(i, j)))
     assert adjacent == strict_between
+
+
+def _assert_tiling_matches_oracle(g, h):
+    """``tiling_of`` is the union-find tiling, its tiles' faces share one
+    dual point each, and distinct tiles have distinct points."""
+    tiles = tiling_of(g, h)
+    assert tiles == oracle_tiling(g, h)
+    points = []
+    for ts in tiles:
+        face_points = {(h[e1], h[e2]) for e1, e2, _ in map(triangle_edges, ts)}
+        assert len(face_points) == 1
+        points += face_points
+    assert len(set(points)) == len(tiles)
+
+
+@given(convex_hexagons(), st.integers(0, 10_000), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_tiling_matches_union_find_oracle(triangles, seed, mixed):
+    g = ConvexGrid(triangles)
+    _assert_tiling_matches_oracle(g, mixed_concave(g, seed) if mixed else random_concave(g, seed))
+
+
+def test_tiling_matches_union_find_oracle_on_three_side_grids():
+    for n in range(2, 9):
+        g = three_side_grid(n)
+        for seed in range(6):
+            _assert_tiling_matches_oracle(g, mixed_concave(g, seed))
+            _assert_tiling_matches_oracle(g, random_concave(g, seed, 7))
+
+
+@pytest.mark.parametrize(
+    "tris, error",
+    [
+        ([(True, 0, 0), (True, 3, 1)], NotConnected),
+        (three_side_grid(4).triangles - {(False, 2, 1)}, NotConvex),
+        (three_side_grid(2).triangles | {(False, 2, 1)}, NotConvex),
+    ],
+    ids=["disconnected", "hole", "reflex"],
+)
+def test_tiling_validates_the_grid_first(tris, error):
+    # On the zero cocirculation every face has the dual point (0, 0), so
+    # grouping alone would join faces that no rhombus joins.
+    g = ConvexGrid.of(tris)
+    with pytest.raises(error) as expected:
+        validate_grid(g)
+    with pytest.raises(error) as raised:
+        tiling_of(g, {e: F(0) for e in g.edges})
+    assert str(raised.value) == str(expected.value)
+
+
+def _oracle_is_concave(g, h) -> bool:
+    return all(h[dom] >= h[other] for _, _, _, dom, other in oracle_rhombi(g.triangles))
+
+
+@given(convex_hexagons(), st.integers(0, 10_000), st.data())
+@settings(max_examples=150, deadline=None)
+def test_in_place_is_concave_matches_oracle(triangles, seed, data):
+    # is_concave reads the face table in place, the oracle lists it face by
+    # face (boundary_edges is checked so in _lattice_rules_match_oracle).
+    # A bump of the potential at one point keeps the circuit sums and may
+    # break concavity.
+    g = ConvexGrid(triangles)
+    h = mixed_concave(g, seed)
+    assert is_concave(g, h) and _oracle_is_concave(g, h)
+    p = data.draw(st.sampled_from(sorted(g.vertices)))
+    bump = data.draw(st.sampled_from([F(-1), F(1, 3), F(1), F(7, 2)]))
+    for e in g.edges:
+        if edge_head(e) == p:
+            h[e] += bump
+        elif edge_tail(e) == p:
+            h[e] -= bump
+    assert is_concave(g, h) == _oracle_is_concave(g, h)
+
+
+def test_single_point_bumps_are_seen_in_place():
+    # A bump of one point over a flat function breaks just the rhombi
+    # round that point; at a corner or a side, not every kind of rhombus
+    # read from an up face is among them.
+    g = hexagon_grid(2, 2, 2)
+    flat = cocirculation_from_quadratic(g, F(0), F(0), F(1), F(-2))
+    broken = 0
+    for p in sorted(g.vertices):
+        for bump in (F(1), F(-1)):
+            h = dict(flat)
+            for e in g.edges:
+                if edge_head(e) == p:
+                    h[e] += bump
+                elif edge_tail(e) == p:
+                    h[e] -= bump
+            assert is_concave(g, h) == _oracle_is_concave(g, h), (p, bump)
+            broken += not is_concave(g, h)
+    assert broken == 2 * len(g.vertices)
 
 
 def test_integer_edge_sets_integer_cocirculation():

@@ -386,3 +386,24 @@ def test_error_messages_use_input_coordinates(system, message):
     with pytest.raises(NotPreHoneycomb) as exc:
         canonicalize_rational(system)
     assert str(exc.value) == message
+
+
+def test_edges_are_immutable_values():
+    line, edge = HLine(1, 2, None, 3), HEdge(1, 2, None, 3, 1)
+    # equal and hashed by value
+    assert edge == HEdge(1, 2, None, 3, 1) and hash(edge) == hash(HEdge(1, 2, None, 3, 1))
+    assert line == HLine(1, 2, None, 3) and hash(line) == hash(HLine(1, 2, None, 3))
+    assert edge != HEdge(1, 2, None, 3, 2) and line != HLine(1, 2, 0, 3)
+    # a line never equals an edge of the same span
+    assert line != edge and edge != line and len({line, edge}) == 2
+    assert repr(line) == "HLine(cls=1, c=2, lo=None, hi=3)"
+    assert repr(edge) == "HEdge(cls=1, c=2, lo=None, hi=3, weight=1)"
+    for x in (line, edge):
+        with pytest.raises(AttributeError):
+            x.lo = 0
+        with pytest.raises(AttributeError):
+            x.note = "no instance dict"
+    # the shared methods
+    assert edge.sort_key() == (*line.sort_key(), 1) == (1, 2, (0, 0), (0, 3), 1)
+    assert edge.scaled(2) == line.scaled(2) == HLine(1, 4, None, 6)
+    assert edge.is_ray and edge.ray_sign == "-" and edge.ends() == line.ends() == (point_on(1, 2, 3),)
