@@ -28,8 +28,8 @@ from math import gcd
 from typing import Optional
 
 from .errors import EpsilonOutOfRange
-from .honeycomb import HEdge, HLine, Honeycomb, Pt, dval, is_integral_point, nxt, t_of
-from .patch import Patch, canonicalize_patch
+from .honeycomb import HEdge, HLine, Honeycomb, Patch, Pt, dval, is_integral_point, nxt, t_of
+from .patch import canonicalize_patch
 from .paths import LegalPath, TURN_LEFT, TURN_RIGHT
 
 STOP_BOUNDARY_INTEGRAL = "boundary_integral"

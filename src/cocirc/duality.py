@@ -31,6 +31,7 @@ from .honeycomb import (
     HEdge,
     Honeycomb,
     Pt,
+    _sorted_keys,
     nxt,
     point_from_two,
     point_on,
@@ -249,9 +250,7 @@ def _check_crossings(cuts, unit: int) -> None:
     ``t = -c1 - c2`` on the other, so the loop visits every crossing of
     each unordered pair of classes ``(cls, nxt(cls))``.
     """
-    cs: dict[int, list[int]] = {1: [], 2: [], 3: []}
-    for cls, c in cuts:  # sorted
-        cs[cls].append(c)
+    cs = _sorted_keys(cuts)
     for (cls1, c1), (_, gaps) in cuts.items():
         cls2 = nxt(cls1)
         others = cs[cls2]

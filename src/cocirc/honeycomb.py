@@ -20,6 +20,13 @@ A line span is an ``HLine`` ``(cls, c, lo, hi)``, and an edge an
 ``HEdge``, the same with a weight: slotted tuples that share the methods
 of ``_Span``, so they compare and hash by value, carry no instance dict,
 and a span never equals an edge, being one field shorter.
+
+One engine builds every canonical form.  A ``Patch`` is a honeycomb plus
+a delta, the edges taken off and the lines added, and
+``_canonical_form`` tests again only the points that the delta covers
+and cuts again only the lines it changes.  ``canonicalize`` is the patch
+that adds a whole system to the empty honeycomb, and ``is_prehoneycomb``
+runs the engine's vertex phase alone.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from typing import Optional
 
@@ -236,14 +244,6 @@ def _live(lo: Optional[int], hi: Optional[int], w: int) -> bool:
     return w != 0 and (lo is None or hi is None or lo < hi)
 
 
-def _supports(system: XiSystem) -> dict[tuple[int, int], _Coverage]:
-    per: dict[tuple[int, int], list] = {}
-    for line, w in system:
-        if _live(line.lo, line.hi, w):
-            per.setdefault((line.cls, line.c), []).append((line.lo, line.hi, w))
-    return {key: _Coverage(iv) for key, iv in per.items()}
-
-
 def _sorted_keys(keys) -> dict[int, list]:
     """The ``c`` of the given ``(cls, c)`` lines, sorted, per class."""
     out: dict[int, list] = {1: [], 2: [], 3: []}
@@ -252,43 +252,29 @@ def _sorted_keys(keys) -> dict[int, list]:
     return {cls: sorted(cs) for cls, cs in out.items()}
 
 
-def _crossings(key, spans, classes, keys, covs) -> list[Pt]:
+def _crossings(key, spans, cls2: int, cs: list, covs) -> list[Pt]:
     """The points in ``spans`` of the support ``key`` where a covered
-    support of one of the ``classes`` crosses it.
+    class-``cls2`` support, its ``c`` in the sorted ``cs``, crosses it.
 
     On ``key = (cls1, c1)`` the crossing with ``d_cls2 = c2`` sits at
     ``t = c2`` when ``cls2 = nxt(cls1)`` and at ``t = -c1 - c2`` when
     ``cls2 = prv(cls1)``, so the crossings inside one covered span are a
-    range of the sorted ``keys[cls2]``.
+    range of ``cs``.
     """
     cls1, c1 = key
     out = []
-    for cls2 in classes:
-        cs = keys[cls2]
-        rising = cls2 == nxt(cls1)
-        for lo, hi in spans:
-            if not rising:
-                lo, hi = (None if hi is None else -c1 - hi), (None if lo is None else -c1 - lo)
-            i = 0 if lo is None else bisect_left(cs, lo)
-            j = len(cs) if hi is None else bisect_right(cs, hi)
-            for c2 in cs[i:j]:
-                cov2 = covs.get((cls2, c2))
-                # the crossing's t on the class-cls2 support
-                if cov2 is not None and cov2.covers(-c1 - c2 if rising else c1):
-                    out.append(point_from_two(cls1, c1, cls2, c2))
+    rising = cls2 == nxt(cls1)
+    for lo, hi in spans:
+        if not rising:
+            lo, hi = (None if hi is None else -c1 - hi), (None if lo is None else -c1 - lo)
+        i = 0 if lo is None else bisect_left(cs, lo)
+        j = len(cs) if hi is None else bisect_right(cs, hi)
+        for c2 in cs[i:j]:
+            cov2 = covs.get((cls2, c2))
+            # the crossing's t on the class-cls2 support
+            if cov2 is not None and cov2.covers(-c1 - c2 if rising else c1):
+                out.append(point_from_two(cls1, c1, cls2, c2))
     return out
-
-
-def _candidate_points(system: XiSystem, covs) -> set[Pt]:
-    """All line ends, plus each crossing of two supports covered there."""
-    pts: set[Pt] = set()
-    for line, w in system:
-        if w != 0:
-            pts.update(line.ends())
-    keys = _sorted_keys(covs)
-    for key, cov in covs.items():
-        pts.update(_crossings(key, cov.spans(), (nxt(key[0]),), keys, covs))
-    return pts
 
 
 def six_weights(covs, p: Pt) -> dict[tuple[int, str], int]:
@@ -330,16 +316,6 @@ def _is_vertex(w6: dict[tuple[int, str], int], p: Pt, scale: int) -> bool:
     return ws.count(0) <= 3
 
 
-def _vertices(system: XiSystem, covs, scale: int) -> list[Pt]:
-    """Candidate points with at least three nonzero ray weights, sorted.
-
-    Raises NotPreHoneycomb on a line without ends whose coverage is
-    negative, and at the least candidate that ``_is_vertex`` rejects.
-    """
-    _check_full_lines(covs.items(), scale)
-    return [p for p in sorted(_candidate_points(system, covs)) if _is_vertex(six_weights(covs, p), p, scale)]
-
-
 def _cut(cls: int, c, cov: _Coverage, at: list, g: int, scale: int, slots) -> tuple[HEdge, ...]:
     """The edges of the support ``d_cls = c`` cut at the vertices ``at``.
 
@@ -370,26 +346,6 @@ def _cut(cls: int, c, cov: _Coverage, at: list, g: int, scale: int, slots) -> tu
         if vb is not None:
             slots[vb][(cls, "-")] = e
     return tuple(edges)
-
-
-def is_prehoneycomb(system: XiSystem) -> bool:
-    """Nonnegative ray weights and equal divergency everywhere.
-
-    Checking the finite candidate set (all line ends plus the crossings of
-    two supports that are both covered there) suffices.  At any other point
-    at most one class has a nonzero weight, and since the point is no end,
-    that class has w_i^+ = w_i^-: the point is no vertex and its
-    divergencies are all zero.  Its one weight is negative only on a
-    negative stretch of coverage; such a stretch ends at a line end, where
-    the candidate check sees it, unless it is a whole line without ends,
-    which ``_vertices`` checks directly.  No scaling is needed: the test
-    is the same on any scale.
-    """
-    try:
-        _vertices(system, _supports(system), 1)
-    except NotPreHoneycomb:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -452,8 +408,233 @@ def vertices_by_line(verts) -> dict[tuple[int, int], list[Pt]]:
     return on_line
 
 
+Key = tuple[int, int]  # a line (cls, d_cls)
+
+
+def _times(x: Optional[int], f: int) -> Optional[int]:
+    return None if x is None else x * f
+
+
+@dataclass(frozen=True)
+class Patch:
+    """The edges of ``base`` with every coordinate multiplied by ``f``,
+    each less the weight ``removed`` takes off it, plus the ``added``
+    lines: a system in ints in units of ``1/scale``, ``scale = base.scale
+    * f``.  A support is dirty when a removed edge or an added line lies on
+    it.  Any system is the patch that adds it to the empty honeycomb
+    (``_patch_of``)."""
+
+    base: Honeycomb
+    f: int
+    removed: dict[HEdge, int]
+    added: tuple[tuple[HLine, int], ...]
+
+    @property
+    def scale(self) -> int:
+        return self.base.scale * self.f
+
+    @cached_property
+    def lines(self) -> tuple[tuple[HLine, int], ...]:
+        """The whole system: the base edges left, then the added lines."""
+        out = []
+        for e in chain.from_iterable(self.base.supports.values()):
+            w = e.weight - self.removed.get(e, 0)
+            if w > 0:
+                out.append((e if self.f == 1 else e.scaled(self.f), w))
+        return (*out, *self.added)
+
+    @cached_property
+    def covs(self) -> _Coverages:
+        return _Coverages(self)
+
+    def divergency_at(self, p: Pt) -> Optional[int]:
+        """The divergency of the canonical form at ``p``, or None where it
+        has no vertex: both follow from the six weights at ``p``."""
+        w6 = six_weights(self.covs, p)
+        try:
+            vertex = _is_vertex(w6, p, self.scale)
+        except NotPreHoneycomb:
+            canonicalize(self.lines, self.scale)  # raises, naming the least violation
+            raise
+        return w6[(1, "+")] - w6[(1, "-")] if vertex else None
+
+
+class _Coverages(dict):
+    """The coverage of each support of a patch, from the base edges on it
+    and its delta, built on first use, or at once where the base has no
+    edges; ``None`` for a line without any."""
+
+    # ``six_weights`` and ``_crossings`` read coverages through ``get``;
+    # here a lookup that misses builds the coverage (``__missing__``).
+    get = dict.__getitem__
+
+    def __init__(self, p: Patch):
+        super().__init__()
+        # No reference back to the patch: it would make a cycle that keeps
+        # each step's honeycomb alive until the cyclic collector runs.
+        f = self.f = p.f
+        self.supports = p.base.supports
+        # dirty support -> (lo, hi, w) of its removed weight (negative) and
+        # added lines; ``added`` holds the added lines alone
+        self.added: dict[Key, list] = {}
+        for line, w in p.added:
+            if _live(line.lo, line.hi, w):
+                self.added.setdefault((line.cls, line.c), []).append((line.lo, line.hi, w))
+        self.delta: dict[Key, list] = {}
+        for e, n in p.removed.items():
+            self.delta.setdefault((e.cls, e.c * f), []).append((_times(e.lo, f), _times(e.hi, f), -n))
+        for key, iv in self.added.items():
+            self.delta[key] = self.delta[key] + iv if key in self.delta else iv
+        if not self.supports:  # no base edges: every support is dirty, and read
+            self.update((key, _Coverage(iv)) for key, iv in self.delta.items())
+
+    def __missing__(self, key: Key) -> Optional[_Coverage]:
+        (cls, c), f = key, self.f
+        iv = self.delta.get(key, [])
+        if c % f == 0 and (es := self.supports.get((cls, c // f))):  # the base edges on it
+            iv = [(_times(e.lo, f), _times(e.hi, f), e.weight) for e in es] + iv
+        cov = self[key] = _Coverage(iv) if iv else None
+        return cov
+
+
+def _inside(t, lines) -> bool:
+    """Whether ``t`` lies in the closed span of one of the ``(lo, hi, w)``."""
+    return any((lo is None or lo <= t) and (hi is None or t <= hi) for lo, hi, _ in lines)
+
+
+def _clip(spans: list, lines: list) -> list:
+    """The nonempty intersections of the closed ``spans`` with the closed
+    spans of the ``(lo, hi, w)``; None is an infinite end."""
+    out = []
+    for lo, hi in spans:
+        for wlo, whi, _ in lines:
+            a = wlo if lo is None else lo if wlo is None else max(lo, wlo)
+            b = whi if hi is None else hi if whi is None else min(hi, whi)
+            if a is None or b is None or a <= b:
+                out.append((a, b))
+    return out
+
+
+def _patch_of(system: XiSystem, scale: int) -> Patch:
+    """``system``, in units of ``1/scale``, added to the empty honeycomb."""
+    return Patch(Honeycomb({}, scale, {}, {}), 1, {}, tuple(system))
+
+
+def _vertex_phase(p: Patch) -> tuple[set[Pt], list[Pt]]:
+    """The base vertices whose status ``p`` may change (``gone``), and the
+    vertices of its canonical form there (``fresh``), sorted.  ``p.f`` is 1.
+
+    A point keeps its six weights, so its vertex status, unless a removed
+    edge or an added line covers it.  The candidates are therefore the
+    base vertices there (the ends of the removed edges, and those on the
+    added lines), the ends of the added lines, and the crossings of the
+    added lines with covered supports.  No base support crosses the inside
+    of a removed edge: a covered crossing of the base is a base vertex.
+    Against the empty base a support is covered only within its added
+    lines, so each crossing is found once, from the class before the
+    other's; otherwise a base edge may cover a crossing outside the other
+    support's added lines, and both classes are searched.
+
+    Raises NotPreHoneycomb on a dirty line without ends whose coverage is
+    negative, and at the least candidate that ``_is_vertex`` rejects.
+    """
+    h, scale, covs = p.base, p.scale, p.covs
+    gone = {v for e in p.removed for v in e.ends()}
+    for key, lines in covs.added.items():
+        for v in h.on_line.get(key, ()):
+            if _inside(t_of(key[0], v), lines):
+                gone.add(v)
+    pts = {q for line, w in p.added if w != 0 for q in line.ends()} | gone
+    _check_full_lines([(key, covs.get(key)) for key in covs.delta], scale)
+    keys = _sorted_keys(h.supports.keys() | covs.delta.keys())
+    for key, lines in covs.added.items():
+        spans = covs.get(key).spans()
+        if key in h.supports:
+            spans = _clip(spans, lines)
+        for cls2 in (nxt(key[0]), prv(key[0])) if h.supports else (nxt(key[0]),):
+            pts.update(_crossings(key, spans, cls2, keys[cls2], covs))
+    return gone, [q for q in sorted(pts) if _is_vertex(six_weights(covs, q), q, scale)]
+
+
+def _canonical_form(p: Patch) -> Optional[Honeycomb]:
+    """The canonical form of ``p``, or None where its least scale is
+    coarser than that of a base with vertices.  ``p.f`` is 1.
+
+    Only the touched supports, dirty or through a vertex that appeared or
+    vanished, are cut again, in sorted order, so that the least violation
+    raises first; the other supports keep their edges, and the vertices
+    off touched lines their incidence.  From the empty base the result
+    comes at its least scale.
+    """
+    h, scale, covs = p.base, p.scale, p.covs
+    gone, fresh = _vertex_phase(p)
+    if not fresh and len(gone) == len(h.incidence):
+        raise NotPreHoneycomb("covered set has no vertex")
+    g = gcd(scale, *chain.from_iterable(fresh))
+    fresh_on = vertices_by_line(fresh)
+    # Each candidate lies on a dirty line, so every fresh vertex is cut.
+    cut_slots: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for v in fresh}
+    if h.incidence:
+        # The base vertices left hold the scale, or it coarsens.
+        if g > 1 and gcd(g, *chain.from_iterable(v for v in h.incidence if v not in gone)) > 1:
+            return None
+        g = 1
+        touched = set(covs.delta)
+        for q in gone.symmetric_difference(fresh):
+            touched.update((cls, dval(q, cls)) for cls in (1, 2, 3))
+        along: dict[Key, list[Pt]] = {}  # touched line -> its vertices, final, in point order
+        for key in touched:
+            vs = [v for v in h.on_line.get(key, ()) if v not in gone]
+            vs += fresh_on.get(key, ())
+            if vs:
+                vs.sort()
+                along[key] = vs
+                cut_slots.update((v, {}) for v in vs if v not in cut_slots)
+    else:
+        # From the empty base only the dirty lines are covered, and they
+        # hold only fresh vertices.
+        touched, along = covs.delta.keys(), fresh_on
+    supports = dict(h.supports)
+    for key in touched:
+        supports.pop(key, None)
+    for key in sorted(touched):
+        if (cov := covs.get(key)) is not None:
+            cls, vs = key[0], along.get(key, [])
+            at = [(t_of(cls, v), v) for v in (vs[::-1] if cls == 2 else vs)]  # t order
+            if edges := _cut(cls, key[1], cov, at, g, scale, cut_slots):
+                supports[(cls, key[1] // g)] = edges
+
+    if h.incidence:
+        # A base vertex keeps its slots off touched lines.
+        slots = dict(h.incidence)
+        for v in gone:
+            del slots[v]
+        for v, cut in cut_slots.items():
+            if (mine := h.incidence.get(v)) is not None:
+                cut = {s: e for s, e in mine.items() if (s[0], dval(v, s[0])) not in touched} | cut
+            slots[v] = cut
+        on_line = dict(h.on_line)
+        for key in touched:
+            if key in along:
+                on_line[key] = along[key]
+            else:
+                on_line.pop(key, None)
+    elif g > 1:
+        slots = cut_slots = {(v[0] // g, v[1] // g): vs for v, vs in cut_slots.items()}
+        on_line = vertices_by_line(slots)
+    else:
+        slots, on_line = cut_slots, fresh_on
+    hc = Honeycomb(supports, scale // g, slots, on_line)
+    if __debug__:  # divergency checks tension by an assert
+        for v in cut_slots:
+            assert len(slots[v]) >= 3
+            divergency(hc, v)
+    return hc
+
+
 def canonicalize(system: XiSystem, scale: int) -> Honeycomb:
-    """The unique honeycomb with the same ray weights everywhere.
+    """The unique honeycomb with the same ray weights everywhere: the
+    canonical form of ``system`` added to the empty honeycomb.
 
     Vertices are the points with at least three nonzero ray weights; edges
     are the maximal covered stretches between them.  Raises
@@ -464,27 +645,30 @@ def canonicalize(system: XiSystem, scale: int) -> Honeycomb:
     result has the least scale that holds its vertices, and so all of its
     edges.
     """
-    covs = _supports(system)
-    verts = _vertices(system, covs, scale)
-    if not verts:
-        raise NotPreHoneycomb("covered set has no vertex")
-    g = gcd(scale, *(x for v in verts for x in v))
-    slots: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for v in verts}
-    on_line = vertices_by_line(verts)
-    supports: dict[tuple[int, int], tuple[HEdge, ...]] = {}
-    # In sorted order, so that the least violation raises first.
-    for (cls, c), cov in sorted(covs.items()):
-        at = sorted((t_of(cls, v), v) for v in on_line.get((cls, c), ()))
-        if edges := _cut(cls, c, cov, at, g, scale, slots):
-            supports[(cls, c // g)] = edges
-    if g > 1:
-        slots = {(v[0] // g, v[1] // g): vs for v, vs in slots.items()}
-        on_line = vertices_by_line(slots)
-    hc = Honeycomb(supports, scale // g, slots, on_line)
-    for v, vs in slots.items():
-        assert len(vs) >= 3
-        divergency(hc, v)
-    return hc
+    return _canonical_form(_patch_of(system, scale))
+
+
+def is_prehoneycomb(system: XiSystem) -> bool:
+    """Nonnegative ray weights and equal divergency everywhere: the vertex
+    phase of ``canonicalize`` passes.  A system without a vertex, such as
+    ``[]`` or a full positive line, is a pre-honeycomb that
+    ``canonicalize`` rejects.
+
+    Checking the finite candidate set (all line ends plus the crossings of
+    two supports that are both covered there) suffices.  At any other point
+    at most one class has a nonzero weight, and since the point is no end,
+    that class has w_i^+ = w_i^-: the point is no vertex and its
+    divergencies are all zero.  Its one weight is negative only on a
+    negative stretch of coverage; such a stretch ends at a line end, where
+    the candidate check sees it, unless it is a whole line without ends,
+    which ``_check_full_lines`` sees.  No scaling is needed: the test is
+    the same on any scale, so the system may be in ints or in Fractions.
+    """
+    try:
+        _vertex_phase(_patch_of(system, 1))
+    except NotPreHoneycomb:
+        return False
+    return True
 
 
 def boundary_partition(h: Honeycomb) -> tuple[dict[tuple[int, str], tuple[HEdge, ...]], int]:

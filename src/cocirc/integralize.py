@@ -113,8 +113,9 @@ def integralize(
     out = {e: vals[(e[0] + da, e[1] + db, e[2])] for e in g.edges}
     if any(v.denominator != 1 for v in out.values()):
         raise AssertionError("a rounded value is not an integer")
+    # Both sides are integers here: compare their numerators, not Fractions.
     for e in o_set | i_set:
-        if out[e] != h[e]:
+        if out[e].numerator != h[e].numerator:
             raise AssertionError(f"preserved edge {e} changed")
     return out, trace
 

@@ -7,7 +7,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, settings, strategies as st
@@ -32,6 +32,7 @@ from cocirc.deform import (
     build_deformed_system,
 )
 from cocirc.duality import grid_to_honeycomb, honeycomb_to_grid
+from cocirc.errors import NotPreHoneycomb
 from cocirc.grid import (
     ConvexGrid,
     cocirculation_from_quadratic,
@@ -43,16 +44,27 @@ from cocirc.grid import (
     triangle_vertices,
 )
 from cocirc.honeycomb import (
+    HEdge,
     HLine,
+    Honeycomb,
+    Patch,
     Pt,
+    _check_full_lines,
+    _Coverage,
+    _crossings,
+    _cut,
+    _is_vertex,
+    _live,
+    _sorted_keys,
     canonicalize,
     divergency,
     dval,
+    nxt,
     point_from_two,
+    six_weights,
     t_of,
     vertices_by_line,
 )
-from cocirc.patch import Patch
 from cocirc.paths import TURN_LEFT, TURN_RIGHT
 
 # A fixed example order and no deadline, so a failure in CI repeats
@@ -330,15 +342,85 @@ def frac_lines(h):
     return [(line.scaled(unit), w) for line, w in lines]
 
 
-def canonicalize_rational(system):
-    """``canonicalize`` of a system given in rationals, brought to ints in
-    units of ``1/L``, ``L`` the lcm of its denominators."""
+def canonicalize_rational(system, canon=canonicalize):
+    """``canon`` (``canonicalize`` or ``reference_canonicalize``) of a
+    system given in rationals, brought to ints in units of ``1/L``, ``L``
+    the lcm of its denominators."""
     scale = lcm(*(x.denominator for line, _ in system for x in (line.c, line.lo, line.hi) if x is not None))
 
     def up(x):
         return None if x is None else x.numerator * (scale // x.denominator)
 
-    return canonicalize([(HLine(ln.cls, up(ln.c), up(ln.lo), up(ln.hi)), w) for ln, w in system], scale)
+    return canon([(HLine(ln.cls, up(ln.c), up(ln.lo), up(ln.hi)), w) for ln, w in system], scale)
+
+
+# The full route that built every canonical form before the patch of the
+# empty honeycomb did, kept as the reference of ``canonicalize``: the
+# coverage of every support, every candidate point, then a cut of every
+# support.  ``candidates`` may be swapped for ``oracle_candidate_points``.
+
+
+def reference_supports(system) -> dict[tuple[int, int], _Coverage]:
+    per: dict[tuple[int, int], list] = {}
+    for line, w in system:
+        if _live(line.lo, line.hi, w):
+            per.setdefault((line.cls, line.c), []).append((line.lo, line.hi, w))
+    return {key: _Coverage(iv) for key, iv in per.items()}
+
+
+def reference_candidate_points(system, covs) -> set[Pt]:
+    """All line ends, plus each crossing of two supports covered there."""
+    pts: set[Pt] = set()
+    for line, w in system:
+        if w != 0:
+            pts.update(line.ends())
+    keys = _sorted_keys(covs)
+    for key, cov in covs.items():
+        cls2 = nxt(key[0])
+        pts.update(_crossings(key, cov.spans(), cls2, keys[cls2], covs))
+    return pts
+
+
+def reference_vertices(system, covs, scale: int, candidates=reference_candidate_points) -> list[Pt]:
+    """Candidate points with at least three nonzero ray weights, sorted.
+
+    Raises NotPreHoneycomb on a line without ends whose coverage is
+    negative, and at the least candidate that ``_is_vertex`` rejects.
+    """
+    _check_full_lines(covs.items(), scale)
+    return [p for p in sorted(candidates(system, covs)) if _is_vertex(six_weights(covs, p), p, scale)]
+
+
+def reference_is_prehoneycomb(system, candidates=reference_candidate_points) -> bool:
+    try:
+        reference_vertices(system, reference_supports(system), 1, candidates)
+    except NotPreHoneycomb:
+        return False
+    return True
+
+
+def reference_canonicalize(system, scale: int, candidates=reference_candidate_points) -> Honeycomb:
+    covs = reference_supports(system)
+    verts = reference_vertices(system, covs, scale, candidates)
+    if not verts:
+        raise NotPreHoneycomb("covered set has no vertex")
+    g = gcd(scale, *(x for v in verts for x in v))
+    slots: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for v in verts}
+    on_line = vertices_by_line(verts)
+    supports: dict[tuple[int, int], tuple[HEdge, ...]] = {}
+    # In sorted order, so that the least violation raises first.
+    for (cls, c), cov in sorted(covs.items()):
+        at = sorted((t_of(cls, v), v) for v in on_line.get((cls, c), ()))
+        if edges := _cut(cls, c, cov, at, g, scale, slots):
+            supports[(cls, c // g)] = edges
+    if g > 1:
+        slots = {(v[0] // g, v[1] // g): vs for v, vs in slots.items()}
+        on_line = vertices_by_line(slots)
+    hc = Honeycomb(supports, scale // g, slots, on_line)
+    for v, vs in slots.items():
+        assert len(vs) >= 3
+        divergency(hc, v)
+    return hc
 
 
 def oracle_meet_time(u, mu, v, mv):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,22 +10,27 @@ from conftest import (
     oracle_candidate_points,
     oracle_incidence,
     oracle_ray_weights,
+    reference_canonicalize,
+    reference_is_prehoneycomb,
 )
 from cocirc import honeycomb
 from cocirc.constructions import (
     counterexample_instance,
     dual_grid_honeycomb,
+    fractional_vertex_instance,
     hexagon_instance,
+    random_honeycomb,
     sample_honeycomb,
 )
 from cocirc.deform import build_deformed_system, decompose, orient_cycle_rightward, stop_epsilon
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NotPreHoneycomb
+from cocirc.grid import random_concave, three_side_grid
 from cocirc.honeycomb import (
     HEdge,
     HLine,
-    _candidate_points,
-    _supports,
+    _is_vertex,
+    _patch_of,
     boundary_partition,
     canonicalize,
     claw,
@@ -54,8 +60,9 @@ def minus_ray(cls, at, w=1):
 
 
 def weights_at(system, p):
-    """The six ray weights at p as canonicalize computes them."""
-    return six_weights(_supports(system), p)
+    """The six ray weights at p as canonicalize computes them: from the
+    coverages of the system added to the empty honeycomb."""
+    return six_weights(_patch_of(system, 1).covs, p)
 
 
 def test_ray_weights_empty_system():
@@ -148,15 +155,23 @@ def test_canonicalize_rejects_bad_systems():
         canonicalize_rational([plus_ray(1, ORIGIN, -1), plus_ray(2, ORIGIN, -1), plus_ray(3, ORIGIN, -1)])
 
 
-def test_candidates_of_a_honeycomb_are_its_vertices(small_corpus):
+def test_candidates_of_a_honeycomb_are_its_vertices(small_corpus, monkeypatch):
     # every covered crossing of a canonical honeycomb is a vertex, so an
     # output-sensitive search tests no other point
     instances = list(small_corpus) + [hexagon_instance(k) for k in (1, 2, 3)]
     instances.append(counterexample_instance())
+    tested = []
+
+    def is_vertex(w6, p, scale):
+        tested.append(p)
+        return _is_vertex(w6, p, scale)
+
+    monkeypatch.setattr(honeycomb, "_is_vertex", is_vertex)
     for g, h in instances:
         hc = grid_to_honeycomb(g, h)
-        s = [(e, e.weight) for e in hc.edges]  # in the honeycomb's ints
-        assert _candidate_points(s, _supports(s)) == set(hc.vertices)
+        tested.clear()
+        assert canonicalize([(e, e.weight) for e in hc.edges], hc.scale) == hc  # in the honeycomb's ints
+        assert tested == list(hc.vertices)
 
 
 def _claw_sums(seed: int, count: int):
@@ -176,15 +191,17 @@ def _deformed_systems(hc):
     return [frac_lines(build_deformed_system(hc, pl, eps)) for eps in (ev.eps / 2, ev.eps)]
 
 
-def _outcome(system):
+def _outcome(system, canon=canonicalize, prehoneycomb=is_prehoneycomb):
     try:
-        result = canonicalize_rational(system)
+        result = canonicalize_rational(system, canon)
     except Exception as exc:
         result = type(exc)
-    return result, is_prehoneycomb(system)
+    return result, prehoneycomb(system)
 
 
-def test_sweep_matches_all_pairs_oracle(small_corpus, monkeypatch):
+def _sweep_systems(small_corpus):
+    """Rational systems: duals, their deformations, claw sums, and
+    systems that break each rule."""
     systems = []
     for g, h in small_corpus:
         hc = grid_to_honeycomb(g, h)
@@ -201,10 +218,71 @@ def test_sweep_matches_all_pairs_oracle(small_corpus, monkeypatch):
         # the negative line crosses the only other support where it cancels
         [segment, (segment[0], -1), (HLine(1, F(5), None, None), -1)],
     ]
+    return systems
+
+
+def test_sweep_matches_all_pairs_oracle(small_corpus):
+    # the engine's candidates against every crossing of two supports, in
+    # the reference route
+    systems = _sweep_systems(small_corpus)
     swept = [_outcome(s) for s in systems]
     assert any(ok for _, ok in swept) and not all(ok for _, ok in swept)
-    monkeypatch.setattr(honeycomb, "_candidate_points", oracle_candidate_points)
-    assert [_outcome(s) for s in systems] == swept
+
+    def canon(system, scale):
+        return reference_canonicalize(system, scale, oracle_candidate_points)
+
+    def prehoneycomb(system):
+        return reference_is_prehoneycomb(system, oracle_candidate_points)
+
+    assert [_outcome(s, canon, prehoneycomb) for s in systems] == swept
+
+
+def _form_or_error(canon, system, scale):
+    try:
+        return canon(system, scale)
+    except NotPreHoneycomb as exc:
+        return type(exc), str(exc)
+
+
+def test_canonicalize_matches_reference(small_corpus):
+    # the patch of the empty honeycomb against the full route it replaced:
+    # the same form, in the same order, or the same violation
+    honeycombs = [grid_to_honeycomb(g, random_concave(g, n, 7)) for n in range(3, 17) for g in [three_side_grid(n)]]
+    honeycombs += [grid_to_honeycomb(*fractional_vertex_instance(k)[:2]) for k in (2, 3, 5)]
+    honeycombs += [random_honeycomb(seed) for seed in range(40)]
+    cases = []
+    for hc in honeycombs:
+        cases.append(([(e, e.weight) for e in hc.edges], hc.scale))
+        cases.append(([(e.scaled(3), e.weight) for e in hc.edges], 3 * hc.scale))  # comes back at hc.scale
+    for system in _sweep_systems(small_corpus):
+        scale = lcm(*(x.denominator for line, _ in system for x in line[1:] if x is not None))
+        ints = [(HLine(line.cls, *(None if x is None else int(x * scale) for x in line[1:])), w) for line, w in system]
+        cases.append((ints, scale))
+    failures = 0
+    for system, scale in cases:
+        got = _form_or_error(canonicalize, system, scale)
+        want = _form_or_error(reference_canonicalize, system, scale)
+        if isinstance(want, tuple):
+            failures += 1
+            assert got == want
+            continue
+        assert got.scale == want.scale and got.supports == want.supports and got.incidence == want.incidence
+        assert list(got.supports) == list(want.supports)
+        assert [(v, list(s)) for v, s in got.incidence.items()] == [(v, list(s)) for v, s in want.incidence.items()]
+        assert list(got.on_line.items()) == list(want.on_line.items())
+        assert is_prehoneycomb(system)
+    assert failures >= 5
+
+
+def test_prehoneycomb_without_vertices():
+    # a system without a vertex passes the vertex phase, and canonicalize
+    # rejects it
+    full = HLine(1, F(0), None, None)
+    for system in ([], [(full, 1)], [(full, 1), (HLine(1, F(2), None, None), 3)]):
+        assert is_prehoneycomb(system)
+        with pytest.raises(NotPreHoneycomb) as exc:
+            canonicalize_rational(system)
+        assert str(exc.value) == "covered set has no vertex"
 
 
 def test_canonicalize_idempotent_and_weight_preserving(small_corpus):
@@ -222,7 +300,7 @@ def test_canonicalize_idempotent_and_weight_preserving(small_corpus):
             lam = F(rng.randint(0, 16), 16)
             pts.append(point_on(e.cls, e.c, t0 + lam * (t1 - t0)))
         original = frac_lines(hc)
-        covs, covs_again = _supports(original), _supports(frac_lines(again))
+        covs, covs_again = _patch_of(original, 1).covs, _patch_of(frac_lines(again), 1).covs
         for p in pts:
             w6 = oracle_ray_weights(original, p)
             assert six_weights(covs, p) == w6 == six_weights(covs_again, p)
