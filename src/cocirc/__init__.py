@@ -38,11 +38,7 @@ from .grid import (
     validate_grid,
 )
 from .honeycomb import (
-    HEdge,
-    HLine,
     Honeycomb,
-    Pt,
-    XiSystem,
     boundary_partition,
     canonicalize,
     claw,
@@ -54,6 +50,7 @@ from .honeycomb import (
 )
 from .integralize import Potential, TraceStep, integralize, iteration_bound_check, potential
 from .paths import LegalPath, check_legal_path, dominating_edges, find_legal_path, is_legal_pair
+from .spans import HEdge, HLine, Pt, XiSystem
 
 from .constructions import (
     counterexample_instance,

@@ -21,18 +21,8 @@ from .grid import (
     tiling_of,
     validate_grid,
 )
-from .honeycomb import (
-    HLine,
-    Honeycomb,
-    canonicalize,
-    claw_lines,
-    dval,
-    honeycomb_sum,
-    nxt,
-    point_on,
-    prv,
-    t_of,
-)
+from .honeycomb import Honeycomb, canonicalize, claw_lines, honeycomb_sum
+from .spans import HLine, dval, nxt, point_on, prv, t_of
 
 
 def dual_grid_honeycomb(n: int) -> Honeycomb:

@@ -12,7 +12,9 @@ a point, the validity bound) happen at rational times found by solving
 linear equations.  The engine enumerates all candidate times and takes
 the first that triggers a stop.  The deformed system there is the
 honeycomb patched by the path edges taken off and the lines added, and
-``canonicalize_patch`` redoes only what that patch touches.
+``canonicalize_patch`` redoes only what that patch touches, with the one
+canonical-form engine of ``cocirc.honeycomb``: every other vertex keeps
+its incidence and every other support its edges.
 
 Coordinates are the honeycomb's ints in units of ``1/scale``.  Every rate
 is -1, 0 or +1, so every candidate time is a multiple of ``1/(2*scale)``.
@@ -27,10 +29,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .errors import EpsilonOutOfRange
-from .honeycomb import HEdge, HLine, Honeycomb, Patch, Pt, dval, is_integral_point, nxt, t_of
-from .patch import canonicalize_patch
+from .errors import EpsilonOutOfRange, NotPreHoneycomb
+from .honeycomb import Honeycomb, Patch, _canonical_form, canonicalize
 from .paths import LegalPath, TURN_LEFT, TURN_RIGHT
+from .spans import HEdge, HLine, Pt, dval, is_integral_point, nxt, t_of
 
 STOP_BOUNDARY_INTEGRAL = "boundary_integral"
 STOP_OPPOSITE_MERGE = "opposite_sign_merge"
@@ -350,6 +352,21 @@ def orient_cycle_rightward(p: LegalPath) -> PathLines:
         pl = decompose(p.reversed())
         assert double_right(pl), "neither orientation has two adjacent right turns"
     return pl
+
+
+def canonicalize_patch(p: Patch) -> Honeycomb:
+    """``canonicalize(p.lines, p.scale)``, redone only where ``p`` changes
+    coverage.
+
+    A step that changes the scale, finer (``p.f > 1``) or coarser, is
+    canonicalized from the empty honeycomb, and so is any violation, so
+    that the least one raises its message.
+    """
+    try:
+        h = _canonical_form(p) if p.f == 1 else None
+    except NotPreHoneycomb:
+        h = None
+    return canonicalize(p.lines, p.scale) if h is None else h
 
 
 def deform(h: Honeycomb, p: LegalPath, direction: str = TURN_RIGHT) -> tuple[Honeycomb, StopEvent]:

@@ -26,17 +26,8 @@ from math import gcd
 from . import grid as gr
 from .errors import NotACocirculation
 from .grid import ConvexGrid, Cocirculation, Point, Triangle
-from .honeycomb import (
-    OPPOSITE,
-    HEdge,
-    Honeycomb,
-    Pt,
-    _sorted_keys,
-    nxt,
-    point_from_two,
-    point_on,
-    vertices_by_line,
-)
+from .honeycomb import Honeycomb, vertices_by_line
+from .spans import OPPOSITE, HEdge, Pt, _sorted_keys, nxt, point_from_two, point_on
 
 # Anticlockwise hexagon walk: ray slot -> lattice step of that boundary run.
 HEX_ORDER: list[tuple[tuple[int, str], Point]] = [

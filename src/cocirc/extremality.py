@@ -22,7 +22,8 @@ from typing import Iterable, Mapping, Optional
 from . import grid as gr
 from .errors import FNotSubsetOfEdges
 from .grid import Cocirculation, ConvexGrid, Edge, Tiling
-from .honeycomb import HEdge, HLine, Honeycomb, dval, t_of
+from .honeycomb import Honeycomb
+from .spans import HEdge, HLine, dval, t_of
 
 Row = tuple[dict[int, int], int]
 

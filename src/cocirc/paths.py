@@ -15,7 +15,8 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import NoNonintegralEdge
-from .honeycomb import OPPOSITE, HEdge, Honeycomb, Pt, divergency
+from .honeycomb import Honeycomb, divergency
+from .spans import OPPOSITE, HEdge, Pt
 
 TURN_RIGHT = "right"
 TURN_LEFT = "left"

@@ -25,7 +25,8 @@ from typing import Any
 
 from .errors import NotPreHoneycomb, SchemaError
 from .grid import Cocirculation, ConvexGrid, Edge
-from .honeycomb import HEdge, HLine, Honeycomb, Pt, canonicalize, dval, t_of
+from .honeycomb import Honeycomb, canonicalize
+from .spans import HEdge, HLine, Pt, dval, t_of
 
 MAX_DIGITS = 4300
 

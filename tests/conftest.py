@@ -43,11 +43,11 @@ from cocirc.grid import (
     triangle_edges,
     triangle_vertices,
 )
-from cocirc.honeycomb import (
+from cocirc.honeycomb import Honeycomb, Patch, canonicalize, divergency, vertices_by_line
+from cocirc.paths import TURN_LEFT, TURN_RIGHT
+from cocirc.spans import (
     HEdge,
     HLine,
-    Honeycomb,
-    Patch,
     Pt,
     _check_full_lines,
     _Coverage,
@@ -56,16 +56,12 @@ from cocirc.honeycomb import (
     _is_vertex,
     _live,
     _sorted_keys,
-    canonicalize,
-    divergency,
     dval,
     nxt,
     point_from_two,
     six_weights,
     t_of,
-    vertices_by_line,
 )
-from cocirc.paths import TURN_LEFT, TURN_RIGHT
 
 # A fixed example order and no deadline, so a failure in CI repeats
 # anywhere: select with --hypothesis-profile=ci.

@@ -20,14 +20,9 @@ from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NonIntegerTruncationPoint
 from cocirc.extremality import is_vertex
 from cocirc.grid import integer_edge_sets, is_concave, tiling_of, validate_grid
-from cocirc.honeycomb import (
-    boundary_partition,
-    claw,
-    divergency,
-    dval,
-    is_prehoneycomb,
-)
+from cocirc.honeycomb import boundary_partition, claw, divergency, is_prehoneycomb
 from cocirc.serialize import cocirc_to_json, dumps
+from cocirc.spans import dval
 
 F = Fraction
 

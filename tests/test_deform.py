@@ -27,6 +27,7 @@ from cocirc.deform import (
     _candidates,
     _meet_time,
     build_deformed_system,
+    canonicalize_patch,
     decompose,
     deform,
     orient_cycle_rightward,
@@ -36,19 +37,10 @@ from cocirc.deform import (
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import EpsilonOutOfRange
 from cocirc.grid import random_concave, three_side_grid
-from cocirc.honeycomb import (
-    HEdge,
-    HLine,
-    canonicalize,
-    claw,
-    dval,
-    is_prehoneycomb,
-    point_on,
-    t_of,
-)
+from cocirc.honeycomb import canonicalize, claw, is_prehoneycomb
 from cocirc.integralize import potential
-from cocirc.patch import canonicalize_patch
 from cocirc.paths import LegalPath, check_legal_path, find_legal_path
+from cocirc.spans import HEdge, HLine, dval, point_on, t_of
 
 F = Fraction
 

@@ -29,7 +29,8 @@ from cocirc.grid import (
     triangle_edges,
     validate_grid,
 )
-from cocirc.honeycomb import HLine, boundary_partition, canonicalize, claw, dval, t_of
+from cocirc.honeycomb import boundary_partition, canonicalize, claw
+from cocirc.spans import HLine, dval, t_of
 
 F = Fraction
 

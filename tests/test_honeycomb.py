@@ -27,25 +27,19 @@ from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NotPreHoneycomb
 from cocirc.grid import random_concave, three_side_grid
 from cocirc.honeycomb import (
-    HEdge,
-    HLine,
-    _is_vertex,
     _patch_of,
     boundary_partition,
     canonicalize,
     claw,
     divergency,
-    dval,
     excess,
     honeycomb_sum,
     is_prehoneycomb,
     nonintegral_sets,
-    point_on,
-    six_weights,
-    t_of,
 )
 from cocirc.integralize import potential
 from cocirc.paths import find_legal_path
+from cocirc.spans import HEdge, HLine, _is_vertex, dval, point_on, six_weights, t_of
 
 F = Fraction
 ORIGIN = (F(0), F(0))
@@ -246,7 +240,7 @@ def _form_or_error(canon, system, scale):
 
 def test_canonicalize_matches_reference(small_corpus):
     # the patch of the empty honeycomb against the full route it replaced:
-    # the same form, in the same order, or the same violation
+    # the same form, or the same violation
     honeycombs = [grid_to_honeycomb(g, random_concave(g, n, 7)) for n in range(3, 17) for g in [three_side_grid(n)]]
     honeycombs += [grid_to_honeycomb(*fractional_vertex_instance(k)[:2]) for k in (2, 3, 5)]
     honeycombs += [random_honeycomb(seed) for seed in range(40)]
@@ -267,9 +261,7 @@ def test_canonicalize_matches_reference(small_corpus):
             assert got == want
             continue
         assert got.scale == want.scale and got.supports == want.supports and got.incidence == want.incidence
-        assert list(got.supports) == list(want.supports)
-        assert [(v, list(s)) for v, s in got.incidence.items()] == [(v, list(s)) for v, s in want.incidence.items()]
-        assert list(got.on_line.items()) == list(want.on_line.items())
+        assert {k: set(vs) for k, vs in got.on_line.items()} == {k: set(vs) for k, vs in want.on_line.items()}
         assert is_prehoneycomb(system)
     assert failures >= 5
 

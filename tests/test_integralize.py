@@ -24,7 +24,7 @@ from cocirc.grid import (
     three_side_grid,
     triangle_edges,
 )
-from cocirc.honeycomb import claw, honeycomb_sum, is_integral_point
+from cocirc.honeycomb import claw, honeycomb_sum
 from cocirc.paths import find_legal_path
 from cocirc.integralize import (
     Potential,
@@ -32,6 +32,7 @@ from cocirc.integralize import (
     iteration_bound_check,
     potential,
 )
+from cocirc.spans import is_integral_point
 
 F = Fraction
 

@@ -6,15 +6,7 @@ from conftest import at_scale, canonicalize_rational, corpus, frac_lines, frac_s
 from cocirc.constructions import hexagon_instance, sample_honeycomb
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NoNonintegralEdge
-from cocirc.honeycomb import (
-    HLine,
-    claw,
-    divergency,
-    dval,
-    nonintegral_sets,
-    point_on,
-    t_of,
-)
+from cocirc.honeycomb import claw, divergency, nonintegral_sets
 from cocirc.paths import (
     LegalPath,
     check_legal_path,
@@ -22,6 +14,7 @@ from cocirc.paths import (
     find_legal_path,
     is_legal_pair,
 )
+from cocirc.spans import HLine, dval, point_on, t_of
 
 F = Fraction
 

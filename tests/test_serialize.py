@@ -10,7 +10,6 @@ from cocirc.constructions import counterexample_instance, sample_honeycomb
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NotPreHoneycomb, SchemaError
 from cocirc.grid import three_side_grid
-from cocirc.honeycomb import HLine, dval, t_of
 from cocirc.serialize import (
     MAX_DIGITS,
     cocirc_from_json,
@@ -26,6 +25,7 @@ from cocirc.serialize import (
     honeycomb_to_json,
     loads,
 )
+from cocirc.spans import HLine, dval, t_of
 
 F = Fraction
 
