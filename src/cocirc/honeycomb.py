@@ -179,38 +179,37 @@ class _Coverages(dict):
         # each step's honeycomb alive until the cyclic collector runs.
         f = self.f = p.f
         self.supports = p.base.supports
-        # dirty support -> (lo, hi, w) of its removed weight (negative) and
-        # added lines; ``added`` holds the added lines alone
+        # dirty support -> its added lines ``(line, w)``, and the
+        # ``(lo, hi, -n)`` of the weight removed from it
         self.added: dict[Key, list] = {}
         for line, w in p.added:
             if _live(line.lo, line.hi, w):
-                self.added.setdefault((line.cls, line.c), []).append((line.lo, line.hi, w))
-        self.delta: dict[Key, list] = {}
+                self.added.setdefault((line.cls, line.c), []).append((line, w))
+        self.removed: dict[Key, list] = {}
         for e, n in p.removed.items():
-            self.delta.setdefault((e.cls, e.c * f), []).append((_times(e.lo, f), _times(e.hi, f), -n))
-        for key, iv in self.added.items():
-            self.delta[key] = self.delta[key] + iv if key in self.delta else iv
+            self.removed.setdefault((e.cls, e.c * f), []).append((_times(e.lo, f), _times(e.hi, f), -n))
 
     def __missing__(self, key: Key) -> Optional[_Coverage]:
         (cls, c), f = key, self.f
-        iv = self.delta.get(key, [])
+        iv = [(line.lo, line.hi, w) for line, w in self.added.get(key, ())]
+        iv += self.removed.get(key, ())
         if c % f == 0 and (es := self.supports.get((cls, c // f))):  # the base edges on it
-            iv = [(_times(e.lo, f), _times(e.hi, f), e.weight) for e in es] + iv
+            iv += [(_times(e.lo, f), _times(e.hi, f), e.weight) for e in es]
         cov = self[key] = _Coverage(iv) if iv else None
         return cov
 
 
 def _inside(t, lines) -> bool:
-    """Whether ``t`` lies in the closed span of one of the ``(lo, hi, w)``."""
-    return any((lo is None or lo <= t) and (hi is None or t <= hi) for lo, hi, _ in lines)
+    """Whether ``t`` lies in the closed span of one of the ``(line, w)``."""
+    return any(line.contains_t(t) for line, _ in lines)
 
 
 def _clip(spans: list, lines: list) -> list:
     """The nonempty intersections of the closed ``spans`` with the closed
-    spans of the ``(lo, hi, w)``; None is an infinite end."""
+    spans of the ``(line, w)``; None is an infinite end."""
     out = []
     for lo, hi in spans:
-        for wlo, whi, _ in lines:
+        for (_, _, wlo, whi), _ in lines:
             a = wlo if lo is None else lo if wlo is None else max(lo, wlo)
             b = whi if hi is None else hi if whi is None else min(hi, whi)
             if a is None or b is None or a <= b:
@@ -239,8 +238,9 @@ def _vertex_phase(p: Patch) -> tuple[set[Pt], list[Pt]]:
     within its added lines, and there it searches the class after it.
     Against the empty base each crossing is so found once.
 
-    Raises NotPreHoneycomb on a dirty line without ends whose coverage is
-    negative, and at the least candidate that ``_is_vertex`` rejects.
+    Raises NotPreHoneycomb on an added line's support without ends whose
+    coverage is negative (a support with base edges has ends), and at the
+    least candidate that ``_is_vertex`` rejects.
     """
     h, scale, covs = p.base, p.scale, p.covs
     gone = {v for e in p.removed for v in e.ends()}
@@ -249,8 +249,8 @@ def _vertex_phase(p: Patch) -> tuple[set[Pt], list[Pt]]:
             if _inside(t_of(key[0], v), lines):
                 gone.add(v)
     pts = {q for line, w in p.added if w != 0 for q in line.ends()} | gone
-    _check_full_lines([(key, covs.get(key)) for key in covs.delta], scale)
-    keys = _sorted_keys(h.supports.keys() | covs.delta.keys())
+    _check_full_lines([(key, covs.get(key)) for key in covs.added], scale)
+    keys = _sorted_keys(h.supports.keys() | covs.added.keys())
     base_keys = _sorted_keys(h.supports)
     for key, lines in covs.added.items():
         spans = covs.get(key).spans()
@@ -283,44 +283,40 @@ def _canonical_form(p: Patch) -> Optional[Honeycomb]:
         if gcd(g, *chain.from_iterable(v for v in h.incidence if v not in gone)) > 1:
             return None
         g = 1
-    touched = set(covs.delta)
+    touched = {*covs.added, *covs.removed}
     for q in gone.symmetric_difference(fresh):
         touched.update(_lines_through(q))
     # The vertices on touched lines, fresh or kept, are cut, in point
     # order; each candidate lies on a dirty line, so every fresh one is.
-    verts = set(fresh)
-    for key in touched.intersection(h.on_line):
-        verts.update(v for v in h.on_line[key] if v not in gone)
-    cut_slots: dict[Pt, dict[tuple[int, str], HEdge]] = {v: {} for v in sorted(verts)}
-    along = {key: vs for key, vs in vertices_by_line(cut_slots).items() if key in touched}
+    # A kept one starts from its slots off touched lines.
+    kept = (v for key in touched.intersection(h.on_line) for v in h.on_line[key] if v not in gone)
+    cut = sorted({*fresh, *kept})
+    slots = dict(h.incidence)
+    for v in gone:
+        del slots[v]
+    for v in cut:
+        mine = h.incidence.get(v)
+        slots[v] = {} if mine is None else {s: e for s, e in mine.items() if (s[0], dval(v, s[0])) not in touched}
+    on_line = dict(h.on_line)
+    for key in touched:
+        on_line.pop(key, None)
+    on_line.update((key, vs) for key, vs in vertices_by_line(cut).items() if key in touched)
     supports = dict(h.supports)
     for key in touched:
         supports.pop(key, None)
     for key in sorted(touched):
         if (cov := covs.get(key)) is not None:
-            cls, vs = key[0], along.get(key, [])
+            cls, vs = key[0], on_line.get(key, [])
             at = [(t_of(cls, v), v) for v in (vs[::-1] if cls == 2 else vs)]  # t order
-            if edges := _cut(cls, key[1], cov, at, g, scale, cut_slots):
+            if edges := _cut(cls, key[1], cov, at, g, scale, slots):
                 supports[(cls, key[1] // g)] = edges
-
-    # A base vertex keeps its slots off touched lines.
-    slots = dict(h.incidence)
-    for v in gone:
-        del slots[v]
-    for v, cut in cut_slots.items():
-        if (mine := h.incidence.get(v)) is not None:
-            cut = {s: e for s, e in mine.items() if (s[0], dval(v, s[0])) not in touched} | cut
-        slots[v] = cut
-    on_line = dict(h.on_line)
-    for key in touched.difference(along):
-        on_line.pop(key, None)
-    on_line.update(along)
     if g > 1:  # from the empty base, so every vertex was cut
-        slots = cut_slots = {(v[0] // g, v[1] // g): vs for v, vs in slots.items()}
+        slots = {(v[0] // g, v[1] // g): vs for v, vs in slots.items()}
         on_line = {(cls, c // g): [(x // g, y // g) for x, y in vs] for (cls, c), vs in on_line.items()}
+        cut = list(slots)
     hc = Honeycomb(supports, scale // g, slots, on_line)
     if __debug__:  # divergency checks tension by an assert
-        for v in cut_slots:
+        for v in cut:
             assert len(slots[v]) >= 3
             divergency(hc, v)
     return hc

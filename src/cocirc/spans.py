@@ -168,6 +168,8 @@ XiSystem = list[tuple[HLine, int]]
 class _Coverage:
     """Piecewise-constant total weight along one supporting line."""
 
+    __slots__ = ("base", "ts", "vals")
+
     def __init__(self, intervals: list[tuple[Optional[int], Optional[int], int]]):
         self.base = sum(w for lo, _, w in intervals if lo is None)
         deltas: dict[int, int] = {}
