@@ -3,7 +3,10 @@
 Values come in and go out as Fractions.  The checks below bring a
 cocirculation to ints once, at ``L``, the lcm of its denominators
 (``scaled_values``), and sum and compare those ints; their messages divide
-back by ``L``, so they name values of the input.
+back by ``L``, so they name values of the input.  The sampler,
+``cocirculation_from_quadratic``, evaluates its potential on ints too, at
+the lcm of its parameters' denominators, and makes Fractions only for the
+values it returns.
 
 Lattice conventions: a grid point ``(a, b)`` is the plane point
 ``a*xi1 + b*xi2`` for the fixed generators ``xi1 = (1, 0)``,
@@ -491,13 +494,22 @@ def cocirculation_from_quadratic(
     differences satisfy the rhombus condition iff ``alpha <= 3*beta``
     (the grid's fixed triangulation is only compatible with quadratics
     that are not too narrow along the xi1 axis).
+
+    The potential is evaluated once per lattice point of ``g``, on ints at
+    ``d``, the lcm of the four parameters' denominators; each edge value
+    is ``Fraction(head - tail, d)``, one Fraction per distinct difference.
+    The keys come in the order of ``g.edges``.
     """
-
-    def pot(p: Point) -> Fraction:
-        a, b = p
-        return -alpha * (2 * a - b) ** 2 - 3 * beta * b * b + lam * a + mu * b
-
-    return {e: pot(edge_head(e)) - pot(edge_tail(e)) for e in g.edges}
+    params = (alpha, beta, lam, mu)
+    d = lcm(*(x.denominator for x in params))
+    A, B, L, M = (x.numerator * (d // x.denominator) for x in params)
+    pot = {}
+    for a, b in g.vertices:
+        u = 2 * a - b
+        pot[a, b] = L * a + M * b - A * u * u - 3 * B * b * b
+    diffs = {e: pot[edge_head(e)] - pot[edge_tail(e)] for e in g.edges}
+    values = {x: Fraction(x, d) for x in set(diffs.values())}
+    return {e: values[x] for e, x in diffs.items()}
 
 
 def random_concave(g: ConvexGrid, seed: int, denom_bound: int = 12) -> Cocirculation:

@@ -129,6 +129,23 @@ def corpus(n: int, seed0: int = 0):
     return out
 
 
+def reference_cocirculation_from_quadratic(
+    g: ConvexGrid,
+    alpha: Fraction,
+    beta: Fraction,
+    lam: Fraction = Fraction(0),
+    mu: Fraction = Fraction(0),
+):
+    """``grid.cocirculation_from_quadratic`` as a Fraction formula: the
+    potential evaluated afresh at both ends of every edge."""
+
+    def pot(p):
+        a, b = p
+        return -alpha * (2 * a - b) ** 2 - 3 * beta * b * b + lam * a + mu * b
+
+    return {e: pot(edge_head(e)) - pot(edge_tail(e)) for e in g.edges}
+
+
 def oracle_rhombus_pairs(diag, t1, t2):
     """Both parallel edge pairs of a rhombus as (dominant, other), in class
     order.  The dominant edge is the one entering an obtuse rhombus vertex,

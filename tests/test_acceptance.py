@@ -21,7 +21,7 @@ from cocirc.constructions import (
 )
 from cocirc.deform import build_deformed_system, decompose, orient_cycle_rightward, stop_epsilon
 from cocirc.duality import grid_to_honeycomb, honeycomb_to_grid
-from cocirc.extremality import is_vertex
+from cocirc.extremality import is_vertex, vertex_degrees_of_freedom
 from cocirc.grid import ConvexGrid, integer_edge_sets, is_concave, random_concave, three_side_grid, tiling_of
 from cocirc.honeycomb import canonicalize, divergency, is_prehoneycomb, nonintegral_sets
 from cocirc.integralize import integralize, iteration_bound_check, potential
@@ -108,6 +108,22 @@ def test_criterion_4_fractional_vertices():
         assert is_vertex(g, h, fixed)
     print("\nPASS criterion 4: k in {2,3,4,5} instances have a denominator-k "
           "value, integer boundary, and are rigid on two pinned sides")
+
+
+@pytest.mark.parametrize("k", [8, 12, 16])
+def test_fractional_vertices_at_scale(k):
+    # The paper's second claim well beyond the k <= 5 corpus: a vertex of
+    # the polytope with denominator exactly k, which still rounds.
+    g, h, fixed = fractional_vertex_instance(k)
+    assert vertex_degrees_of_freedom(g, h, fixed) == 0
+    assert max(v.denominator for v in h.values()) == k
+    assert all(h[e].denominator == 1 for e in g.boundary_edges)
+    out, trace = integralize(g, h)
+    assert all(v.denominator == 1 for v in out.values())
+    assert is_concave(g, out)
+    o_set, i_set = integer_edge_sets(g, h)
+    assert all(out[e] == h[e] for e in o_set | i_set)
+    assert iteration_bound_check(g, trace, potential(grid_to_honeycomb(g, h)))
 
 
 def test_criterion_5_hexagon_pinned_values():

@@ -264,6 +264,21 @@ def test_cli_documents_are_pinned(tmp_path, capsys):
     assert digest.hexdigest() == "b46b5504d5d4abcc339216235d1b796cd281aa24d4a9e8ad0dfb4419c7e31ca2"
 
 
+def test_gen_random_concave_documents_are_pinned(tmp_path, capsys):
+    # The sampler feeds most fixtures and the benchmark inputs: a change to
+    # how it computes must leave every byte of its documents as it is.
+    digest = hashlib.sha256()
+    g, c = str(tmp_path / "g.json"), str(tmp_path / "c.json")
+    for n in range(3, 7):
+        for seed in range(4):
+            code, out = run(capsys, "gen", "--kind", "random-concave", "--n", str(n),
+                            "--seed", str(seed), "--grid", g, "--out", c)
+            assert code == 0 and out == ""
+            for path in (g, c):
+                digest.update(f"{n} {seed} {Path(path).name}\n".encode() + Path(path).read_bytes())
+    assert digest.hexdigest() == "9aee7df31b0b925a34e7ad50703d70ebd2b4f1c601f3f980a2a428899862bbe0"
+
+
 def _exit_code(argv) -> int:
     """``cli.main(argv)`` with its output swallowed; an exception escapes."""
     with contextlib.redirect_stdout(io.StringIO()):

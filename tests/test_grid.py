@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,11 @@ from conftest import (
     oracle_rhombi,
     oracle_rhombus_pairs,
     oracle_tiling,
+    reference_cocirculation_from_quadratic,
 )
 from cocirc.errors import NotACocirculation, NotConcave, NotConnected, NotConvex
-from cocirc.constructions import counterexample_instance
+from cocirc import grid
+from cocirc.constructions import counterexample_instance, hexagon_instance
 from cocirc.duality import grid_to_honeycomb
 from cocirc.grid import (
     ConvexGrid,
@@ -411,7 +414,55 @@ def test_random_concave_contract():
     h2 = random_concave(g, seed=9, denom_bound=10)
     assert h1 == h2
     assert random_concave(g, seed=10) != h1
-    assert all(v.denominator <= 10 for v in h1.values())
+    for bound in (1, 7, 10, 12, 30):
+        h = random_concave(g, seed=9, denom_bound=bound)
+        assert all(bound % v.denominator == 0 for v in h.values()), bound
+
+
+def _quadratic_oracle_grids():
+    """3-side grids n = 1..12, the hexagon grids k = 1..4, the
+    counterexample grid and 20 random lattice triangles."""
+    grids = [three_side_grid(n) for n in range(1, 13)]
+    grids += [hexagon_instance(k)[0] for k in range(1, 5)]
+    grids.append(counterexample_instance()[0])
+    rng = random.Random(0)
+    while len(grids) < 37:
+        p, q, r = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(3)]
+        if (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]) > 0:
+            triangles = fill_convex_polygon([p, q, r])
+            if triangles:
+                grids.append(ConvexGrid(triangles))
+    return grids
+
+
+def test_cocirculation_from_quadratic_matches_reference():
+    # The int kernel against the Fraction formula: equal values, Fraction
+    # values, and the keys in the same order, on every grid shape and on
+    # parameters of both signs with denominators 1 to 30.
+    rng = random.Random(1)
+
+    def q():
+        d = rng.randint(1, 30)
+        return Fraction(rng.randint(-3 * d, 3 * d), d)
+
+    for g in _quadratic_oracle_grids():
+        cases = [(q(), q())] + [(q(), q(), q(), q()) for _ in range(6)]
+        for args in cases:
+            h, ref = cocirculation_from_quadratic(g, *args), reference_cocirculation_from_quadratic(g, *args)
+            assert h == ref and list(h) == list(ref), args
+            assert all(type(x) is Fraction for x in h.values())
+
+
+def test_random_concave_matches_reference(monkeypatch):
+    grids = {n: three_side_grid(n) for n in range(1, 7)}
+    samples = {}
+    for bound in (1, 7, 12, 30):
+        for seed in range(200):
+            samples[bound, seed] = random_concave(grids[seed % 6 + 1], seed, bound)
+    monkeypatch.setattr(grid, "cocirculation_from_quadratic", reference_cocirculation_from_quadratic)
+    for (bound, seed), h in samples.items():
+        ref = random_concave(grids[seed % 6 + 1], seed, bound)
+        assert h == ref and list(h) == list(ref), (bound, seed)
 
 
 def test_random_concave_is_concave_many_seeds():
