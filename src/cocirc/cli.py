@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 
@@ -27,18 +28,6 @@ from .grid import (
 from .integralize import Potential, TraceStep, integralize, potential
 from .paths import find_legal_path
 from .serialize import dumps, frac_to_str
-
-COMMANDS = (
-    "validate",
-    "dualize",
-    "integralize",
-    "legal-path",
-    "deform",
-    "vertex-check",
-    "gen",
-    "selftest",
-)
-
 
 def _read(path: str) -> str:
     if path == "-":
@@ -71,12 +60,7 @@ def _load(args):
 
 
 def _pot_json(p: Potential) -> dict:
-    return {
-        "nonintegral_boundary": p.nonintegral_boundary,
-        "nonintegral_excess": p.nonintegral_excess,
-        "integral_incident": p.integral_incident,
-        "value": p.value,
-    }
+    return {**asdict(p), "value": p.value}
 
 
 def _trace_row(s: TraceStep) -> str:
@@ -295,10 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
+    ap = build_parser()
+    # The subcommand names: the choices of the parser's subparsers action.
+    commands = next(a.choices for a in ap._actions if a.dest == "command")
+    if argv and not argv[0].startswith("-") and argv[0] not in commands:
         print(f"unknown subcommand: {argv[0]}", file=sys.stderr)
         return 64
-    ap = build_parser()
     args = ap.parse_args(argv)
     try:
         return args.fn(args)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .errors import EpsilonOutOfRange, NotPreHoneycomb
+from .errors import EpsilonOutOfRange
 from .honeycomb import Honeycomb, Patch, _canonical_form, canonicalize
 from .paths import LegalPath, TURN_LEFT, TURN_RIGHT
 from .spans import HEdge, HLine, Pt, dval, is_integral_point, nxt, t_of
@@ -358,14 +358,12 @@ def canonicalize_patch(p: Patch) -> Honeycomb:
     """``canonicalize(p.lines, p.scale)``, redone only where ``p`` changes
     coverage.
 
-    A step that changes the scale, finer (``p.f > 1``) or coarser, is
-    canonicalized from the empty honeycomb, and so is any violation, so
-    that the least one raises its message.
+    A violation raises from the engine, with the message ``canonicalize``
+    gives: the base keeps its rules, so the least violation lies where
+    ``p`` changes coverage.  Only a step that changes the scale, finer
+    (``p.f > 1``) or coarser, is canonicalized from the empty honeycomb.
     """
-    try:
-        h = _canonical_form(p) if p.f == 1 else None
-    except NotPreHoneycomb:
-        h = None
+    h = _canonical_form(p) if p.f == 1 else None
     return canonicalize(p.lines, p.scale) if h is None else h
 
 

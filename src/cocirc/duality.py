@@ -12,9 +12,11 @@ weight n, and each flatspace on a boundary side a ray.
 without ``canonicalize``: the dual of the flatspace tiling of a concave
 function is an embedded honeycomb.  ``tiling_of`` groups the faces by
 their dual point, so distinct tiles have distinct points by
-construction; that dual edges meet only at tile points is checked by
-``_honeycomb_of_tiles``, also under ``-O``.  ``honeycomb_to_grid`` fills
-each distinct local hexagon from its six runs.
+construction; that dual edges meet only at tile points, and that every
+vertex has three edges or more and equal tension (``divergency``, on the
+honeycomb it built), is checked by ``_honeycomb_of_tiles``, also under
+``-O``.  ``honeycomb_to_grid`` fills each distinct local hexagon from its
+six runs.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from math import gcd
 from . import grid as gr
 from .errors import NotACocirculation
 from .grid import ConvexGrid, Cocirculation, Point, Triangle
-from .honeycomb import Honeycomb, vertices_by_line
-from .spans import OPPOSITE, HEdge, Pt, _sorted_keys, nxt, point_from_two, point_on
+from .honeycomb import Honeycomb, divergency, vertices_by_line
+from .spans import OPPOSITE, HEdge, Pt, _sorted_keys, nxt, point_from_two, point_on, show_point
 
 # Anticlockwise hexagon walk: ray slot -> lattice step of that boundary run.
 HEX_ORDER: list[tuple[tuple[int, str], Point]] = [
@@ -130,11 +132,6 @@ def honeycomb_to_grid(h: Honeycomb) -> tuple[ConvexGrid, Cocirculation]:
     return g, scaled
 
 
-def _show(p: Pt, unit: int) -> str:
-    """A point with int coordinates in units of ``1/unit``, as rationals."""
-    return f"({Fraction(p[0], unit)}, {Fraction(p[1], unit)})"
-
-
 def _honeycomb_of_tiles(
     pts: list[Pt],
     shared: dict[tuple[int, int, int], int],
@@ -149,7 +146,8 @@ def _honeycomb_of_tiles(
     The tiles of ``tiling_of`` have distinct points by construction.
     Raises AssertionError, also under -O, when a tile point lies strictly
     inside an edge, two edges cross away from a tile point, or a vertex
-    has fewer than three slots or unequal tension.
+    has fewer than three slots or unequal tension, which ``divergency``
+    checks on the built honeycomb.
     Then no slot is filled twice and no support overlaps itself, as either
     would put an end of one edge strictly inside another (``shared`` and
     ``rays`` hold one edge per key).  And ``canonicalize`` finds the same:
@@ -218,15 +216,12 @@ def _honeycomb_of_tiles(
         cuts[key] = (ts, gaps)
     _check_crossings(cuts, unit)
 
+    hc = Honeycomb(supports, unit, slots, on_line)
     for v, vslots in slots.items():
         if len(vslots) < 3:
-            raise AssertionError(f"tile point {_show(v, unit)} has {len(vslots)} edges")
-        divs = [0, 0, 0]
-        for (cls, sign), e in vslots.items():
-            divs[cls - 1] += e.weight if sign == "+" else -e.weight
-        if not divs[0] == divs[1] == divs[2]:
-            raise AssertionError(f"unequal tension {divs} at {_show(v, unit)}")
-    return Honeycomb(supports, unit, slots, on_line)
+            raise AssertionError(f"tile point {show_point(v, unit)} has {len(vslots)} edges")
+        divergency(hc, v)
+    return hc
 
 
 def _check_crossings(cuts, unit: int) -> None:
@@ -254,7 +249,7 @@ def _check_crossings(cuts, unit: int) -> None:
                 ts2, gaps2 = cuts[(cls2, c2)]
                 if gaps2[bisect_left(ts2, -c1 - c2)] is not None:
                     p = point_from_two(cls1, c1, cls2, c2)
-                    raise AssertionError(f"edges cross at {_show(p, unit)}, away from every tile point")
+                    raise AssertionError(f"edges cross at {show_point(p, unit)}, away from every tile point")
 
 
 def grid_to_honeycomb(g: ConvexGrid, h: Cocirculation) -> Honeycomb:

@@ -210,7 +210,9 @@ class ConvexGrid:
         """Boundary corners+lattice points in anticlockwise order.
 
         Raises NotConvex when the boundary is not a single simple cycle
-        (hole or pinch point).
+        (hole or pinch point).  A pinch is tested once, by degree: every
+        point then has two neighbours, distinct because two lattice points
+        share at most one edge, so the walk leaves each point one way.
         """
         nbr: dict[Point, list[Point]] = {}
         for e in self.boundary_edges:
@@ -224,12 +226,11 @@ class ConvexGrid:
         walk = [start, sorted(nbr[start])[0]]
         while True:
             a, b = walk[-2], walk[-1]
-            nxt = [q for q in nbr[b] if q != a]
-            if len(nxt) != 1:
-                raise NotConvex(f"boundary pinches at {b}")
-            if nxt[0] == start:
+            q, r = nbr[b]
+            nxt = r if q == a else q
+            if nxt == start:
                 break
-            walk.append(nxt[0])
+            walk.append(nxt)
         if len(walk) != len(nbr):
             raise NotConvex("boundary is not a single cycle")
         area2 = sum(_cross(walk[i], walk[(i + 1) % len(walk)]) for i in range(len(walk)))
@@ -396,10 +397,6 @@ def _checked(
         if points is not None:
             points.setdefault((x, y), []).append(t)
     return s
-
-
-def check_cocirculation(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> None:
-    _checked(g, h)
 
 
 def is_concave(g: ConvexGrid, h: Mapping[Edge, Fraction]) -> bool:

@@ -44,6 +44,7 @@ from .spans import (
     frac_point,
     nxt,
     prv,
+    show_point,
     six_weights,
     t_of,
 )
@@ -88,11 +89,16 @@ class Honeycomb:
 
 def divergency(h: Honeycomb, v: Pt) -> int:
     """w_i^+ - w_i^- at ``v``, the same for every class i; an empty slot
-    weighs 0."""
+    weighs 0.
+
+    The one tension check over a vertex's slots: raises AssertionError,
+    also under -O, when the three differ, naming ``v`` in units of the
+    input."""
     divs = [0, 0, 0]
     for (cls, s), e in h.incidence[v].items():
         divs[cls - 1] += e.weight if s == "+" else -e.weight
-    assert divs[0] == divs[1] == divs[2], f"tension violated at {v}"
+    if not divs[0] == divs[1] == divs[2]:
+        raise AssertionError(f"unequal tension {divs} at {show_point(v, h.scale)}")
     return divs[0]
 
 
@@ -155,14 +161,10 @@ class Patch:
 
     def divergency_at(self, p: Pt) -> Optional[int]:
         """The divergency of the canonical form at ``p``, or None where it
-        has no vertex: both follow from the six weights at ``p``."""
+        has no vertex: both follow from the six weights at ``p``.  Raises
+        NotPreHoneycomb, naming ``p``, where those weights break a rule."""
         w6 = six_weights(self.covs, p)
-        try:
-            vertex = _is_vertex(w6, p, self.scale)
-        except NotPreHoneycomb:
-            canonicalize(self.lines, self.scale)  # raises, naming the least violation
-            raise
-        return w6[(1, "+")] - w6[(1, "-")] if vertex else None
+        return w6[(1, "+")] - w6[(1, "-")] if _is_vertex(w6, p, self.scale) else None
 
 
 class _Coverages(dict):
@@ -315,7 +317,7 @@ def _canonical_form(p: Patch) -> Optional[Honeycomb]:
         on_line = {(cls, c // g): [(x // g, y // g) for x, y in vs] for (cls, c), vs in on_line.items()}
         cut = list(slots)
     hc = Honeycomb(supports, scale // g, slots, on_line)
-    if __debug__:  # divergency checks tension by an assert
+    if __debug__:  # the vertex tests passed; check what was cut agrees
         for v in cut:
             assert len(slots[v]) >= 3
             divergency(hc, v)

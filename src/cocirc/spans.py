@@ -84,6 +84,12 @@ def frac_point(p: Pt, scale: int) -> tuple[Fraction, Fraction]:
     return (Fraction(p[0], scale), Fraction(p[1], scale))
 
 
+def show_point(p: Pt, scale: int) -> str:
+    """The point with int coordinates ``p`` in units of ``1/scale``, written
+    as rationals: ``(1/2, 0)``."""
+    return f"({Fraction(p[0], scale)}, {Fraction(p[1], scale)})"
+
+
 class _Span:
     """The methods an ``HLine`` and an ``HEdge`` share: a class-``cls`` line
     ``d_cls = c`` with span ``[lo, hi]`` in the ``t`` parameter.

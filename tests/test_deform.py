@@ -35,7 +35,7 @@ from cocirc.deform import (
     stop_epsilon,
 )
 from cocirc.duality import grid_to_honeycomb
-from cocirc.errors import EpsilonOutOfRange
+from cocirc.errors import EpsilonOutOfRange, NotPreHoneycomb
 from cocirc.grid import random_concave, three_side_grid
 from cocirc.honeycomb import canonicalize, claw, is_prehoneycomb
 from cocirc.integralize import potential
@@ -442,3 +442,39 @@ def test_patch_canonicalize_matches_full_at_every_step(small_corpus):
             steps += 1
             hc = local
     assert steps > 200 and finer > 0 and coarser > 0
+
+
+def test_patch_violation_raises_what_canonicalize_raises():
+    # Systems deformed past the stop, at 3/2, 2, 3 and 5 times its eps,
+    # within the vanish bound and at the honeycomb's own scale, break the
+    # rules on some steps.  The engine then raises from the patch with the
+    # type and message of the full canonicalize; otherwise both give one
+    # honeycomb.
+    violations = agreed = 0
+    for n in range(3, 7):
+        g = three_side_grid(n)
+        for seed in range(4):
+            hc = grid_to_honeycomb(g, random_concave(g, seed, 7))
+            while not potential(hc).settled:
+                path = find_legal_path(hc)
+                pl = orient_cycle_rightward(path) if path.is_cycle else decompose(path)
+                ev = stop_epsilon(hc, pl)
+                for m in (F(3, 2), 2, 3, 5):
+                    try:
+                        ds = build_deformed_system(hc, pl, m * ev.eps)
+                    except EpsilonOutOfRange:
+                        continue
+                    if ds.f > 1:
+                        continue
+                    try:
+                        full = canonicalize(ds.lines, ds.scale)
+                    except NotPreHoneycomb as exc:
+                        with pytest.raises(NotPreHoneycomb) as err:
+                            canonicalize_patch(ds)
+                        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+                        violations += 1
+                    else:
+                        assert canonicalize_patch(ds) == full
+                        agreed += 1
+                hc = canonicalize_patch(build_deformed_system(hc, pl, ev.eps))
+    assert violations > 0 and agreed > 0

@@ -22,7 +22,6 @@ from cocirc.constructions import counterexample_instance, hexagon_instance
 from cocirc.duality import grid_to_honeycomb
 from cocirc.grid import (
     ConvexGrid,
-    check_cocirculation,
     cocirculation_from_quadratic,
     edge_head,
     edge_tail,
@@ -173,7 +172,7 @@ def test_messages_name_values_not_scaled_ints():
     bumped[(0, 0, 1)] += F(1, 3)  # a boundary edge of (True, 0, 0) only
     dropped = dict(h)
     del dropped[(0, 0, 1)]
-    for check in (check_cocirculation, is_concave, tiling_of, grid_to_honeycomb, integralize):
+    for check in (is_concave, tiling_of, grid_to_honeycomb, integralize):
         with pytest.raises(NotACocirculation) as err:
             check(g, bumped)
         assert str(err.value) == "circuit sum 1/3 on face (True, 0, 0)"

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,7 @@ from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NotPreHoneycomb
 from cocirc.grid import random_concave, three_side_grid
 from cocirc.honeycomb import (
+    Patch,
     _patch_of,
     boundary_partition,
     canonicalize,
@@ -113,6 +118,48 @@ def test_degree_six_vertex_divergency_zero():
     hc = canonicalize_rational(both)
     assert len(hc.vertices) == 1 and len(hc.edges) == 6
     assert divergency(hc, ORIGIN) == 0
+
+
+# A hand-built vertex at (1/2, 0), scale 2, with '+' rays of weights 1, 1
+# and 2: divergency refuses it by an explicit raise, so also under -O.
+_UNBALANCED = """
+from cocirc.honeycomb import Honeycomb, divergency, vertices_by_line
+from cocirc.spans import HEdge, dval, t_of
+
+v = (1, 0)
+rays = [HEdge(cls, dval(v, cls), t_of(cls, v), None, w) for cls, w in ((1, 1), (2, 1), (3, 2))]
+hc = Honeycomb({(e.cls, e.c): (e,) for e in rays}, 2, {v: {(e.cls, "+"): e for e in rays}}, vertices_by_line([v]))
+try:
+    print(divergency(hc, v))
+except AssertionError as exc:
+    print(f"AssertionError {exc}")
+"""
+
+
+def test_divergency_raises_on_unequal_tension_under_optimize():
+    src = str(Path(honeycomb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _UNBALANCED],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["AssertionError unequal tension [1, 1, 2] at (1/2, 0)"], flags
+
+
+def test_divergency_at_names_the_point_it_tests():
+    # Two rays added to a claw at the origin break tension at both their
+    # ends; the patch names the point asked about, not the least one.
+    p = Patch(claw(ORIGIN), 1, {}, ((HLine(1, 0, 0, None), 1), (HLine(1, 3, 0, None), 1)))
+    for q, message in (
+        ((3, 0), "unequal tension {1: 1, 2: 0, 3: 0} at (Fraction(3, 1), Fraction(0, 1))"),
+        ((0, 0), "unequal tension {1: 2, 2: 1, 3: 1} at (Fraction(0, 1), Fraction(0, 1))"),
+    ):
+        with pytest.raises(NotPreHoneycomb) as exc:
+            p.divergency_at(q)
+        assert str(exc.value) == message
+    assert p.divergency_at((3, 5)) is None
 
 
 def test_canonicalize_merges_overlapping_segments():

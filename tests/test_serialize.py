@@ -77,6 +77,10 @@ def test_schema_violations():
         grid_from_json({"triangles": [rows[0], *rows]})
     with pytest.raises(SchemaError):
         cocirc_from_json({"edges": [{"a": 0, "b": 0, "dir": 4, "value": "1/2"}]})
+    with pytest.raises(SchemaError, match="^cocirc: edge rows must be objects$"):
+        cocirc_from_json({"edges": [5]})
+    with pytest.raises(SchemaError, match="^edges: edge rows must be objects$"):
+        edge_list_from_json({"edges": [5]})
     # JSON true and 2.0 equal 1 and 2 in Python, but are not integers
     for d in (True, 2.0):
         with pytest.raises(SchemaError, match="'dir' must be 1, 2 or 3"):
