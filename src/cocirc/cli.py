@@ -157,31 +157,35 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _check(ok: bool, what: str) -> None:
+    """Raise AssertionError naming ``what`` unless ``ok``, also under -O."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def _selftest_cases():
     def three_vertex_sample():
         hc = constructions.sample_honeycomb()
-        assert len(hc.vertices) == 3 and len(hc.edges) == 10
-        assert len(hc.boundary) == 7
+        _check([len(hc.vertices), len(hc.edges), len(hc.boundary)] == [3, 10, 7], "not 3 vertices, 10 edges, 7 rays")
         g, h = honeycomb_to_grid(hc)
-        assert grid_to_honeycomb(g, h) == hc
+        _check(grid_to_honeycomb(g, h) == hc, "the round trip changed the honeycomb")
 
     def hexagon_stripes():
         g, h = constructions.hexagon_instance(3)
-        assert h[(1, 0, 1)] == h[(2, 0, 1)] == h[(3, 0, 1)] == Fraction(-1, 3)
-        assert h[(1, -1, 2)] == Fraction(1, 3) and h[(1, -3, 2)] == Fraction(7, 3)
-        assert h[(0, -1, 1)] == Fraction(2, 3)
-        tiles = tiling_of(g, h)
-        assert len(tiles) == 17
+        _check(h[(1, 0, 1)] == h[(2, 0, 1)] == h[(3, 0, 1)] == Fraction(-1, 3), "stripe values not -1/3")
+        _check(h[(1, -1, 2)] == Fraction(1, 3) and h[(1, -3, 2)] == Fraction(7, 3), "values not 1/3 and 7/3")
+        _check(h[(0, -1, 1)] == Fraction(2, 3), "value not 2/3")
+        _check(len(tiling_of(g, h)) == 17, "not 17 tiles")
 
     def rigid_half_integer():
         g, h = constructions.counterexample_instance()
-        assert is_concave(g, h)
+        _check(is_concave(g, h), "instance not concave")
         fixed = [e for e in sorted(g.edges) if h[e].denominator == 1]
-        assert is_vertex(g, h, fixed)
+        _check(is_vertex(g, h, fixed), "instance not a vertex under its integral values")
         out, _ = integralize(g, h)
         o_set, i_set = integer_edge_sets(g, h)
-        assert all(out[e] == h[e] for e in o_set | i_set)
-        assert any(out[e] != h[e] for e in fixed)
+        _check(all(out[e] == h[e] for e in o_set | i_set), "rounding changed an integral edge set")
+        _check(any(out[e] != h[e] for e in fixed), "rounding kept every integral value")
 
     return [
         ("three-vertex honeycomb round trip", three_vertex_sample),

@@ -142,11 +142,9 @@ def fix_boundary(h: Honeycomb) -> Honeycomb:
     """Replace every minus-form ray by a truncated finite edge plus two
     plus-form rays from the nearest integer point on it."""
     s = h.scale
+    rays = {e: e.weight for e in h.boundary if e.ray_sign == "-"}
     lines: list[tuple[HLine, int]] = []
-    for e in h.edges:
-        if not (e.is_ray and e.ray_sign == "-"):
-            lines.append((e, e.weight))
-            continue
+    for e in rays:
         if e.c % s != 0:
             raise NonIntegerTruncationPoint(f"ray coordinate {Fraction(e.c, s)} is fractional")
         # the integer point below a fractional end, one unit below an integral one
@@ -155,7 +153,7 @@ def fix_boundary(h: Honeycomb) -> Honeycomb:
         lines.append((HLine(e.cls, e.c, t_u, e.hi), e.weight))
         for cls2 in (prv(e.cls), nxt(e.cls)):
             lines.append((HLine(cls2, dval(u, cls2), t_of(cls2, u), None), e.weight))
-    return canonicalize(lines, s)
+    return canonicalize(lines, s, h, rays)
 
 
 def fractional_vertex_instance(

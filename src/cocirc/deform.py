@@ -12,9 +12,9 @@ a point, the validity bound) happen at rational times found by solving
 linear equations.  The engine enumerates all candidate times and takes
 the first that triggers a stop.  The deformed system there is the
 honeycomb patched by the path edges taken off and the lines added, and
-``canonicalize_patch`` redoes only what that patch touches, with the one
-canonical-form engine of ``cocirc.honeycomb``: every other vertex keeps
-its incidence and every other support its edges.
+``canonicalize`` of that base and delta redoes only what the patch
+touches: every other vertex keeps its incidence and every other support
+its edges, whatever the step does to the scale.
 
 Coordinates are the honeycomb's ints in units of ``1/scale``.  Every rate
 is -1, 0 or +1, so every candidate time is a multiple of ``1/(2*scale)``.
@@ -30,7 +30,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import EpsilonOutOfRange
-from .honeycomb import Honeycomb, Patch, _canonical_form, canonicalize
+from .honeycomb import Honeycomb, Patch, canonicalize
 from .paths import LegalPath, TURN_LEFT, TURN_RIGHT
 from .spans import HEdge, HLine, Pt, dval, is_integral_point, nxt, t_of
 
@@ -354,19 +354,6 @@ def orient_cycle_rightward(p: LegalPath) -> PathLines:
     return pl
 
 
-def canonicalize_patch(p: Patch) -> Honeycomb:
-    """``canonicalize(p.lines, p.scale)``, redone only where ``p`` changes
-    coverage.
-
-    A violation raises from the engine, with the message ``canonicalize``
-    gives: the base keeps its rules, so the least violation lies where
-    ``p`` changes coverage.  Only a step that changes the scale, finer
-    (``p.f > 1``) or coarser, is canonicalized from the empty honeycomb.
-    """
-    h = _canonical_form(p) if p.f == 1 else None
-    return canonicalize(p.lines, p.scale) if h is None else h
-
-
 def deform(h: Honeycomb, p: LegalPath, direction: str = TURN_RIGHT) -> tuple[Honeycomb, StopEvent]:
     """Apply the stopping-parameter deformation and canonicalize; a left
     deformation is the right deformation of the reversed path."""
@@ -374,4 +361,5 @@ def deform(h: Honeycomb, p: LegalPath, direction: str = TURN_RIGHT) -> tuple[Hon
         p = p.reversed()
     pl = orient_cycle_rightward(p) if p.is_cycle else decompose(p)
     ev = stop_epsilon(h, pl)
-    return canonicalize_patch(build_deformed_system(h, pl, ev.eps)), ev
+    ds = build_deformed_system(h, pl, ev.eps)
+    return canonicalize(ds.added, ds.scale, h, ds.removed), ev

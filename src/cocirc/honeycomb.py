@@ -12,9 +12,10 @@ by the scale.  Points, spans, edges and coverages are those of
 One engine builds every canonical form.  A ``Patch`` is a honeycomb plus
 a delta, the edges taken off and the lines added, and
 ``_canonical_form`` tests again only the points that the delta covers
-and cuts again only the lines it changes.  ``canonicalize`` is the patch
-that adds a whole system to the empty honeycomb, and ``is_prehoneycomb``
-runs the engine's vertex phase alone.
+and cuts again only the lines it changes.  ``canonicalize`` is that
+patch of a given base, the empty honeycomb by default; ``_rescaled`` is
+the one pass that changes a scale, and ``is_prehoneycomb`` runs the
+engine's vertex phase alone.
 """
 
 from __future__ import annotations
@@ -133,8 +134,7 @@ class Patch:
     each less the weight ``removed`` takes off it, plus the ``added``
     lines: a system in ints in units of ``1/scale``, ``scale = base.scale
     * f``.  A support is dirty when a removed edge or an added line lies on
-    it.  Any system is the patch that adds it to the empty honeycomb
-    (``_patch_of``)."""
+    it."""
 
     base: Honeycomb
     f: int
@@ -264,27 +264,38 @@ def _vertex_phase(p: Patch) -> tuple[set[Pt], list[Pt]]:
     return gone, [q for q in sorted(pts) if _is_vertex(six_weights(covs, q), q, scale)]
 
 
-def _canonical_form(p: Patch) -> Optional[Honeycomb]:
-    """The canonical form of ``p``, or None where its least scale is
-    coarser than that of a base with vertices.  ``p.f`` is 1.
+def _rescaled(h: Honeycomb, m: int, d: int) -> tuple[Honeycomb, dict[HEdge, HEdge]]:
+    """``h`` with every coordinate multiplied by ``m`` and divided by ``d``,
+    which divides them all, and the edge each edge of ``h`` becomes; every
+    dict and list keeps its order."""
+
+    def x(t: Optional[int]) -> Optional[int]:
+        return None if t is None else t * m // d
+
+    moved = {e: HEdge(e.cls, x(e.c), x(e.lo), x(e.hi), e.weight) for es in h.supports.values() for e in es}
+    supports = {(cls, x(c)): tuple(moved[e] for e in es) for (cls, c), es in h.supports.items()}
+    incidence = {(x(a), x(b)): {s: moved[e] for s, e in vs.items()} for (a, b), vs in h.incidence.items()}
+    on_line = {(cls, x(c)): [(x(a), x(b)) for a, b in vs] for (cls, c), vs in h.on_line.items()}
+    return Honeycomb(supports, x(h.scale), incidence, on_line), moved
+
+
+def _canonical_form(p: Patch) -> Honeycomb:
+    """The canonical form of ``p``, at its least scale.  ``p.f`` is 1.
 
     Only the touched supports, dirty or through a vertex that appeared or
     vanished, are cut again, in sorted order, so that the least violation
     raises first; the other supports keep their edges, and the vertices
-    off touched lines their incidence.  From the empty base the result
-    comes at its least scale.
+    off touched lines their incidence.  Where the vertices allow a coarser
+    scale, the form is divided down by ``_rescaled``.
     """
     h, scale, covs = p.base, p.scale, p.covs
     gone, fresh = _vertex_phase(p)
     if not fresh and len(gone) == len(h.incidence):
         raise NotPreHoneycomb("covered set has no vertex")
-    # The least scale of the vertices.  A base with vertices keeps its
-    # own: where the vertices left allow a coarser one, None.
+    # The least scale; the kept vertices are read only if the fresh allow it.
     g = gcd(scale, *chain.from_iterable(fresh))
-    if g > 1 and h.incidence:
-        if gcd(g, *chain.from_iterable(v for v in h.incidence if v not in gone)) > 1:
-            return None
-        g = 1
+    if g > 1:
+        g = gcd(g, *chain.from_iterable(v for v in h.incidence if v not in gone))
     touched = {*covs.added, *covs.removed}
     for q in gone.symmetric_difference(fresh):
         touched.update(_lines_through(q))
@@ -310,34 +321,37 @@ def _canonical_form(p: Patch) -> Optional[Honeycomb]:
         if (cov := covs.get(key)) is not None:
             cls, vs = key[0], on_line.get(key, [])
             at = [(t_of(cls, v), v) for v in (vs[::-1] if cls == 2 else vs)]  # t order
-            if edges := _cut(cls, key[1], cov, at, g, scale, slots):
-                supports[(cls, key[1] // g)] = edges
-    if g > 1:  # from the empty base, so every vertex was cut
-        slots = {(v[0] // g, v[1] // g): vs for v, vs in slots.items()}
-        on_line = {(cls, c // g): [(x // g, y // g) for x, y in vs] for (cls, c), vs in on_line.items()}
-        cut = list(slots)
-    hc = Honeycomb(supports, scale // g, slots, on_line)
+            if edges := _cut(cls, key[1], cov, at, 1, scale, slots):
+                supports[key] = edges
+    hc = Honeycomb(supports, scale, slots, on_line)
     if __debug__:  # the vertex tests passed; check what was cut agrees
         for v in cut:
             assert len(slots[v]) >= 3
             divergency(hc, v)
-    return hc
+    return hc if g == 1 else _rescaled(hc, 1, g)[0]
 
 
-def canonicalize(system: XiSystem, scale: int) -> Honeycomb:
-    """The unique honeycomb with the same ray weights everywhere: the
-    canonical form of ``system`` added to the empty honeycomb.
+def canonicalize(system: XiSystem, scale: int, base: Optional[Honeycomb] = None, removed=None) -> Honeycomb:
+    """The unique honeycomb with the same ray weights everywhere as
+    ``base`` (empty by default), less the weight ``removed`` takes off
+    each of its edges, plus ``system``.
 
     Vertices are the points with at least three nonzero ray weights; edges
     are the maximal covered stretches between them.  Raises
-    NotPreHoneycomb when the system violates nonnegativity or tension, and
+    NotPreHoneycomb when the whole violates nonnegativity or tension, and
     when the covered set has a fully infinite line or no vertex at all.
 
-    The coordinates of ``system`` are ints in units of ``1/scale``.  The
-    result has the least scale that holds its vertices, and so all of its
-    edges.
+    ``system`` is in ints in units of ``1/scale``, a multiple of
+    ``base.scale``.  The result has the least scale that holds its
+    vertices, and so all of its edges.
     """
-    return _canonical_form(_patch_of(system, scale))
+    removed = removed or {}
+    if base is None:
+        base = Honeycomb({}, scale, {}, {})
+    elif base.scale != scale:
+        base, moved = _rescaled(base, scale // base.scale, 1)
+        removed = {moved[e]: n for e, n in removed.items()}
+    return _canonical_form(Patch(base, 1, removed, tuple(system)))
 
 
 def is_prehoneycomb(system: XiSystem) -> bool:
@@ -387,7 +401,7 @@ def nonintegral_sets(h: Honeycomb) -> tuple[frozenset[Pt], frozenset[HEdge]]:
 def honeycomb_sum(a: Honeycomb, b: Honeycomb) -> Honeycomb:
     """Canonical form of the union system; always a pre-honeycomb."""
     scale = lcm(a.scale, b.scale)
-    return canonicalize([(e.scaled(scale // h.scale), e.weight) for h in (a, b) for e in h.edges], scale)
+    return canonicalize([(e.scaled(scale // b.scale), e.weight) for e in b.edges], scale, a)
 
 
 def claw_lines(center: tuple[Fraction, Fraction], weight: int, sign: str, scale: int) -> XiSystem:

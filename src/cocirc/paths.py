@@ -134,7 +134,6 @@ def find_legal_path(h: Honeycomb) -> LegalPath:
                 assert e2 is not None, "no free dominating partner"
             else:
                 e2 = h.incidence[v][(e.cls, OPPOSITE[e.sign_at(v)])]
-                assert e2.c % h.scale
         assert is_legal_pair(h, v, e, e2, doms)
 
         j = left_from.get((e2, v))

@@ -219,10 +219,7 @@ def honeycomb_from_json(doc: Any) -> Honeycomb:
             raise SchemaError("honeycomb: 'kind' must be 'finite' or 'ray'")
         rows.append((cls, c, lo, hi, w, r))
     scale = lcm(*(r for *_, r in rows))
-    lines = []
-    for cls, c, lo, hi, w, r in rows:
-        k = scale // r
-        lines.append((HLine(cls, c * k, None if lo is None else lo * k, None if hi is None else hi * k), w))
+    lines = [(HLine(cls, c, lo, hi).scaled(scale // r), w) for cls, c, lo, hi, w, r in rows]
     try:
         return canonicalize(lines, scale)
     except (NotPreHoneycomb, AssertionError) as ex:

@@ -231,6 +231,28 @@ def test_selftest_under_optimize():
     assert proc.stdout.count("PASS") == 3
 
 
+def test_selftest_fails_on_broken_rounding_under_optimize():
+    # Every selftest check raises explicitly, so a rounding that changes
+    # nothing fails the table with and without -O, and names what failed.
+    src = str(Path(cocirc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import cocirc.cli as cli\n"
+        "cli.integralize = lambda g, h: (dict(h), [])\n"
+        "raise SystemExit(cli.main(['selftest']))\n"
+    )
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 1, flags
+        assert proc.stdout.splitlines() == [
+            "PASS  three-vertex honeycomb round trip",
+            "PASS  hexagon k=3 stripe values",
+            "FAIL (AssertionError: rounding kept every integral value)  rigid half-integer instance",
+        ], flags
+
+
 def test_cli_documents_are_pinned(tmp_path, capsys):
     # A change that only makes reading or writing documents faster must
     # leave every byte the commands write, and every exit code, as it is.

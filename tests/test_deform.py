@@ -27,7 +27,6 @@ from cocirc.deform import (
     _candidates,
     _meet_time,
     build_deformed_system,
-    canonicalize_patch,
     decompose,
     deform,
     orient_cycle_rightward,
@@ -430,7 +429,7 @@ def test_patch_canonicalize_matches_full_at_every_step(small_corpus):
             assert ev == reference_stop_epsilon(hc, pl)
             ds = build_deformed_system(hc, pl, ev.eps)
             full = canonicalize(ds.lines, ds.scale)
-            local = canonicalize_patch(ds)
+            local = canonicalize(ds.added, ds.scale, hc, ds.removed)
             assert (local.vertices, local.edges, local.scale) == (full.vertices, full.edges, full.scale)
             assert local.supports == full.supports and local == full
             assert all(local.supports.values()) and all(full.supports.values())  # no empty support
@@ -446,11 +445,11 @@ def test_patch_canonicalize_matches_full_at_every_step(small_corpus):
 
 def test_patch_violation_raises_what_canonicalize_raises():
     # Systems deformed past the stop, at 3/2, 2, 3 and 5 times its eps,
-    # within the vanish bound and at the honeycomb's own scale, break the
-    # rules on some steps.  The engine then raises from the patch with the
-    # type and message of the full canonicalize; otherwise both give one
-    # honeycomb.
-    violations = agreed = 0
+    # within the vanish bound, break the rules on some steps.  The engine
+    # then raises from the patch with the type and message of the full
+    # canonicalize; otherwise both give one honeycomb.  Finer systems are
+    # checked too: the base is brought up to their scale first.
+    violations = agreed = finer = 0
     for n in range(3, 7):
         g = three_side_grid(n)
         for seed in range(4):
@@ -464,17 +463,17 @@ def test_patch_violation_raises_what_canonicalize_raises():
                         ds = build_deformed_system(hc, pl, m * ev.eps)
                     except EpsilonOutOfRange:
                         continue
-                    if ds.f > 1:
-                        continue
+                    finer += ds.f > 1
                     try:
                         full = canonicalize(ds.lines, ds.scale)
                     except NotPreHoneycomb as exc:
                         with pytest.raises(NotPreHoneycomb) as err:
-                            canonicalize_patch(ds)
+                            canonicalize(ds.added, ds.scale, hc, ds.removed)
                         assert (type(err.value), str(err.value)) == (type(exc), str(exc))
                         violations += 1
                     else:
-                        assert canonicalize_patch(ds) == full
+                        assert canonicalize(ds.added, ds.scale, hc, ds.removed) == full
                         agreed += 1
-                hc = canonicalize_patch(build_deformed_system(hc, pl, ev.eps))
-    assert violations > 0 and agreed > 0
+                ds = build_deformed_system(hc, pl, ev.eps)
+                hc = canonicalize(ds.added, ds.scale, hc, ds.removed)
+    assert violations > 0 and agreed > 0 and finer > 0

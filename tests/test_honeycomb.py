@@ -33,6 +33,7 @@ from cocirc.grid import random_concave, three_side_grid
 from cocirc.honeycomb import (
     Patch,
     _patch_of,
+    _rescaled,
     boundary_partition,
     canonicalize,
     claw,
@@ -404,6 +405,35 @@ def test_sum_commutative_associative():
     c = dual_grid_honeycomb(1)
     assert honeycomb_sum(a, b) == honeycomb_sum(b, a)
     assert honeycomb_sum(honeycomb_sum(a, b), c) == honeycomb_sum(a, honeycomb_sum(b, c))
+
+
+def test_sum_is_the_canonical_form_of_the_union():
+    # honeycomb_sum patches its first summand with the second's edges;
+    # the full canonicalize of both edge lists gives the same honeycomb.
+    for seed in range(30):
+        a, b = random_honeycomb(seed), random_honeycomb(seed + 30)
+        scale = lcm(a.scale, b.scale)
+        union = [(e.scaled(scale // h.scale), e.weight) for h in (a, b) for e in h.edges]
+        full = canonicalize(union, scale)
+        s = honeycomb_sum(a, b)
+        assert s == full and s.incidence == full.incidence and s.on_line == full.on_line
+
+
+def test_rescaled_up_and_down_gives_back_the_honeycomb(small_corpus):
+    honeycombs = _instance_honeycombs(small_corpus)[::3] + [random_honeycomb(seed) for seed in range(10)]
+    for hc in honeycombs:
+        for k in (2, 3, 7):
+            up, moved = _rescaled(hc, k, 1)
+            assert up.scale == hc.scale * k and set(moved) == set(hc.edges)
+            assert all(moved[e] == HEdge(*e.scaled(k), e.weight) for e in hc.edges)
+            back, _ = _rescaled(up, 1, k)
+            assert back == hc and back.supports == hc.supports and back.incidence == hc.incidence
+            # every dict and list in the same order
+            assert list(back.supports) == list(hc.supports)
+            assert [(v, list(slots)) for v, slots in back.incidence.items()] == [
+                (v, list(slots)) for v, slots in hc.incidence.items()
+            ]
+            assert list(back.on_line.items()) == list(hc.on_line.items())
 
 
 def _instance_honeycombs(small_corpus):

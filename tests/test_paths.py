@@ -68,6 +68,51 @@ def benzene_cycle(base=(F(1, 3), F(1, 3)), scale=F(1)):
     return hc, path
 
 
+def spent_budget_honeycomb():
+    """Six claw and anticlaw corners, ``v`` and ``u`` joined by an edge of
+    weight 2, and a loop from ``u`` back onto that edge from beyond ``u``.
+    Returns the honeycomb and ``v`` and ``u`` in its ints."""
+    third = F(1, 3)
+    v, u, p1, p2, p3, p4 = [(third * a, third * b) for a, b in ((2, 1), (0, 1), (-6, 7), (-8, 7), (-8, 3), (-6, 1))]
+
+    def seg(cls, a, b):
+        return (HLine(cls, dval(a, cls), *sorted((t_of(cls, a), t_of(cls, b)))), 1)
+
+    def ray(cls, a, sign):
+        t = t_of(cls, a)
+        return (HLine(cls, dval(a, cls), *((t, None) if sign == "+" else (None, t))), 1)
+
+    lines = [
+        ray(1, v, "+"), ray(3, v, "+"), seg(2, p4, v),  # claw at v, its class-2 ray cut at p4
+        ray(1, u, "-"), ray(2, u, "-"), seg(3, u, p1),  # anticlaw at u
+        ray(1, p1, "+"), seg(2, p1, p2),  # claw at p1
+        seg(1, p2, p3), ray(3, p2, "-"),  # anticlaw at p2
+        ray(2, p3, "+"), seg(3, p3, p4),  # claw at p3
+        ray(1, p4, "-"),  # anticlaw at p4
+    ]
+    hc = canonicalize_rational(lines)
+    return hc, at_scale(hc, v), at_scale(hc, u)
+
+
+def test_dominating_edge_goes_straight_once_its_bend_budget_is_spent():
+    # The path enters v on its one nonintegral class-1 ray and bends onto
+    # the weight-2 edge to u, spending v's budget of |divergency| = 1.
+    # It bends at u and at the four loop corners, comes back to u from
+    # beyond it on the same line, passes straight, and reaches v again on
+    # that dominating edge: all of v's bends use it, so the path goes on
+    # straight through its opposite slot, out along the ray.
+    hc, v, u = spent_budget_honeycomb()
+    assert (hc.scale, divergency(hc, v), divergency(hc, u)) == (3, 1, -1)
+    p = find_legal_path(hc)
+    check_legal_path(hc, p)
+    vu = p.edges[1]
+    assert (vu.cls, vu.weight, set(vu.ends())) == (2, 2, {v, u})
+    assert p.verts[:3] == (None, v, u) and p.verts[-3:] == (u, v, None)
+    assert not p.is_cycle and len(p.edges) == 9 and p.edges[7] == vu
+    assert [i for i in p.bend_positions if p.verts[i] == v] == [1]  # the last visit goes straight
+    assert p.edges[8] == hc.incidence[v][(2, "-")] and p.edges[8].is_ray
+
+
 def test_dominating_edges_balanced_vertex():
     both = canonicalize_rational(frac_lines(claw((F(0), F(0)))) + frac_lines(claw((F(0), F(0)), sign="-")))
     assert dominating_edges(both, (F(0), F(0))) == frozenset()
