@@ -10,11 +10,11 @@ events (end line reaching an integer coordinate, opposite-sign vertices
 merging, a moving line capturing an integral vertex, a piece shrinking to
 a point, the validity bound) happen at rational times found by solving
 linear equations.  The engine enumerates all candidate times and takes
-the first that triggers a stop.  The deformed system there is the
-honeycomb patched by the path edges taken off and the lines added, and
-``canonicalize`` of that base and delta redoes only what the patch
-touches: every other vertex keeps its incidence and every other support
-its edges, whatever the step does to the scale.
+the first that triggers a stop, reading a meet off the path alone.  The
+deformed system there is the honeycomb, at the stop's scale, patched by
+the path edges taken off and the lines added, and ``canonicalize`` of
+that base and delta redoes only what the patch touches: every other
+vertex keeps its incidence and every other support its edges.
 
 Coordinates are the honeycomb's ints in units of ``1/scale``.  Every rate
 is -1, 0 or +1, so every candidate time is a multiple of ``1/(2*scale)``.
@@ -30,7 +30,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import EpsilonOutOfRange
-from .honeycomb import Honeycomb, Patch, canonicalize
+from .honeycomb import Honeycomb, Patch, _patch_of, canonicalize, divergency
 from .paths import LegalPath, TURN_LEFT, TURN_RIGHT
 from .spans import HEdge, HLine, Pt, dval, is_integral_point, nxt, t_of
 
@@ -84,6 +84,11 @@ class Bend:
     @property
     def third_cls(self) -> int:
         return 6 - self.cls_in - self.cls_out
+
+    @property
+    def div(self) -> int:
+        """The dominating sign as +1 or -1: the moving copy's divergency."""
+        return 1 if self.sign == "+" else -1
 
     def shifted(self, eps: int, f: int = 1) -> Pt:
         """The moved copy of the vertex, with the vertex's coordinates
@@ -196,7 +201,8 @@ def _moved_line_span(
 def build_deformed_system(h: Honeycomb, pl: PathLines, eps) -> Patch:
     """Background with path copies removed, moved copies, and bend stubs,
     at the least multiple of ``h.scale`` that holds the rational ``eps``:
-    ``h`` patched by the path's edges and the lines added."""
+    ``h``, brought up to that scale, patched by the path's edges and the
+    lines added."""
     eps = Fraction(eps)
     f = eps.denominator // gcd(eps.denominator, h.scale)
     scale = h.scale * f
@@ -221,7 +227,7 @@ def build_deformed_system(h: Honeycomb, pl: PathLines, eps) -> Patch:
             ta, tb = f * t_of(cls, b.vertex), t_of(cls, b.shifted(units, f))
             lo, hi = min(ta, tb), max(ta, tb)
             lines.append((HLine(cls, c, lo, hi), 1 if b.turn == TURN_RIGHT else -1))
-    return Patch(h, f, used, tuple(lines))
+    return _patch_of(lines, scale, h, used)
 
 
 def _meet_time(u: Pt, mu: Pt, v: Pt, mv: Pt) -> Optional[int]:
@@ -292,19 +298,27 @@ def _candidates(h: Honeycomb, pl: PathLines) -> dict[int, list[tuple]]:
     return candidates
 
 
+def _meet_divergency(h: Honeycomb, pl: PathLines, p) -> int:
+    """The divergency just before a meet at the moving copy of the bend
+    ``p`` or at the stationary vertex ``p``.  Only the bend's moved lines
+    and stub end at its copy then (base and path edges end at base
+    vertices, and copies meet only at candidate times), so it is the
+    bend's ``div``.  A stationary vertex loses the ``div`` of each bend
+    the path makes there; a straight pass cancels."""
+    return p.div if isinstance(p, Bend) else divergency(h, p) - sum(b.div for b in pl.bends if b.vertex == p)
+
+
 def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
     """First parameter at which the rightward motion must stop.
 
-    Times run in units of ``1/(2*h.scale)``.  A meet is tested in the
-    middle of its interval, on the six weights of the deformed system at
-    the two meeting points: a point is a vertex of the canonical form, and
-    has its divergency, exactly when those weights make it one.
+    Times run in units of ``1/(2*h.scale)``.  A meet stops the motion when
+    its two points have divergencies of opposite signs just before it (a
+    point of nonzero divergency is a vertex), read off the path by
+    ``_meet_divergency``: no deformed system is built.
     """
     candidates = _candidates(h, pl)
-    prev = 0
     for k in sorted(candidates):
         kinds: set[str] = set()
-        mid_sys: Optional[Patch] = None  # the system in the middle of (prev, k)
         for tag in candidates[k]:
             if tag[0] == "eps0":
                 kinds.add(STOP_LINE_VANISHED)
@@ -319,14 +333,7 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
                 # copy ends the moved copies of its lines, so the sweep
                 # tags of those lines already report an integral pb.
                 _, pa, pb = tag
-                if mid_sys is None:
-                    mid_sys = build_deformed_system(h, pl, Fraction(prev + k, 4 * h.scale))
-                    f = mid_sys.f
-                    units = (prev + k) * f // 4  # the parameter in units of 1/mid_sys.scale
-                qb = pb.shifted(units, f) if isinstance(pb, Bend) else (f * pb[0], f * pb[1])
-                da = mid_sys.divergency_at(pa.shifted(units, f))
-                db = None if da is None else mid_sys.divergency_at(qb)
-                if db is not None and da * db < 0:
+                if pa.div * _meet_divergency(h, pl, pb) < 0:
                     kinds.add(STOP_OPPOSITE_MERGE)
                     # Validity-bound flavours: a negative stub running off
                     # its covering edge, or two negative stubs colliding.
@@ -335,7 +342,6 @@ def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
                         kinds.add(STOP_VALIDITY_BOUND)
         if kinds:
             return StopEvent(Fraction(k, 2 * h.scale), tuple(sorted(kinds)))
-        prev = k
     raise AssertionError("no stopping event found")
 
 
@@ -362,4 +368,4 @@ def deform(h: Honeycomb, p: LegalPath, direction: str = TURN_RIGHT) -> tuple[Hon
     pl = orient_cycle_rightward(p) if p.is_cycle else decompose(p)
     ev = stop_epsilon(h, pl)
     ds = build_deformed_system(h, pl, ev.eps)
-    return canonicalize(ds.added, ds.scale, h, ds.removed), ev
+    return canonicalize(ds.added, ds.scale, ds.base, ds.removed), ev

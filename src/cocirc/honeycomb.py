@@ -10,12 +10,12 @@ by the scale.  Points, spans, edges and coverages are those of
 ``cocirc.spans``.
 
 One engine builds every canonical form.  A ``Patch`` is a honeycomb plus
-a delta, the edges taken off and the lines added, and
-``_canonical_form`` tests again only the points that the delta covers
-and cuts again only the lines it changes.  ``canonicalize`` is that
-patch of a given base, the empty honeycomb by default; ``_rescaled`` is
-the one pass that changes a scale, and ``is_prehoneycomb`` runs the
-engine's vertex phase alone.
+a delta, the edges taken off and the lines added, and ``_canonical_form``
+tests again only the points that the delta covers and cuts again only
+the lines it changes.  ``_patch_of`` builds every patch, of the empty
+honeycomb by default, and ``canonicalize`` is its canonical form;
+``_rescaled`` is the one pass that changes a scale, and
+``is_prehoneycomb`` runs the engine's vertex phase alone.
 """
 
 from __future__ import annotations
@@ -124,26 +124,20 @@ def vertices_by_line(verts) -> dict[tuple[int, int], list[Pt]]:
     return on_line
 
 
-def _times(x: Optional[int], f: int) -> Optional[int]:
-    return None if x is None else x * f
-
-
 @dataclass(frozen=True)
 class Patch:
-    """The edges of ``base`` with every coordinate multiplied by ``f``,
-    each less the weight ``removed`` takes off it, plus the ``added``
-    lines: a system in ints in units of ``1/scale``, ``scale = base.scale
-    * f``.  A support is dirty when a removed edge or an added line lies on
-    it."""
+    """The edges of ``base``, each less the weight ``removed`` takes off
+    it, plus the ``added`` lines: a system in ints in units of
+    ``1/base.scale``.  A support is dirty when a removed edge or an added
+    line lies on it.  ``_patch_of`` builds every patch."""
 
     base: Honeycomb
-    f: int
     removed: dict[HEdge, int]
     added: tuple[tuple[HLine, int], ...]
 
     @property
     def scale(self) -> int:
-        return self.base.scale * self.f
+        return self.base.scale
 
     @cached_property
     def lines(self) -> tuple[tuple[HLine, int], ...]:
@@ -152,19 +146,12 @@ class Patch:
         for e in chain.from_iterable(self.base.supports.values()):
             w = e.weight - self.removed.get(e, 0)
             if w > 0:
-                out.append((e if self.f == 1 else e.scaled(self.f), w))
+                out.append((e, w))
         return (*out, *self.added)
 
     @cached_property
     def covs(self) -> _Coverages:
         return _Coverages(self)
-
-    def divergency_at(self, p: Pt) -> Optional[int]:
-        """The divergency of the canonical form at ``p``, or None where it
-        has no vertex: both follow from the six weights at ``p``.  Raises
-        NotPreHoneycomb, naming ``p``, where those weights break a rule."""
-        w6 = six_weights(self.covs, p)
-        return w6[(1, "+")] - w6[(1, "-")] if _is_vertex(w6, p, self.scale) else None
 
 
 class _Coverages(dict):
@@ -179,7 +166,6 @@ class _Coverages(dict):
         super().__init__()
         # No reference back to the patch: it would make a cycle that keeps
         # each step's honeycomb alive until the cyclic collector runs.
-        f = self.f = p.f
         self.supports = p.base.supports
         # dirty support -> its added lines ``(line, w)``, and the
         # ``(lo, hi, -n)`` of the weight removed from it
@@ -189,14 +175,12 @@ class _Coverages(dict):
                 self.added.setdefault((line.cls, line.c), []).append((line, w))
         self.removed: dict[Key, list] = {}
         for e, n in p.removed.items():
-            self.removed.setdefault((e.cls, e.c * f), []).append((_times(e.lo, f), _times(e.hi, f), -n))
+            self.removed.setdefault((e.cls, e.c), []).append((e.lo, e.hi, -n))
 
     def __missing__(self, key: Key) -> Optional[_Coverage]:
-        (cls, c), f = key, self.f
         iv = [(line.lo, line.hi, w) for line, w in self.added.get(key, ())]
         iv += self.removed.get(key, ())
-        if c % f == 0 and (es := self.supports.get((cls, c // f))):  # the base edges on it
-            iv += [(_times(e.lo, f), _times(e.hi, f), e.weight) for e in es]
+        iv += [(e.lo, e.hi, e.weight) for e in self.supports.get(key, ())]  # the base edges on it
         cov = self[key] = _Coverage(iv) if iv else None
         return cov
 
@@ -219,14 +203,9 @@ def _clip(spans: list, lines: list) -> list:
     return out
 
 
-def _patch_of(system: XiSystem, scale: int) -> Patch:
-    """``system``, in units of ``1/scale``, added to the empty honeycomb."""
-    return Patch(Honeycomb({}, scale, {}, {}), 1, {}, tuple(system))
-
-
 def _vertex_phase(p: Patch) -> tuple[set[Pt], list[Pt]]:
     """The base vertices whose status ``p`` may change (``gone``), and the
-    vertices of its canonical form there (``fresh``), sorted.  ``p.f`` is 1.
+    vertices of its canonical form there (``fresh``), sorted.
 
     A point keeps its six weights, so its vertex status, unless a removed
     edge or an added line covers it.  The candidates are therefore the
@@ -279,8 +258,22 @@ def _rescaled(h: Honeycomb, m: int, d: int) -> tuple[Honeycomb, dict[HEdge, HEdg
     return Honeycomb(supports, x(h.scale), incidence, on_line), moved
 
 
+def _patch_of(system: XiSystem, scale: int, base: Optional[Honeycomb] = None, removed=None) -> Patch:
+    """``system``, in ints in units of ``1/scale``, added to ``base`` (the
+    empty honeycomb by default) less the weight ``removed`` takes off each
+    of its edges.  A coarser base is brought up to ``scale`` first, by
+    ``_rescaled``, and ``removed`` follows its edges there."""
+    removed = removed or {}
+    if base is None:
+        base = Honeycomb({}, scale, {}, {})
+    elif base.scale != scale:
+        base, moved = _rescaled(base, scale // base.scale, 1)
+        removed = {moved[e]: n for e, n in removed.items()}
+    return Patch(base, removed, tuple(system))
+
+
 def _canonical_form(p: Patch) -> Honeycomb:
-    """The canonical form of ``p``, at its least scale.  ``p.f`` is 1.
+    """The canonical form of ``p``, at its least scale.
 
     Only the touched supports, dirty or through a vertex that appeared or
     vanished, are cut again, in sorted order, so that the least violation
@@ -345,13 +338,7 @@ def canonicalize(system: XiSystem, scale: int, base: Optional[Honeycomb] = None,
     ``base.scale``.  The result has the least scale that holds its
     vertices, and so all of its edges.
     """
-    removed = removed or {}
-    if base is None:
-        base = Honeycomb({}, scale, {}, {})
-    elif base.scale != scale:
-        base, moved = _rescaled(base, scale // base.scale, 1)
-        removed = {moved[e]: n for e, n in removed.items()}
-    return _canonical_form(Patch(base, 1, removed, tuple(system)))
+    return _canonical_form(_patch_of(system, scale, base, removed))
 
 
 def is_prehoneycomb(system: XiSystem) -> bool:

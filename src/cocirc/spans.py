@@ -90,6 +90,11 @@ def show_point(p: Pt, scale: int) -> str:
     return f"({Fraction(p[0], scale)}, {Fraction(p[1], scale)})"
 
 
+def show_line(cls: int, c: int, scale: int) -> str:
+    """The line ``d_cls = c``, ``c`` in units of ``1/scale``: ``(1, 1/2)``."""
+    return f"({cls}, {Fraction(c, scale)})"
+
+
 class _Span:
     """The methods an ``HLine`` and an ``HEdge`` share: a class-``cls`` line
     ``d_cls = c`` with span ``[lo, hi]`` in the ``t`` parameter.
@@ -289,7 +294,7 @@ def _check_full_lines(covs, scale: int) -> None:
     """Raise NotPreHoneycomb on a line without ends whose coverage is negative."""
     for (cls, c), cov in covs:
         if not cov.ts and cov.base < 0:
-            raise NotPreHoneycomb(f"negative ray weight along {(cls, Fraction(c, scale))}")
+            raise NotPreHoneycomb(f"negative ray weight along {show_line(cls, c, scale)}")
 
 
 def _is_vertex(w6: dict[tuple[int, str], int], p: Pt, scale: int) -> bool:
@@ -302,10 +307,10 @@ def _is_vertex(w6: dict[tuple[int, str], int], p: Pt, scale: int) -> bool:
     """
     ws = list(w6.values())
     if min(ws) < 0:
-        raise NotPreHoneycomb(f"negative ray weight at {frac_point(p, scale)}")
-    divs = {cls: w6[(cls, "+")] - w6[(cls, "-")] for cls in (1, 2, 3)}
-    if not divs[1] == divs[2] == divs[3]:
-        raise NotPreHoneycomb(f"unequal tension {divs} at {frac_point(p, scale)}")
+        raise NotPreHoneycomb(f"negative ray weight at {show_point(p, scale)}")
+    divs = [w6[(cls, "+")] - w6[(cls, "-")] for cls in (1, 2, 3)]
+    if not divs[0] == divs[1] == divs[2]:
+        raise NotPreHoneycomb(f"unequal tension {divs} at {show_point(p, scale)}")
     return ws.count(0) <= 3
 
 
@@ -320,7 +325,7 @@ def _cut(cls: int, c, cov: _Coverage, at: list, g: int, scale: int, slots) -> tu
     """
     if not at:
         if cov.base != 0 or any(v != 0 for v in cov.vals):
-            raise NotPreHoneycomb(f"fully infinite covered line {(cls, Fraction(c, scale))}")
+            raise NotPreHoneycomb(f"fully infinite covered line {show_line(cls, c, scale)}")
         return ()
     edges = []
     cuts = [(None, None), *at, (None, None)]
@@ -329,9 +334,9 @@ def _cut(cls: int, c, cov: _Coverage, at: list, g: int, scale: int, slots) -> tu
         if w == 0:
             continue
         if w < 0:
-            raise NotPreHoneycomb(f"negative coverage on {(cls, Fraction(c, scale))}")
+            raise NotPreHoneycomb(f"negative coverage on {show_line(cls, c, scale)}")
         if not cov.constant_on(a, b):
-            raise NotPreHoneycomb(f"coverage step without a vertex on {(cls, Fraction(c, scale))}")
+            raise NotPreHoneycomb(f"coverage step without a vertex on {show_line(cls, c, scale)}")
         e = HEdge(cls, c // g, None if a is None else a // g, None if b is None else b // g, w)
         edges.append(e)
         if va is not None:

@@ -569,6 +569,23 @@ def reference_stop_epsilon(h, pl):
     raise AssertionError("no stopping event found")
 
 
+def reference_divergency_at(h, pl, eps):
+    """The divergency of the whole deformed system at ``eps``, from its six
+    weights, at the moving copy of a bend or at a stationary vertex of
+    ``h``; 0 where ``_is_vertex`` finds no vertex.  The reading that
+    ``deform._meet_divergency`` replaced, built once per ``eps``."""
+    ds = build_deformed_system(h, pl, eps)
+    f, units = ds.scale // h.scale, int(eps * ds.scale)
+    covs = reference_supports(ds.lines)
+
+    def at(p) -> int:
+        q = p.shifted(units, f) if isinstance(p, Bend) else (f * p[0], f * p[1])
+        w6 = six_weights(covs, q)
+        return w6[(1, "+")] - w6[(1, "-")] if _is_vertex(w6, q, ds.scale) else 0
+
+    return at
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     return corpus(24, seed0=100)

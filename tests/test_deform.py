@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     oracle_meet_time,
     oracle_turn,
     reference_candidates,
+    reference_divergency_at,
     reference_stop_epsilon,
 )
 from test_paths import benzene_cycle, nonintegral_line_honeycomb
@@ -25,6 +27,7 @@ from cocirc.deform import (
     STOP_VALIDITY_BOUND,
     Bend,
     _candidates,
+    _meet_divergency,
     _meet_time,
     build_deformed_system,
     decompose,
@@ -405,6 +408,45 @@ def test_capped_sweep_matches_uncapped_reference(small_corpus):
     assert STOP_INTEGRAL_VERTEX in kinds and meets > 0
 
 
+def test_meet_divergencies_read_off_the_path_match_the_six_weights(small_corpus):
+    # At every meet up to the stop, the divergency read off the path at
+    # each meeting point equals the six-weight reading of the whole
+    # deformed system in the middle of the interval before it, 0 where
+    # that point is no vertex.  The random duals have weights up to 4 and
+    # vertices of degree 6.
+    instances = list(small_corpus) + [hexagon_instance(k) for k in (1, 2, 3)]
+    instances.append(counterexample_instance())
+    instances += [fractional_vertex_instance(k)[:2] for k in range(1, 4)]
+    instances += fuzz_corpus(200)
+    for n in (4, 6, 8):
+        g = three_side_grid(n)
+        instances += [(g, random_concave(g, seed, 7)) for seed in (0, 1)]
+    read = Counter()
+    for g, h in instances:
+        hc = grid_to_honeycomb(g, h)
+        while not potential(hc).settled:
+            path = find_legal_path(hc)
+            pl = orient_cycle_rightward(path) if path.is_cycle else decompose(path)
+            stop = 2 * hc.scale * stop_epsilon(hc, pl).eps
+            candidates = _candidates(hc, pl)
+            prev = 0
+            for k in sorted(candidates):
+                if k > stop:
+                    break
+                meets = [tag[1:] for tag in candidates[k] if tag[0] == "meet"]
+                if meets:
+                    ref = reference_divergency_at(hc, pl, F(prev + k, 4 * hc.scale))
+                    for pa, pb in meets:
+                        da, db = _meet_divergency(hc, pl, pa), _meet_divergency(hc, pl, pb)
+                        assert (da, db) == (ref(pa), ref(pb))
+                        read["bend" if isinstance(pb, Bend) else "vertex" if db else "no divergency"] += 1
+                        read["opposite"] += da * db < 0
+                prev = k
+            ds = build_deformed_system(hc, pl, stop / (2 * hc.scale))
+            hc = canonicalize(ds.added, ds.scale, ds.base, ds.removed)
+    assert all(read[kind] > 0 for kind in ("bend", "vertex", "no divergency", "opposite")), read
+
+
 def test_patch_canonicalize_matches_full_at_every_step(small_corpus):
     # Each deformation of the rounding loop, canonicalized from the
     # honeycomb and its delta, equals the full canonicalize of the whole
@@ -429,7 +471,7 @@ def test_patch_canonicalize_matches_full_at_every_step(small_corpus):
             assert ev == reference_stop_epsilon(hc, pl)
             ds = build_deformed_system(hc, pl, ev.eps)
             full = canonicalize(ds.lines, ds.scale)
-            local = canonicalize(ds.added, ds.scale, hc, ds.removed)
+            local = canonicalize(ds.added, ds.scale, ds.base, ds.removed)
             assert (local.vertices, local.edges, local.scale) == (full.vertices, full.edges, full.scale)
             assert local.supports == full.supports and local == full
             assert all(local.supports.values()) and all(full.supports.values())  # no empty support
@@ -463,17 +505,17 @@ def test_patch_violation_raises_what_canonicalize_raises():
                         ds = build_deformed_system(hc, pl, m * ev.eps)
                     except EpsilonOutOfRange:
                         continue
-                    finer += ds.f > 1
+                    finer += ds.scale > hc.scale
                     try:
                         full = canonicalize(ds.lines, ds.scale)
                     except NotPreHoneycomb as exc:
                         with pytest.raises(NotPreHoneycomb) as err:
-                            canonicalize(ds.added, ds.scale, hc, ds.removed)
+                            canonicalize(ds.added, ds.scale, ds.base, ds.removed)
                         assert (type(err.value), str(err.value)) == (type(exc), str(exc))
                         violations += 1
                     else:
-                        assert canonicalize(ds.added, ds.scale, hc, ds.removed) == full
+                        assert canonicalize(ds.added, ds.scale, ds.base, ds.removed) == full
                         agreed += 1
                 ds = build_deformed_system(hc, pl, ev.eps)
-                hc = canonicalize(ds.added, ds.scale, hc, ds.removed)
+                hc = canonicalize(ds.added, ds.scale, ds.base, ds.removed)
     assert violations > 0 and agreed > 0 and finer > 0

@@ -31,7 +31,6 @@ from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NotPreHoneycomb
 from cocirc.grid import random_concave, three_side_grid
 from cocirc.honeycomb import (
-    Patch,
     _patch_of,
     _rescaled,
     boundary_partition,
@@ -147,20 +146,6 @@ def test_divergency_raises_on_unequal_tension_under_optimize():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["AssertionError unequal tension [1, 1, 2] at (1/2, 0)"], flags
-
-
-def test_divergency_at_names_the_point_it_tests():
-    # Two rays added to a claw at the origin break tension at both their
-    # ends; the patch names the point asked about, not the least one.
-    p = Patch(claw(ORIGIN), 1, {}, ((HLine(1, 0, 0, None), 1), (HLine(1, 3, 0, None), 1)))
-    for q, message in (
-        ((3, 0), "unequal tension {1: 1, 2: 0, 3: 0} at (Fraction(3, 1), Fraction(0, 1))"),
-        ((0, 0), "unequal tension {1: 2, 2: 1, 3: 1} at (Fraction(0, 1), Fraction(0, 1))"),
-    ):
-        with pytest.raises(NotPreHoneycomb) as exc:
-            p.divergency_at(q)
-        assert str(exc.value) == message
-    assert p.divergency_at((3, 5)) is None
 
 
 def test_canonicalize_merges_overlapping_segments():
@@ -507,14 +492,14 @@ def test_output_coordinates_are_fractions():
 # does: a covered crossing is a vertex, and a coverage step at a line end
 # breaks tension there.
 MESSAGES = [
-    ([(HLine(1, F(1, 2), None, None), -1)], "negative ray weight along (1, Fraction(1, 2))"),
+    ([(HLine(1, F(1, 2), None, None), -1)], "negative ray weight along (1, 1/2)"),
     (
         [plus_ray(cls, (F(1, 2), F(-1, 3)), -1) for cls in (1, 2, 3)],
-        "negative ray weight at (Fraction(1, 2), Fraction(-1, 3))",
+        "negative ray weight at (1/2, -1/3)",
     ),
     (
         [(HLine(2, F(1, 3), F(1, 2), None), 1)],
-        "unequal tension {1: 0, 2: 1, 3: 0} at (Fraction(-5, 6), Fraction(1, 3))",
+        "unequal tension [0, 1, 0] at (-5/6, 1/3)",
     ),
     (
         [(HLine(1, F(1, 2), None, None), 1), (HLine(1, F(-2, 3), None, None), 2)],
@@ -523,7 +508,12 @@ MESSAGES = [
     # two violating ends: the least point is named
     (
         [(HLine(1, F(1, 2), F(1, 3), F(5, 2)), 1)],
-        "unequal tension {1: 1, 2: 0, 3: 0} at (Fraction(1, 2), Fraction(1, 3))",
+        "unequal tension [1, 0, 0] at (1/2, 1/3)",
+    ),
+    # two rays added to a claw break tension at both their ends
+    (
+        [plus_ray(cls, ORIGIN) for cls in (1, 2, 3)] + [plus_ray(1, ORIGIN), plus_ray(1, (F(3), F(0)))],
+        "unequal tension [2, 1, 1] at (0, 0)",
     ),
 ]
 
