@@ -9,12 +9,13 @@ Every moving coordinate is affine in the parameter, so all stopping
 events (end line reaching an integer coordinate, opposite-sign vertices
 merging, a moving line capturing an integral vertex, a piece shrinking to
 a point, the validity bound) happen at rational times found by solving
-linear equations.  The engine enumerates all candidate times and takes
-the first that triggers a stop, reading a meet off the path alone.  The
-deformed system there is the honeycomb, at the stop's scale, patched by
-the path edges taken off and the lines added, and ``canonicalize`` of
-that base and delta redoes only what the patch touches: every other
-vertex keeps its incidence and every other support its edges.
+linear equations.  The engine finds them in one pass and judges each
+where it is found, against the least stop so far, reading a meet off the
+path alone.  The deformed system there is the honeycomb, at the stop's
+scale, patched by the path edges taken off and the lines added, and
+``canonicalize`` of that base and delta redoes only what the patch
+touches: every other vertex keeps its incidence and every other support
+its edges.
 
 Coordinates are the honeycomb's ints in units of ``1/scale``.  Every rate
 is -1, 0 or +1, so every candidate time is a multiple of ``1/(2*scale)``.
@@ -32,7 +33,7 @@ from typing import Optional
 from .errors import EpsilonOutOfRange
 from .honeycomb import Honeycomb, Patch, _patch_of, canonicalize, divergency
 from .paths import LegalPath, TURN_LEFT, TURN_RIGHT
-from .spans import HEdge, HLine, Pt, dval, is_integral_point, nxt, t_of
+from .spans import HEdge, HLine, Pt, _sorted_keys, dval, is_integral_point, nxt, t_of
 
 STOP_BOUNDARY_INTEGRAL = "boundary_integral"
 STOP_OPPOSITE_MERGE = "opposite_sign_merge"
@@ -249,55 +250,6 @@ def _meet_time(u: Pt, mu: Pt, v: Pt, mv: Pt) -> Optional[int]:
     return t2 if t2 is not None and t2 > 0 else None
 
 
-def _candidates(h: Honeycomb, pl: PathLines) -> dict[int, list[tuple]]:
-    """Tagged candidate stops, keyed by time in units of ``1/(2*h.scale)``.
-
-    ``eps0`` and ``e1`` always stop, so no meet or sweep after the first
-    of them (the cap) is ever examined or added; ties are kept.
-    """
-    s, on_line = h.scale, h.on_line
-    vanish = pl.vanish_bound()
-    limit = None if vanish is None else 2 * vanish
-    candidates: dict[int, list[tuple]] = {}
-
-    def add(k: Optional[int], tag: tuple) -> None:
-        if k is not None and k > 0 and (limit is None or k <= limit):
-            candidates.setdefault(k, []).append(tag)
-
-    add(limit, ("eps0",))
-    if not pl.is_cycle:
-        for i in (0, len(pl.lines) - 1):
-            frac = pl.lines[i].c % s
-            assert frac != 0
-            add(2 * (s - frac if pl.lines[i].trav == 1 else frac), ("e1", i))
-    limit = min(candidates, default=None)  # the cap
-    movers = [(b, b.vertex, b.motion()) for b in pl.bends]
-    for a, (ba, ua, ma) in enumerate(movers):
-        for bb, ub, mb in movers[a + 1 :]:
-            add(_meet_time(ua, ma, ub, mb), ("meet", ba, bb))
-        # A bend moves along its third-class line, so it can meet only the
-        # stationary vertices on that line.
-        for v in on_line.get((ba.third_cls, dval(ua, ba.third_cls)), ()):
-            add(_meet_time(ua, ma, v, (0, 0)), ("meet", ba, v))
-    # A moving line sweeps the integral vertices on the parallel lines
-    # ahead of it, up to the cap: d within cap/2 of c.
-    levels = {cls: sorted(d for k, d in on_line if k == cls and d % s == 0) for cls in (1, 2, 3)}
-    reach = None if limit is None else limit // 2
-    for i, line in enumerate(pl.lines):
-        ds = levels[line.cls]
-        if line.trav == 1:
-            first = bisect_right(ds, line.c)
-            stop = len(ds) if reach is None else bisect_right(ds, line.c + reach)
-        else:
-            first = 0 if reach is None else bisect_left(ds, line.c - reach)
-            stop = bisect_left(ds, line.c)
-        for d in ds[first:stop]:
-            for v in on_line[(line.cls, d)]:
-                if is_integral_point(v, s):
-                    add(2 * (d - line.c) * line.trav, ("sweep", i, v))
-    return candidates
-
-
 def _meet_divergency(h: Honeycomb, pl: PathLines, p) -> int:
     """The divergency just before a meet at the moving copy of the bend
     ``p`` or at the stationary vertex ``p``.  Only the bend's moved lines
@@ -311,38 +263,69 @@ def _meet_divergency(h: Honeycomb, pl: PathLines, p) -> int:
 def stop_epsilon(h: Honeycomb, pl: PathLines) -> StopEvent:
     """First parameter at which the rightward motion must stop.
 
-    Times run in units of ``1/(2*h.scale)``.  A meet stops the motion when
-    its two points have divergencies of opposite signs just before it (a
+    Times run in units of ``1/(2*h.scale)``.  A piece vanishing and an
+    end line reaching an integer coordinate always stop, and the least
+    stop found so far caps the search: each meet and each sweep is judged
+    where it is found, if it is no later than the cap, and the least time
+    comes back with all of its kinds.  A meet stops the motion when its
+    two points have divergencies of opposite signs just before it (a
     point of nonzero divergency is a vertex), read off the path by
     ``_meet_divergency``: no deformed system is built.
     """
-    candidates = _candidates(h, pl)
-    for k in sorted(candidates):
-        kinds: set[str] = set()
-        for tag in candidates[k]:
-            if tag[0] == "eps0":
-                kinds.add(STOP_LINE_VANISHED)
-            elif tag[0] == "e1":
-                kinds.add(STOP_BOUNDARY_INTEGRAL)
-            elif tag[0] == "sweep":
-                moved = HLine(*_moved_line_span(pl, tag[1], k, 2))
-                if moved.contains_t(2 * t_of(moved.cls, tag[2])):
-                    kinds.add(STOP_INTEGRAL_VERTEX)
-            else:
-                # pa is a Bend; pb a Bend or a stationary vertex.  A bend's
-                # copy ends the moved copies of its lines, so the sweep
-                # tags of those lines already report an integral pb.
-                _, pa, pb = tag
-                if pa.div * _meet_divergency(h, pl, pb) < 0:
-                    kinds.add(STOP_OPPOSITE_MERGE)
-                    # Validity-bound flavours: a negative stub running off
-                    # its covering edge, or two negative stubs colliding.
-                    b_ok = pb.turn == TURN_LEFT if isinstance(pb, Bend) else True
-                    if pa.turn == TURN_LEFT and b_ok:
-                        kinds.add(STOP_VALIDITY_BOUND)
-        if kinds:
-            return StopEvent(Fraction(k, 2 * h.scale), tuple(sorted(kinds)))
-    raise AssertionError("no stopping event found")
+    s, on_line = h.scale, h.on_line
+    cap: Optional[int] = None
+    kinds: set[str] = set()
+
+    def found(k: int, kind: str) -> None:
+        nonlocal cap, kinds
+        if cap is None or k < cap:
+            cap, kinds = k, {kind}
+        elif k == cap:
+            kinds.add(kind)
+
+    vanish = pl.vanish_bound()
+    if vanish is not None:
+        found(2 * vanish, STOP_LINE_VANISHED)
+    if not pl.is_cycle:
+        for line in (pl.lines[0], pl.lines[-1]):
+            frac = line.c % s
+            assert frac != 0
+            found(2 * (s - frac if line.trav == 1 else frac), STOP_BOUNDARY_INTEGRAL)
+    movers = [(b, b.vertex, b.motion()) for b in pl.bends]
+    for a, (pa, ua, ma) in enumerate(movers):
+        # A bend moves along its third-class line, so it can meet only the
+        # stationary vertices on that line.  A bend's copy ends the moved
+        # copies of its lines, so their sweeps report an integral vertex.
+        fixed = [(v, v, (0, 0)) for v in on_line.get((pa.third_cls, dval(ua, pa.third_cls)), ())]
+        for pb, ub, mb in movers[a + 1 :] + fixed:
+            k = _meet_time(ua, ma, ub, mb)
+            if k is None or (cap is not None and k > cap) or pa.div * _meet_divergency(h, pl, pb) >= 0:
+                continue
+            found(k, STOP_OPPOSITE_MERGE)
+            # Validity-bound flavours: a negative stub running off its
+            # covering edge, or two negative stubs colliding.
+            if pa.turn == TURN_LEFT and (not isinstance(pb, Bend) or pb.turn == TURN_LEFT):
+                found(k, STOP_VALIDITY_BOUND)
+    # A moving line sweeps the integral vertices on the parallel lines
+    # ahead of it, up to the cap: d within cap/2 of c.
+    levels = _sorted_keys(key for key in on_line if key[1] % s == 0)
+    for i, line in enumerate(pl.lines):
+        ds, reach = levels[line.cls], None if cap is None else cap // 2
+        if line.trav == 1:
+            first = bisect_right(ds, line.c)
+            stop = len(ds) if reach is None else bisect_right(ds, line.c + reach)
+        else:
+            first = 0 if reach is None else bisect_left(ds, line.c - reach)
+            stop = bisect_left(ds, line.c)
+        for d in ds[first:stop]:
+            k = 2 * (d - line.c) * line.trav
+            moved = HLine(*_moved_line_span(pl, i, k, 2))
+            vs = on_line[(line.cls, d)]
+            if any(is_integral_point(v, s) and moved.contains_t(2 * t_of(line.cls, v)) for v in vs):
+                found(k, STOP_INTEGRAL_VERTEX)
+    if cap is None:
+        raise AssertionError("no stopping event found")
+    return StopEvent(Fraction(cap, 2 * s), tuple(sorted(kinds)))
 
 
 def orient_cycle_rightward(p: LegalPath) -> PathLines:

@@ -314,7 +314,7 @@ def _canonical_form(p: Patch) -> Honeycomb:
         if (cov := covs.get(key)) is not None:
             cls, vs = key[0], on_line.get(key, [])
             at = [(t_of(cls, v), v) for v in (vs[::-1] if cls == 2 else vs)]  # t order
-            if edges := _cut(cls, key[1], cov, at, 1, scale, slots):
+            if edges := _cut(cls, key[1], cov, at, scale, slots):
                 supports[key] = edges
     hc = Honeycomb(supports, scale, slots, on_line)
     if __debug__:  # the vertex tests passed; check what was cut agrees

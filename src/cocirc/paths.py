@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import NoNonintegralEdge
 from .honeycomb import Honeycomb, divergency
-from .spans import OPPOSITE, HEdge, Pt
+from .spans import OPPOSITE, HEdge, Pt, show_point
 
 TURN_RIGHT = "right"
 TURN_LEFT = "left"
@@ -34,20 +34,13 @@ def dominating_edges(h: Honeycomb, v: Pt) -> frozenset[HEdge]:
     return out
 
 
-def is_legal_pair(
-    h: Honeycomb, v: Pt, e1: HEdge, e2: HEdge, doms: Optional[dict[Pt, frozenset[HEdge]]] = None
-) -> bool:
-    """Whether ``e1``, ``e2`` is a legal pair at ``v``.  ``doms``, when
-    given, keeps ``dominating_edges`` by vertex: read when there, filled
-    in when worked out."""
+def is_legal_pair(h: Honeycomb, v: Pt, e1: HEdge, e2: HEdge) -> bool:
+    """Whether ``e1``, ``e2`` is a legal pair at ``v``."""
     if e1 == e2 or not (e1.c % h.scale and e2.c % h.scale):
         return False
     if LegalPath._opposite(e1, e2, v):
         return True
-    if doms is None:
-        dom = dominating_edges(h, v)
-    elif (dom := doms.get(v)) is None:
-        dom = doms[v] = dominating_edges(h, v)
+    dom = dominating_edges(h, v)
     return e1 in dom and e2 in dom
 
 
@@ -118,22 +111,21 @@ def find_legal_path(h: Honeycomb) -> LegalPath:
         e = edges[-1]
         if (dom := doms.get(v)) is None:
             dom = doms[v] = dominating_edges(h, v)
-        if e not in dom:
-            e2 = h.incidence[v].get((e.cls, OPPOSITE[e.sign_at(v)]))
-            assert e2 is not None, "non-dominating edge lacks an opposite"
+        if e in dom and (spare := [b for b in bends.get(v, []) if e not in (b[1], b[2])]):
+            e2 = spare[0][2]
+        elif e in dom and len(bends.get(v, [])) < abs(divergency(h, v)):
+            # the first free one in slot order
+            e2 = next(
+                (d for _, d in sorted(h.incidence[v].items()) if d in dom and d != e and d.c % h.scale),
+                None,
+            )
+            assert e2 is not None, "no free dominating partner"
         else:
-            spare = [b for b in bends.get(v, []) if e not in (b[1], b[2])]
-            if spare:
-                e2 = spare[0][2]
-            elif len(bends.get(v, [])) < abs(divergency(h, v)):
-                # the first free one in slot order
-                e2 = next(
-                    (d for _, d in sorted(h.incidence[v].items()) if d in dom and d != e and d.c % h.scale),
-                    None,
-                )
-                assert e2 is not None, "no free dominating partner"
-            else:
-                e2 = h.incidence[v][(e.cls, OPPOSITE[e.sign_at(v)])]
+            # A non-dominating edge, or a dominating one with no spare bend
+            # and the bend budget spent, goes straight.
+            e2 = h.incidence[v].get((e.cls, OPPOSITE[e.sign_at(v)]))
+            if e2 is None:
+                raise AssertionError(f"no straight continuation at {show_point(v, h.scale)}")
 
         j = left_from.get((e2, v))
         if j is not None:
@@ -168,9 +160,8 @@ def check_legal_path(h: Honeycomb, p: LegalPath) -> None:
     pairs = [(p.edges[i - 1], p.edges[i], p.verts[i]) for i in range(1, k)]
     if p.is_cycle:
         pairs.append((p.edges[-1], p.edges[0], p.verts[0]))
-    doms: dict[Pt, frozenset[HEdge]] = {}
     for e1, e2, v in pairs:
-        assert is_legal_pair(h, v, e1, e2, doms)
+        assert is_legal_pair(h, v, e1, e2)
 
     count: dict[HEdge, int] = {}
     direction: dict[HEdge, set] = {}

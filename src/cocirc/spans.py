@@ -314,12 +314,11 @@ def _is_vertex(w6: dict[tuple[int, str], int], p: Pt, scale: int) -> bool:
     return ws.count(0) <= 3
 
 
-def _cut(cls: int, c, cov: _Coverage, at: list, g: int, scale: int, slots) -> tuple[HEdge, ...]:
+def _cut(cls: int, c: int, cov: _Coverage, at: list, scale: int, slots) -> tuple[HEdge, ...]:
     """The edges of the support ``d_cls = c`` cut at the vertices ``at``.
 
-    ``at`` holds pairs ``(t, key)`` in increasing ``t``.  Each edge, with
-    its coordinates divided by ``g``, also goes into the ray slots
-    ``slots[key]`` of its ends.  Raises NotPreHoneycomb where the coverage
+    ``at`` holds pairs ``(t, key)`` in increasing ``t``.  Each edge also
+    goes into the ray slots ``slots[key]`` of its ends.  Raises NotPreHoneycomb where the coverage
     is negative or steps away from a vertex, or covers a line without
     vertices.
     """
@@ -337,7 +336,7 @@ def _cut(cls: int, c, cov: _Coverage, at: list, g: int, scale: int, slots) -> tu
             raise NotPreHoneycomb(f"negative coverage on {show_line(cls, c, scale)}")
         if not cov.constant_on(a, b):
             raise NotPreHoneycomb(f"coverage step without a vertex on {show_line(cls, c, scale)}")
-        e = HEdge(cls, c // g, None if a is None else a // g, None if b is None else b // g, w)
+        e = HEdge(cls, c, a, b, w)
         edges.append(e)
         if va is not None:
             slots[va][(cls, "+")] = e

@@ -424,10 +424,16 @@ def reference_canonicalize(system, scale: int, candidates=reference_candidate_po
     # In sorted order, so that the least violation raises first.
     for (cls, c), cov in sorted(covs.items()):
         at = sorted((t_of(cls, v), v) for v in on_line.get((cls, c), ()))
-        if edges := _cut(cls, c, cov, at, g, scale, slots):
-            supports[(cls, c // g)] = edges
-    if g > 1:
-        slots = {(v[0] // g, v[1] // g): vs for v, vs in slots.items()}
+        if edges := _cut(cls, c, cov, at, scale, slots):
+            supports[(cls, c)] = edges
+    if g > 1:  # every coordinate divided by g
+
+        def down(e: HEdge) -> HEdge:
+            lo, hi = (None if t is None else t // g for t in (e.lo, e.hi))
+            return HEdge(e.cls, e.c // g, lo, hi, e.weight)
+
+        supports = {(cls, c // g): tuple(map(down, es)) for (cls, c), es in supports.items()}
+        slots = {(v[0] // g, v[1] // g): {s: down(e) for s, e in vs.items()} for v, vs in slots.items()}
         on_line = vertices_by_line(slots)
     hc = Honeycomb(supports, scale // g, slots, on_line)
     for v, vs in slots.items():
@@ -459,9 +465,10 @@ def _is_integral(p: Pt) -> bool:
 
 
 def reference_candidates(h, pl):
-    """The tagged candidate stops of ``deform.stop_epsilon`` before its
-    sweep and its meets were capped, in Fractions of the plane: every path
-    line meets every integral vertex ahead of it, and every meet is kept.
+    """Every candidate stop of the rightward motion, keyed by its time and
+    tagged by its kind, in Fractions of the plane: every path line meets
+    every integral vertex ahead of it, and every meet is kept, where
+    ``deform.stop_epsilon`` judges each in one pass up to the least stop.
     Tags name points in Fractions."""
     unit = Fraction(1, h.scale)
 
@@ -514,7 +521,8 @@ def reference_candidates(h, pl):
 
 
 def reference_stop_epsilon(h, pl):
-    """``deform.stop_epsilon`` over ``reference_candidates``, in Fractions."""
+    """The first of ``reference_candidates`` that stops, its tags judged in
+    time order, in Fractions: the oracle of ``deform.stop_epsilon``."""
     unit = Fraction(1, h.scale)
     candidates = reference_candidates(h, pl)
 

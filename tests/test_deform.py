@@ -26,7 +26,6 @@ from cocirc.deform import (
     STOP_LINE_VANISHED,
     STOP_VALIDITY_BOUND,
     Bend,
-    _candidates,
     _meet_divergency,
     _meet_time,
     build_deformed_system,
@@ -365,20 +364,6 @@ def test_double_use_weight_bookkeeping():
     assert ev.eps > 0
 
 
-def _tag_rows(candidates, time, point):
-    """Sorted (time, kind, ...) rows of tagged candidates, in Fractions."""
-
-    def name(x):
-        return ("bend", x.index) if isinstance(x, Bend) else ("point", point(x))
-
-    rows = []
-    for k, tags in candidates.items():
-        for tag in tags:
-            rest = [name(x) if isinstance(x, (Bend, tuple)) else x for x in tag[1:]]
-            rows.append((time(k), tag[0], *rest))
-    return sorted(rows)
-
-
 def test_capped_sweep_matches_uncapped_reference(small_corpus):
     # every rightward step of the rounding loop on each instance
     instances = list(small_corpus) + [hexagon_instance(k) for k in (1, 2, 3)]
@@ -393,15 +378,8 @@ def test_capped_sweep_matches_uncapped_reference(small_corpus):
             ev = stop_epsilon(hc, pl)
             assert ev == reference_stop_epsilon(hc, pl)
             kinds.update(ev.kinds)
-            # the same candidates, meets and sweeps included, up to the cap
             ref = reference_candidates(hc, pl)
-            cap = min((t for t, tags in ref.items() if any(x[0] in ("eps0", "e1") for x in tags)), default=None)
-            expected = _tag_rows(ref, lambda t: t, lambda p: p)
-            got = _tag_rows(_candidates(hc, pl), lambda k: F(k, 2 * hc.scale), hc.point)
-            assert [r for r in got if cap is None or r[0] <= cap] == [
-                r for r in expected if cap is None or r[0] <= cap
-            ]
-            meets += sum(1 for r in got if r[1] == "meet")
+            meets += sum(tag[0] == "meet" for t, tags in ref.items() if t <= ev.eps for tag in tags)
             ds = build_deformed_system(hc, pl, ev.eps)
             hc = canonicalize(ds.lines, ds.scale)
             assert canonicalize_rational(frac_lines(ds)) == hc  # at the lcm of its denominators
@@ -427,22 +405,24 @@ def test_meet_divergencies_read_off_the_path_match_the_six_weights(small_corpus)
         while not potential(hc).settled:
             path = find_legal_path(hc)
             pl = orient_cycle_rightward(path) if path.is_cycle else decompose(path)
-            stop = 2 * hc.scale * stop_epsilon(hc, pl).eps
-            candidates = _candidates(hc, pl)
+            stop = stop_epsilon(hc, pl).eps
+            candidates = reference_candidates(hc, pl)
             prev = 0
-            for k in sorted(candidates):
-                if k > stop:
+            for t in sorted(candidates):
+                if t > stop:
                     break
-                meets = [tag[1:] for tag in candidates[k] if tag[0] == "meet"]
+                meets = [tag[1:] for tag in candidates[t] if tag[0] == "meet"]
                 if meets:
-                    ref = reference_divergency_at(hc, pl, F(prev + k, 4 * hc.scale))
+                    ref = reference_divergency_at(hc, pl, (prev + t) / 2)
                     for pa, pb in meets:
+                        if not isinstance(pb, Bend):
+                            pb = at_scale(hc, pb)  # a stationary vertex, from Fractions
                         da, db = _meet_divergency(hc, pl, pa), _meet_divergency(hc, pl, pb)
                         assert (da, db) == (ref(pa), ref(pb))
                         read["bend" if isinstance(pb, Bend) else "vertex" if db else "no divergency"] += 1
                         read["opposite"] += da * db < 0
-                prev = k
-            ds = build_deformed_system(hc, pl, stop / (2 * hc.scale))
+                prev = t
+            ds = build_deformed_system(hc, pl, stop)
             hc = canonicalize(ds.added, ds.scale, ds.base, ds.removed)
     assert all(read[kind] > 0 for kind in ("bend", "vertex", "no divergency", "opposite")), read
 

@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import at_scale, canonicalize_rational, corpus, frac_lines, frac_span
+from cocirc import paths
 from cocirc.constructions import hexagon_instance, sample_honeycomb
 from cocirc.duality import grid_to_honeycomb
 from cocirc.errors import NoNonintegralEdge
@@ -160,6 +162,15 @@ def test_find_legal_path_single_line_no_bends():
     assert len(p.edges) == 3
     assert p.bend_positions == ()
     assert p.verts[0] is None and p.verts[-1] is None
+
+
+def test_empty_straight_slot_raises_naming_the_point(monkeypatch):
+    # With no edge dominating, the search goes straight at the centre of a
+    # claw, where every opposite slot is empty: an explicit error that
+    # names the point, with or without asserts.
+    monkeypatch.setattr(paths, "dominating_edges", lambda h, v: frozenset())
+    with pytest.raises(AssertionError, match=re.escape("no straight continuation at (1/2, 1/3)")):
+        find_legal_path(claw((F(1, 2), F(1, 3))))
 
 
 def test_benzene_cycle_is_legal():
